@@ -35,8 +35,9 @@ class UeBuffer:
         self.dropped_deadline_bits = 0
         # Deadlines are monotone along the queue for a single flow (FIFO
         # arrivals, fixed delay bound), letting expire() pop from the head
-        # only. Mixed-deadline enqueues clear the flag and force full scans.
-        self._deadlines_monotone = True
+        # only, and callers skip expire() while the head is live.
+        # Mixed-deadline enqueues clear the flag and force full scans.
+        self.deadlines_monotone = True
 
     def enqueue(self, pkt: Packet) -> bool:
         """Append the packet whole, or tail-drop it whole if it won't fit.
@@ -49,7 +50,7 @@ class UeBuffer:
             self.dropped_overflow_bits += pkt.size_bits
             return False
         if self.queue and pkt.deadline_tti < self.queue[-1].deadline_tti:
-            self._deadlines_monotone = False
+            self.deadlines_monotone = False
         self.queue.append(
             QueuedPacket(pkt.size_bits, pkt.size_bits, pkt.arrival_tti, pkt.deadline_tti)
         )
@@ -67,7 +68,7 @@ class UeBuffer:
         queue = self.queue
         while queue and queue[0].deadline_tti <= now_tti:
             dropped += queue.popleft().remaining_bits
-        if not self._deadlines_monotone and queue:
+        if not self.deadlines_monotone and queue:
             survivors = deque()
             for qp in queue:
                 if qp.deadline_tti <= now_tti:
@@ -75,7 +76,7 @@ class UeBuffer:
                 else:
                     survivors.append(qp)
             self.queue = survivors
-            self._deadlines_monotone = all(
+            self.deadlines_monotone = all(
                 a.deadline_tti <= b.deadline_tti
                 for a, b in zip(survivors, list(survivors)[1:])
             )

@@ -5,6 +5,14 @@ function of (scenario, seed). Each (ue, purpose) pair gets its own
 counter-based RNG substream so changing one flow's parameters never
 perturbs another flow's arrival sequence.
 
+Substreams are consumed in blocks (see ``streams.BufferedStream``): each
+draws its doubles ``BLOCK`` at a time and serves the simulator's scalar calls
+from the buffer. The sequence of values is identical to scalar ``Generator``
+calls, so outputs do not depend on the block size. Small-``lam`` Poisson
+samples are replayed from the buffered doubles with numpy's multiplication
+sampler; that replay depends on numpy's sampler and is guarded by the
+stream equivalence test in ``tests/test_streams.py``.
+
 Per-TTI event order is fixed:
   1. generate arrivals and enqueue
   2. expire past-deadline packets
@@ -14,6 +22,11 @@ Per-TTI event order is fixed:
   6. drain the winner with budget rate * TTI
   7. update served-rate EMAs and metrics
   8. evaluate the service-adjustment trigger
+
+Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
+they run in one loop over the UEs, in that order within each UE. Only UEs
+with queued bits are scheduling candidates; a TTI without candidates is idle
+and ``select`` is not called.
 """
 from __future__ import annotations
 
@@ -28,14 +41,16 @@ from .channel import ChannelParams, CqiState, cqi_step, rate_of
 from .metrics import MetricsWindow, WindowRecord, jfi, qoe_fi
 from .qoe import QoeState
 from .scheduler import (
+    AVG_RATE_FLOOR,
+    AVG_RATE_TC,
     PRIORITY_FN,
     Policy,
     SchedDecision,
     TTI_SECONDS,
     UeSchedInput,
     select,
-    update_avg_rate,
 )
+from .streams import BufferedStream
 from .traffic import FlowSpec, apply_adjustment, arrivals
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
@@ -95,6 +110,10 @@ class UeState:
     buffer: UeBuffer
     cqi: CqiState
     qoe: QoeState
+    traffic_rng: BufferedStream
+    cqi_rng: BufferedStream
+    # q feedback pipeline: index 0 is the value the scheduler sees now.
+    q_pipe: deque[float]
     avg_rate_bps: float = 1.0
     last_served_tti: int = -1
     last_adjust_tti: int | None = None
@@ -147,13 +166,17 @@ class SimReport:
     trace_rows: list[tuple] | None = None
 
 
-def _substream(seed: int, ue_id: int, purpose: int) -> np.random.Generator:
+def _substream(seed: int, ue_id: int, purpose: int) -> BufferedStream:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))
-    return np.random.Generator(np.random.Philox(ss))
+    return BufferedStream(np.random.Generator(np.random.Philox(ss)))
 
 
 _PURPOSE_TRAFFIC = 0
 _PURPOSE_CQI = 1
+
+# update_avg_rate's coefficients at its default time constant.
+_EMA_DECAY = 1.0 - 1.0 / AVG_RATE_TC
+_EMA_GAIN = 1.0 / AVG_RATE_TC
 
 
 class Simulation:
@@ -173,130 +196,144 @@ class Simulation:
         if len(init_cqis) != len(scenario.flows):
             raise ValueError("initial_cqi_per_ue length must match flow count")
 
-        self.ues: list[UeState] = []
-        self.traffic_rng: dict[int, np.random.Generator] = {}
-        self.cqi_rng: dict[int, np.random.Generator] = {}
-        for flow, cqi0 in zip(scenario.flows, init_cqis):
-            self.ues.append(
-                UeState(
-                    spec=flow,
-                    buffer=UeBuffer(scenario.buffersize_bits),
-                    cqi=CqiState(cqi0),
-                    qoe=QoeState(ue_id=flow.ue_id, q_max=scenario.q_max),
-                )
+        delay = scenario.qoe_feedback_delay_tti
+        self.ues = [
+            UeState(
+                spec=flow,
+                buffer=UeBuffer(scenario.buffersize_bits),
+                cqi=CqiState(cqi0),
+                qoe=QoeState(ue_id=flow.ue_id, q_max=scenario.q_max),
+                traffic_rng=_substream(self.seed, flow.ue_id, _PURPOSE_TRAFFIC),
+                cqi_rng=_substream(self.seed, flow.ue_id, _PURPOSE_CQI),
+                q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
             )
-            self.traffic_rng[flow.ue_id] = _substream(self.seed, flow.ue_id, _PURPOSE_TRAFFIC)
-            self.cqi_rng[flow.ue_id] = _substream(self.seed, flow.ue_id, _PURPOSE_CQI)
+            for flow, cqi0 in zip(scenario.flows, init_cqis)
+        ]
+        self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
 
         self.window = MetricsWindow([u.spec.ue_id for u in self.ues], TTI_SECONDS)
         self.window_records: list[WindowRecord] = []
         self.adjustment_events: list[AdjustmentEvent] = []
         self.trace_rows: list[tuple] = []
-        # q feedback pipeline: index 0 is the value the scheduler sees now.
-        delay = scenario.qoe_feedback_delay_tti
-        self.q_pipe: dict[int, deque[float]] = {
-            u.spec.ue_id: deque([1.0] * (delay + 1), maxlen=delay + 1) for u in self.ues
-        }
 
     def step(self, tti: int) -> SchedDecision:
         sc = self.scenario
+        channel = sc.channel
+        window = self.window
+        collect = self.collect_trace
 
-        # 1. arrivals
+        # Steps 1-5 per UE. Only UEs with queued bits become scheduling
+        # inputs, unless the trace needs a priority for every UE.
+        inputs: list[UeSchedInput] = []
         for u in self.ues:
-            pkts = arrivals(u.spec, tti, self.traffic_rng[u.spec.ue_id])
-            arrived = 0
-            overflow_before = u.buffer.dropped_overflow_bits
-            for p in pkts:
-                arrived += p.size_bits
-                u.buffer.enqueue(p)
-            if arrived:
+            spec = u.spec
+            ue_id = spec.ue_id
+            buf = u.buffer
+
+            # 1. arrivals
+            overflow = 0
+            pkts = arrivals(spec, tti, u.traffic_rng)
+            if pkts:
+                overflow_before = buf.dropped_overflow_bits
+                arrived = 0
+                for p in pkts:
+                    arrived += p.size_bits
+                    buf.enqueue(p)
                 u.qoe.update_requirement(arrived)
-                self.window.record_arrival(u.spec.ue_id, arrived)
-            overflow_delta = u.buffer.dropped_overflow_bits - overflow_before
-            if overflow_delta:
-                self.window.record_drops(u.spec.ue_id, overflow_delta, 0)
-            u._overflow_this_tti = overflow_delta
+                window.record_arrival(ue_id, arrived)
+                overflow = buf.dropped_overflow_bits - overflow_before
+                if overflow:
+                    window.record_drops(ue_id, overflow, 0)
+            u._overflow_this_tti = overflow
 
-        # 2. deadline expiry
-        for u in self.ues:
-            dropped = u.buffer.expire(tti)
-            if dropped:
-                self.window.record_drops(u.spec.ue_id, 0, dropped)
-            u._deadline_this_tti = dropped
+            # 2. deadline expiry; nothing expires from a deadline-ordered
+            # queue whose head is still live
+            expired = 0
+            queue = buf.queue
+            if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
+                expired = buf.expire(tti)
+                if expired:
+                    window.record_drops(ue_id, 0, expired)
+            u._deadline_this_tti = expired
 
-        # 3. channel
-        for u in self.ues:
-            u.cqi = cqi_step(u.cqi, sc.channel, self.cqi_rng[u.spec.ue_id])
+            # 3. channel
+            cqi = u.cqi = cqi_step(u.cqi, channel, u.cqi_rng)
 
-        # 4. QoE feedback (possibly delayed)
-        q_eff: dict[int, float] = {}
-        for u in self.ues:
-            pipe = self.q_pipe[u.spec.ue_id]
+            # 4. QoE feedback (possibly delayed)
+            pipe = u.q_pipe
             pipe.append(u.qoe.q_of())
-            q_eff[u.spec.ue_id] = pipe[0]
 
-        # 5. selection
-        inputs = [
-            UeSchedInput(
-                ue_id=u.spec.ue_id,
-                buffer_bits=u.buffer.occupied_bits,
-                buffersize_bits=sc.buffersize_bits,
-                alpha=u.spec.alpha,
-                beta_s=u.spec.beta_ms / 1000.0,
-                q=q_eff[u.spec.ue_id],
-                rate_bps=rate_of(u.cqi.cqi, sc.channel),
-                hol_delay_s=u.buffer.hol_delay_tti(tti) * TTI_SECONDS,
-                avg_rate_bps=u.avg_rate_bps,
-                last_served_tti=u.last_served_tti,
-            )
-            for u in self.ues
-        ]
-        decision = select(inputs, self.policy)
+            # 5a. scheduling input, built positionally: keyword arguments
+            # cost several times more per call
+            if buf.occupied_bits or collect:
+                inputs.append(
+                    UeSchedInput(
+                        ue_id,                                    # ue_id
+                        buf.occupied_bits,                        # buffer_bits
+                        sc.buffersize_bits,                       # buffersize_bits
+                        spec.alpha,                               # alpha
+                        spec.beta_ms / 1000.0,                    # beta_s
+                        pipe[0],                                  # q
+                        rate_of(cqi.cqi, channel),                # rate_bps
+                        buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
+                        u.avg_rate_bps,                           # avg_rate_bps
+                        u.last_served_tti,                        # last_served_tti
+                    )
+                )
+
+        # 5b. selection; a TTI without candidates is idle
+        if inputs and (not collect or any(i.buffer_bits for i in inputs)):
+            decision = select(inputs, self.policy)
+        else:
+            decision = SchedDecision(None, 0.0, 0)
 
         # 6. transmission
-        tx_by_ue: dict[int, int] = {}
+        winner = None
+        tx = 0
         if decision.selected_ue is not None:
-            winner = next(u for u in self.ues if u.spec.ue_id == decision.selected_ue)
+            winner = self._ue_by_id[decision.selected_ue]
             tx, delays = winner.buffer.drain(decision.budget_bits, tti)
-            tx_by_ue[winner.spec.ue_id] = tx
             winner.qoe.record_delivered(tx)
             winner.delays_tti.extend(delays)
             winner.sched_count += 1
             winner.last_served_tti = tti
-            self.window.record_delivery(winner.spec.ue_id, tx, delays)
+            window.record_delivery(winner.spec.ue_id, tx, delays)
 
-        # 7. served-rate EMAs
+        # 7. served-rate EMAs, as update_avg_rate computes them. A UE not
+        # served adds (1 / AVG_RATE_TC) * 0.0 == 0.0, which leaves the
+        # positive decayed rate exactly as it is, so that term is left out.
         for u in self.ues:
-            u.avg_rate_bps = update_avg_rate(
-                u.avg_rate_bps, tx_by_ue.get(u.spec.ue_id, 0)
-            )
+            if u is winner:
+                avg = _EMA_DECAY * u.avg_rate_bps + _EMA_GAIN * (tx / TTI_SECONDS)
+            else:
+                avg = _EMA_DECAY * u.avg_rate_bps
+            u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
         # 8. adjustment trigger
         if sc.adjustment.enabled:
             self._adjustment_check(tti)
 
-        if self.collect_trace:
-            by_id = {i.ue_id: i for i in inputs}
+        if collect:
+            # inputs holds every UE, in the order of self.ues
             pfn = PRIORITY_FN[self.policy]
-            for u in self.ues:
-                i = by_id[u.spec.ue_id]
+            for u, i in zip(self.ues, inputs):
                 self.trace_rows.append(
                     (
                         tti,
-                        u.spec.ue_id,
+                        i.ue_id,
                         u.cqi.cqi,
                         i.rate_bps,
                         u.buffer.occupied_bits,
                         i.q,
                         pfn(i),
-                        1 if decision.selected_ue == u.spec.ue_id else None,
-                        tx_by_ue.get(u.spec.ue_id, 0),
+                        1 if decision.selected_ue == i.ue_id else None,
+                        tx if u is winner else 0,
                         u._deadline_this_tti,
                         u._overflow_this_tti,
                     )
                 )
 
-        if sc.window_tti is not None and (tti + 1 - self.window.start_tti) >= sc.window_tti:
+        if sc.window_tti is not None and (tti + 1 - window.start_tti) >= sc.window_tti:
             self._close_window(tti + 1)
         return decision
 

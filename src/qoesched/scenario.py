@@ -7,6 +7,7 @@ the offending key.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .channel import ChannelParams
@@ -54,6 +55,10 @@ def _num(d: dict, key: str, ctx: str, required: bool = True, default=None):
     v = _get(d, key, ctx, required, default)
     if v is not None and not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ScenarioValidationError(f"{ctx}: key '{key}' must be a number")
+    # json.loads accepts NaN and Infinity, and overflows literals like 1e400
+    # to inf; strict JSON has neither.
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ScenarioValidationError(f"{ctx}: key '{key}' must be finite, got {v}")
     return v
 
 
@@ -86,10 +91,12 @@ def _parse_flow(d: Any, idx: int) -> FlowSpec:
             beta_ms=int(beta_ms),
             offered_load_bps=float(load),
             adaptive=bool(_get(d, "adaptive", ctx, required=False, default=False)),
-            mean_packet_bits=d.get("mean_packet_bits"),
-            max_packet_bits=d.get("max_packet_bits"),
-            frame_interval_ms=int(d.get("frame_interval_ms", 16)),
+            mean_packet_bits=_num(d, "mean_packet_bits", ctx, required=False),
+            max_packet_bits=_num(d, "max_packet_bits", ctx, required=False),
+            frame_interval_ms=int(_num(d, "frame_interval_ms", ctx, False, 16)),
         )
+    except ScenarioValidationError:
+        raise
     except ValueError as e:
         raise ScenarioValidationError(f"{ctx}: {e}") from None
 
@@ -111,19 +118,26 @@ def parse_scenario(text: str) -> Scenario:
             walk_prob=float(_num(chan_raw, "walk_prob", "channel", False, 0.1)),
             initial_cqi_per_ue=tuple(chan_raw.get("initial_cqi", ())),
         )
+    except ScenarioValidationError:
+        raise
     except ValueError as e:
         raise ScenarioValidationError(f"channel: {e}") from None
 
     qoe_raw = _get(raw, "qoe", "scenario", required=False, default={})
     _reject_unknown(qoe_raw, _QOE_KEYS, "qoe")
+    feedback_delay_tti = int(_num(qoe_raw, "feedback_delay_tti", "qoe", False, 0))
+    q_max = float(_num(qoe_raw, "q_max", "qoe", False, 100.0))
     adj_raw = _get(raw, "adjustment", "scenario", required=False, default={})
     _reject_unknown(adj_raw, _ADJ_KEYS, "adjustment")
+    occupancy_threshold = _num(adj_raw, "occupancy_threshold", "adjustment", False, 0.8)
+    starvation_tti = _num(adj_raw, "starvation_tti", "adjustment", False, 100)
+    factor = _num(adj_raw, "factor", "adjustment", False, 0.75)
     try:
         adjustment = AdjustmentParams(
             enabled=bool(adj_raw.get("enabled", False)),
-            occupancy_threshold=float(adj_raw.get("occupancy_threshold", 0.8)),
-            starvation_tti=int(adj_raw.get("starvation_tti", 100)),
-            factor=float(adj_raw.get("factor", 0.75)),
+            occupancy_threshold=float(occupancy_threshold),
+            starvation_tti=int(starvation_tti),
+            factor=float(factor),
         )
     except ValueError as e:
         raise ScenarioValidationError(f"adjustment: {e}") from None
@@ -144,7 +158,7 @@ def parse_scenario(text: str) -> Scenario:
             f"scenario: key 'policy' must be one of {[p.value for p in Policy]}"
         ) from None
 
-    window_tti = raw.get("window_tti")
+    window_tti = _num(raw, "window_tti", "scenario", required=False)
     try:
         return Scenario(
             name=str(_get(raw, "name", "scenario", required=False, default="scenario")),
@@ -154,8 +168,8 @@ def parse_scenario(text: str) -> Scenario:
             buffersize_bits=int(_num(raw, "buffersize_bits", "scenario")),
             policy=policy,
             seed=int(_num(raw, "seed", "scenario", required=False, default=0)),
-            qoe_feedback_delay_tti=int(qoe_raw.get("feedback_delay_tti", 0)),
-            q_max=float(qoe_raw.get("q_max", 100.0)),
+            qoe_feedback_delay_tti=feedback_delay_tti,
+            q_max=q_max,
             window_tti=int(window_tti) if window_tti is not None else None,
             adjustment=adjustment,
             annotations=dict(raw.get("annotations", {})),

@@ -93,14 +93,10 @@ def ftp_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[Pac
         return []
     us = rng.random(n)
     deadline = tti + spec.beta_ms
-    return [
-        Packet(
-            size_bits=exp_bits_from_uniform(u, spec.mean_packet_bits),
-            arrival_tti=tti,
-            deadline_tti=deadline,
-        )
-        for u in us
-    ]
+    mean_bits = spec.mean_packet_bits
+    # Packet(size_bits, arrival_tti, deadline_tti), positional: keyword
+    # arguments cost about twice as much per packet.
+    return [Packet(exp_bits_from_uniform(u, mean_bits), tti, deadline) for u in us]
 
 
 def video_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[Packet]:
@@ -111,7 +107,7 @@ def video_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[P
         return []
     mean_bits = spec.offered_load_bps * spec.frame_interval_ms / 1000.0
     size = min(exp_bits_from_uniform(rng.random(), mean_bits), spec.max_packet_bits)
-    return [Packet(size_bits=size, arrival_tti=tti, deadline_tti=tti + spec.beta_ms)]
+    return [Packet(size, tti, tti + spec.beta_ms)]
 
 
 def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[Packet]:

@@ -1,10 +1,12 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from qoesched import engine
 from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
-from qoesched.scheduler import Policy
+from qoesched.scheduler import Policy, update_avg_rate
 from qoesched.traffic import FlowSpec, Packet, TrafficClass
 
 TINY_LOAD = 1e-3  # bps; effectively no arrivals over short runs
@@ -77,6 +79,31 @@ class TestStep:
         sim.ues[0].buffer.enqueue(Packet(1_000_000, 0, 500))   # ratio 0.1
         sim.ues[1].buffer.enqueue(Packet(9_000_000, 0, 500))   # ratio 0.9
         assert sim.step(0).selected_ue == 1
+
+
+    def test_expiry_behind_a_live_head(self):
+        # 1 bit per TTI of service: the queue outlives its second deadline
+        sc = make_scenario([ftp_flow(0, load=TINY_LOAD)], peak=1e3, cqis=[15])
+        sim = Simulation(sc)
+        buf = sim.ues[0].buffer
+        buf.enqueue(Packet(1_000, arrival_tti=0, deadline_tti=50))
+        buf.enqueue(Packet(700, arrival_tti=0, deadline_tti=3))
+        for tti in range(3):
+            sim.step(tti)
+        assert buf.dropped_deadline_bits == 0
+        sim.step(3)
+        assert buf.dropped_deadline_bits == 700
+        assert buf.conservation_holds()
+
+    def test_served_rate_ema_matches_update_avg_rate(self):
+        sc = make_scenario([ftp_flow(0, load=2e9), video_flow(1), ftp_flow(2, load=1e6)],
+                           duration=3000, peak=1e9, walk=0.2, cqis=[9, 12, 4])
+        sim = Simulation(sc, policy=Policy.PF, seed=3, collect_trace=True)
+        report = sim.run()
+        avg = {u.spec.ue_id: 1.0 for u in sim.ues}
+        for row in report.trace_rows:
+            avg[row[1]] = update_avg_rate(avg[row[1]], row[8])
+        assert {u.spec.ue_id: u.avg_rate_bps for u in sim.ues} == avg
 
 
 class TestRun:
@@ -257,3 +284,80 @@ class TestScenarioValidation:
                 u.delivered_bits + u.dropped_overflow_bits
                 + u.dropped_deadline_bits + u.buffered_bits
             )
+
+
+def _scalar_substream(seed, ue_id, purpose):
+    """The unbuffered reference: a plain Generator on the same substream."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+class TestScalarStreamReference:
+    """Buffered substreams and the sparse step give the scalar engine's report."""
+
+    def both(self, monkeypatch, build, **run_kw):
+        buffered = build().run()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_substream", _scalar_substream)
+            scalar_sim = build()
+            assert isinstance(scalar_sim.ues[0].traffic_rng, np.random.Generator)
+            scalar = scalar_sim.run()
+        assert dataclasses.asdict(buffered) == dataclasses.asdict(scalar)
+        return buffered
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_mixed_traffic_with_feedback_delay(self, monkeypatch, policy):
+        # FTP lam ranges from ~0.3 to 40 packets per TTI; light flows leave
+        # idle TTIs; some FTP deadlines expire; q reaches the scheduler late.
+        sc = make_scenario(
+            [ftp_flow(0, load=4e9, mean=100_000, beta=20),
+             ftp_flow(1, load=1.5e8, mean=500_000),
+             ftp_flow(2, load=4e8, mean=10_000, beta=5),
+             video_flow(3, load=3e8),
+             video_flow(4, load=1e8, beta=30)],
+            duration=1500, peak=2e9, walk=0.3, cqis=[12, 6, 9, 14, 3],
+            buffersize_bits=2_000_000, window_tti=250, qoe_feedback_delay_tti=4,
+        )
+        traced = self.both(monkeypatch, lambda: Simulation(sc, policy=policy, seed=21,
+                                                           collect_trace=True))
+        plain = self.both(monkeypatch, lambda: Simulation(sc, policy=policy, seed=21))
+        assert traced.trace_rows and plain.trace_rows is None
+        assert dataclasses.replace(traced, trace_rows=None) == plain
+        assert any(u.dropped_deadline_bits for u in plain.per_ue)
+        assert any(row[7] is None for row in traced.trace_rows)
+
+    def test_idle_cell(self, monkeypatch):
+        sc = make_scenario([ftp_flow(0, load=1e5, mean=1_000), video_flow(1, load=1e5)],
+                           duration=600, walk=0.5, cqis=[5, 9])
+        report = self.both(monkeypatch, lambda: Simulation(sc, seed=4, collect_trace=True))
+        assert sum(u.sched_count for u in report.per_ue) < 600
+
+    def test_adjustment_moves_lam_below_ten(self, monkeypatch):
+        # UE 1 starts at lam = 15 packets per TTI and starves at CQI 1, so the
+        # adjustment loop cuts its load below lam = 10 and on towards the floor.
+        sc = make_scenario(
+            [ftp_flow(0, load=2e8, mean=20_000, beta=100_000, adaptive=True),
+             ftp_flow(1, load=1.5e7, mean=1_000, beta=100_000, adaptive=True)],
+            duration=1500, peak=1e8, cqis=[15, 1], buffersize_bits=500_000, q_max=1.0,
+            adjustment=AdjustmentParams(enabled=True, occupancy_threshold=0.8,
+                                        starvation_tti=20, factor=0.75),
+        )
+        report = self.both(monkeypatch, lambda: Simulation(sc, seed=10, collect_trace=True))
+        lams = [(e.old_load_bps / 1e6, e.new_load_bps / 1e6)
+                for e in report.adjustment_events if e.ue_id == 1]
+        assert any(old >= 10.0 > new for old, new in lams)
+        assert lams[-1][1] < 5.0
+
+    def test_non_monotone_deadlines(self, monkeypatch):
+        sc = make_scenario([ftp_flow(0, load=2e8, beta=40), ftp_flow(1, load=2e8, beta=60)],
+                           duration=400, peak=3e8, walk=0.2, cqis=[7, 11])
+
+        def build():
+            sim = Simulation(sc, policy=Policy.MLWDF, seed=8, collect_trace=True)
+            for deadline in (90, 12, 55, 3, 30):
+                sim.ues[0].buffer.enqueue(Packet(200_000, 0, deadline))
+            assert not sim.ues[0].buffer.deadlines_monotone
+            return sim
+
+        report = self.both(monkeypatch, build)
+        assert report.per_ue[0].dropped_deadline_bits > 0

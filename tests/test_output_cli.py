@@ -186,6 +186,16 @@ class TestCli:
         )
         assert rc == cli.EXIT_VALIDATION
 
+    def test_non_finite_scenario_number_exit_code(self, tmp_path, capsys):
+        raw = scenario_to_dict(small_scenario())
+        raw["flows"][0]["offered_load_bps"] = "@"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw).replace('"@"', "Infinity"))
+        rc = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "offered_load_bps" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_scenario_file_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
         rc = cli.main(["run", "--scenario", str(missing), "--out", str(tmp_path / "o")])

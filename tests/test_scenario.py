@@ -92,6 +92,34 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match="beta_ms"):
             parse_scenario(json.dumps(raw))
 
+    # json.loads accepts NaN, Infinity and -Infinity, and reads 1e400 as inf.
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_flow_key_named(self, literal):
+        raw = self.base()
+        raw["flows"][1]["offered_load_bps"] = "@"
+        text = json.dumps(raw).replace('"@"', literal)
+        with pytest.raises(ScenarioValidationError,
+                           match=r"flows\[1\]: key 'offered_load_bps' must be finite"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_channel_key_named(self, literal):
+        raw = self.base()
+        raw["channel"]["peak_rate_bps"] = "@"
+        text = json.dumps(raw).replace('"@"', literal)
+        with pytest.raises(ScenarioValidationError,
+                           match=r"^channel: key 'peak_rate_bps' must be finite"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("key", ["q_max", "feedback_delay_tti"])
+    def test_non_finite_qoe_key_named(self, key):
+        raw = self.base()
+        raw["qoe"] = {key: "@"}
+        text = json.dumps(raw).replace('"@"', "Infinity")
+        with pytest.raises(ScenarioValidationError, match=f"^qoe: key '{key}' must be finite"):
+            parse_scenario(text)
+
 
 class TestRoundTrip:
     def test_parse_dump_parse_idempotent(self):
