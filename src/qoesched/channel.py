@@ -47,13 +47,31 @@ class CqiState:
             raise ValueError(f"cqi {self.cqi} outside [{CQI_MIN}, {CQI_MAX}]")
 
 
+def cqi_walk(cqi: int, params: ChannelParams, us) -> int:
+    """Apply one TTI of the walk per uniform in ``us``, in order.
+
+    A uniform below walk_prob moves the CQI: down when it is below half of
+    walk_prob, up otherwise, clamped to [CQI_MIN, CQI_MAX]; any other
+    uniform leaves it where it is.
+    """
+    p = params.walk_prob
+    half = p / 2.0
+    for u in us:
+        if u < p:
+            if u < half:
+                if cqi > CQI_MIN:
+                    cqi -= 1
+            elif cqi < CQI_MAX:
+                cqi += 1
+    return cqi
+
+
 def cqi_step(state: CqiState, params: ChannelParams, rng: np.random.Generator) -> CqiState:
-    """Move CQI +/-1 with probability walk_prob (equal split), clamped."""
+    """One TTI of ``cqi_walk``: move CQI +/-1 with probability walk_prob."""
     u = rng.random()
     if u >= params.walk_prob:
         return state
-    delta = -1 if u < params.walk_prob / 2.0 else 1
-    return CqiState(min(CQI_MAX, max(CQI_MIN, state.cqi + delta)))
+    return CqiState(cqi_walk(state.cqi, params, (u,)))
 
 
 def rate_of(cqi: int, params: ChannelParams) -> float:

@@ -27,17 +27,51 @@ Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
 they run in one loop over the UEs, in that order within each UE. Only UEs
 with queued bits are scheduling candidates; a TTI without candidates is idle
 and ``select`` is not called.
+
+Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
+``next_arrival_tti`` has come, when it has queued bits, or when the trace is
+on, which makes every UE due on every TTI. In a TTI it sleeps through, a UE
+has no arrival, no queued bits and no grant, so what remains depends only on
+its own substreams and state, and is caught up exactly and lazily when the
+UE is next processed, at each window close and at the end of ``run``: one
+CQI walk step per TTI from its CQI stream, its unchanged q fed into the
+feedback pipe once per TTI, and one served-rate decay per TTI, multiplied
+out in order because ``decay**k`` is not the same float. ``synced_tti``
+marks the first TTI not yet applied. The window close catches every UE up
+before the reset changes q.
+
+Two invariants keep the skipping exact:
+
+* The traffic substream has been consumed for exactly the TTIs before the
+  wake TTI, and ``arrivals`` is called on every processed TTI from the wake
+  TTI on. An ``arrivals`` call that returns no packets re-arms the wake
+  TTI: an FTP flow with ``lam < 10`` uses one double ``u <= exp(-lam)`` in
+  a TTI without arrivals, so ``BufferedStream.skip_zeros`` consumes those
+  doubles and stops before the next arrival's (capped at the end of the
+  run); a video flow draws nothing until its next frame TTI; an FTP flow
+  with ``lam >= 10`` stays due. A call that returns packets leaves the UE
+  due on the next TTI, so a flow with arrivals in most TTIs never scans.
+* Loads never rise under service adjustment (``factor <= 1``). A lower
+  ``lam`` raises ``exp(-lam)``, so TTIs skipped under the old load stay
+  arrival-free, and an adjusted UE's scan resumes from its pending wake TTI
+  with the new ``lam``.
+
+``step(tti)`` therefore takes ``tti = 0, 1, 2, ...`` in order, as ``run``
+does, and raises on any other. A packet enqueued from outside wakes its UE
+through the queued-bits check.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
 import numpy as np
 
 from .buffering import UeBuffer
-from .channel import ChannelParams, CqiState, cqi_step, rate_of
+from .channel import ChannelParams, CqiState, cqi_step, cqi_walk, rate_of
 from .metrics import MetricsWindow, WindowRecord, jfi, qoe_fi
 from .qoe import QoeState
 from .scheduler import (
@@ -51,7 +85,7 @@ from .scheduler import (
     select,
 )
 from .streams import BufferedStream
-from .traffic import FlowSpec, apply_adjustment, arrivals
+from .traffic import FlowSpec, TrafficClass, apply_adjustment, arrivals, ftp_lam
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
 DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
@@ -117,6 +151,12 @@ class UeState:
     avg_rate_bps: float = 1.0
     last_served_tti: int = -1
     last_adjust_tti: int | None = None
+    # wake TTI: the traffic stream is consumed for exactly the TTIs before
+    # it, which have no arrivals; arrivals() runs on every TTI from it on
+    # that the UE is processed
+    next_arrival_tti: int = 0
+    # first TTI whose CQI step, q feedback and EMA decay are not yet applied
+    synced_tti: int = 0
     delays_tti: list[int] = field(default_factory=list)
     sched_count: int = 0
     # per-TTI drop deltas, kept for trace emission
@@ -215,35 +255,51 @@ class Simulation:
         self.window_records: list[WindowRecord] = []
         self.adjustment_events: list[AdjustmentEvent] = []
         self.trace_rows: list[tuple] = []
+        self._next_tti = 0
 
     def step(self, tti: int) -> SchedDecision:
+        # Sleepers are caught up by TTI count, so no TTI may be skipped or
+        # repeated.
+        if tti != self._next_tti:
+            raise ValueError(f"step({tti}): TTIs run in order, the next is {self._next_tti}")
+        self._next_tti = tti + 1
         sc = self.scenario
         channel = sc.channel
         window = self.window
         collect = self.collect_trace
 
-        # Steps 1-5 per UE. Only UEs with queued bits become scheduling
+        # Steps 1-5 per due UE. Only UEs with queued bits become scheduling
         # inputs, unless the trace needs a priority for every UE.
+        due: list[UeState] = []
         inputs: list[UeSchedInput] = []
         for u in self.ues:
+            if tti < u.next_arrival_tti and not u.buffer.queue and not collect:
+                continue
+            due.append(u)
+            if tti > u.synced_tti:
+                self._catch_up(u, tti)
+            u.synced_tti = tti + 1
             spec = u.spec
             ue_id = spec.ue_id
             buf = u.buffer
 
-            # 1. arrivals
+            # 1. arrivals; a TTI without any re-arms the wake TTI
             overflow = 0
-            pkts = arrivals(spec, tti, u.traffic_rng)
-            if pkts:
-                overflow_before = buf.dropped_overflow_bits
-                arrived = 0
-                for p in pkts:
-                    arrived += p.size_bits
-                    buf.enqueue(p)
-                u.qoe.update_requirement(arrived)
-                window.record_arrival(ue_id, arrived)
-                overflow = buf.dropped_overflow_bits - overflow_before
-                if overflow:
-                    window.record_drops(ue_id, overflow, 0)
+            if tti >= u.next_arrival_tti:
+                pkts = arrivals(spec, tti, u.traffic_rng)
+                if not pkts:
+                    u.next_arrival_tti = self._wake_tti(u, tti + 1)
+                else:
+                    overflow_before = buf.dropped_overflow_bits
+                    arrived = 0
+                    for p in pkts:
+                        arrived += p.size_bits
+                        buf.enqueue(p)
+                    u.qoe.update_requirement(arrived)
+                    window.record_arrival(ue_id, arrived)
+                    overflow = buf.dropped_overflow_bits - overflow_before
+                    if overflow:
+                        window.record_drops(ue_id, overflow, 0)
             u._overflow_this_tti = overflow
 
             # 2. deadline expiry; nothing expires from a deadline-ordered
@@ -299,19 +355,19 @@ class Simulation:
             winner.last_served_tti = tti
             window.record_delivery(winner.spec.ue_id, tx, delays)
 
-        # 7. served-rate EMAs, as update_avg_rate computes them. A UE not
-        # served adds (1 / AVG_RATE_TC) * 0.0 == 0.0, which leaves the
-        # positive decayed rate exactly as it is, so that term is left out.
-        for u in self.ues:
+        # 7. served-rate EMAs of the due UEs, as update_avg_rate computes
+        # them; sleeping UEs decay at their catch-up. A UE not served adds
+        # (1 / AVG_RATE_TC) * 0.0 == 0.0, which leaves the positive decayed
+        # rate exactly as it is, so that term is left out.
+        for u in due:
+            avg = _EMA_DECAY * u.avg_rate_bps
             if u is winner:
-                avg = _EMA_DECAY * u.avg_rate_bps + _EMA_GAIN * (tx / TTI_SECONDS)
-            else:
-                avg = _EMA_DECAY * u.avg_rate_bps
+                avg = avg + _EMA_GAIN * (tx / TTI_SECONDS)
             u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
         # 8. adjustment trigger
         if sc.adjustment.enabled:
-            self._adjustment_check(tti)
+            self._adjustment_check(tti, due)
 
         if collect:
             # inputs holds every UE, in the order of self.ues
@@ -337,9 +393,44 @@ class Simulation:
             self._close_window(tti + 1)
         return decision
 
-    def _adjustment_check(self, tti: int) -> None:
+    def _wake_tti(self, u: UeState, tti: int) -> int:
+        """First TTI from ``tti`` on whose arrivals are not known to be empty.
+
+        The traffic stream is consumed for the TTIs skipped, so it stands at
+        the wake TTI's draw.
+        """
+        spec = u.spec
+        if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
+            return tti + u.traffic_rng.skip_zeros(ftp_lam(spec), self.scenario.duration_tti - tti)
+        interval = spec.frame_interval_ms
+        return -(-tti // interval) * interval
+
+    def _catch_up(self, u: UeState, until: int) -> None:
+        """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept.
+
+        A sleeping UE has no arrivals, no queued bits and no grant, and its q
+        stays as it is until the next window close.
+        """
+        k = until - u.synced_tti
+        u.synced_tti = until
+        cqi = cqi_walk(u.cqi.cqi, self.scenario.channel, u.cqi_rng.random(k))
+        if cqi != u.cqi.cqi:
+            u.cqi = CqiState(cqi)
+        pipe = u.q_pipe
+        pipe.extend([u.qoe.q_of()] * min(k, pipe.maxlen))
+        # k decays, multiplied out in order: decay**k differs in the last
+        # bits. The rate only falls, so it ends below the floor exactly when
+        # the floored rate would have reached the floor, which it keeps.
+        avg = u.avg_rate_bps
+        if avg > AVG_RATE_FLOOR:
+            avg = math.prod(repeat(_EMA_DECAY, k), start=avg)
+            u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
+
+    def _adjustment_check(self, tti: int, due: list[UeState]) -> None:
+        # A UE that slept this TTI has no queued bits, so its occupancy is at
+        # or below any threshold in (0, 1): only due UEs can trigger.
         adj = self.scenario.adjustment
-        for u in self.ues:
+        for u in due:
             if not u.spec.adaptive:
                 continue
             ratio = u.buffer.occupied_bits / self.scenario.buffersize_bits
@@ -351,6 +442,9 @@ class Simulation:
             old_load = u.spec.offered_load_bps
             u.spec = apply_adjustment(u.spec, adj.factor)
             u.last_adjust_tti = tti
+            # The load did not rise, so the TTIs already skipped stay
+            # arrival-free; scan on from the pending wake TTI with the new lam.
+            u.next_arrival_tti = self._wake_tti(u, max(u.next_arrival_tti, tti + 1))
             self.adjustment_events.append(
                 AdjustmentEvent(
                     tti=tti,
@@ -363,11 +457,18 @@ class Simulation:
             )
 
     def _close_window(self, end_tti: int) -> None:
+        # Sleepers feed their q into the pipe at catch-up, and the reset
+        # changes q: bring every UE up to the window end first.
+        for u in self.ues:
+            if end_tti > u.synced_tti:
+                self._catch_up(u, end_tti)
         self.window_records.append(self.window.close(end_tti))
         for u in self.ues:
             u.qoe.reset_window()
 
     def run(self) -> SimReport:
+        # The last window closes at the end of the run, in the last step or
+        # here, and leaves every UE caught up.
         for tti in range(self.scenario.duration_tti):
             self.step(tti)
         if self.window.start_tti < self.scenario.duration_tti:

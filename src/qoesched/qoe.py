@@ -32,9 +32,17 @@ class QoeState:
         self.y_bits += bits
 
     def q_of(self) -> float:
-        """Scheduler multiplier: clamp(y_req / max(y, 1), 1, q_max)."""
-        raw = self.y_req_bits / max(self.y_bits, 1)
-        return min(max(raw, 1.0), self.q_max)
+        """Scheduler multiplier: clamp(y_req / max(y, 1), 1, q_max).
+
+        Spelled with comparisons, which return what ``min(max(raw, 1.0),
+        q_max)`` returns at a fraction of the cost of the two calls.
+        """
+        y = self.y_bits
+        raw = self.y_req_bits / (y if y > 1 else 1)
+        if raw < 1.0:
+            raw = 1.0
+        q_max = self.q_max
+        return q_max if q_max < raw else raw
 
     def satisfaction(self) -> float | None:
         """QoE satisfaction ratio y / y_req; None when nothing arrived."""

@@ -52,13 +52,46 @@ def _get(d: dict, key: str, ctx: str, required: bool = True, default=None):
 
 
 def _num(d: dict, key: str, ctx: str, required: bool = True, default=None):
+    """A number; null only for an optional key whose default is None."""
     v = _get(d, key, ctx, required, default)
-    if v is not None and not isinstance(v, (int, float)) or isinstance(v, bool):
+    if v is None:
+        if required or default is not None:
+            raise ScenarioValidationError(f"{ctx}: key '{key}' must be a number")
+        return None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioValidationError(f"{ctx}: key '{key}' must be a number")
     # json.loads accepts NaN and Infinity, and overflows literals like 1e400
     # to inf; strict JSON has neither.
     if isinstance(v, float) and not math.isfinite(v):
         raise ScenarioValidationError(f"{ctx}: key '{key}' must be finite, got {v}")
+    return v
+
+
+def _integer(v, key: str, ctx: str) -> int:
+    """``v`` as an int. An integral float such as 4e7 is taken, 2.7 is not."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ScenarioValidationError(f"{ctx}: key '{key}' must be an integer, got {v!r}")
+    return v
+
+
+def _int(d: dict, key: str, ctx: str, required: bool = True, default=None):
+    v = _num(d, key, ctx, required, default)
+    return None if v is None else _integer(v, key, ctx)
+
+
+def _bool(d: dict, key: str, ctx: str, default: bool) -> bool:
+    v = _get(d, key, ctx, required=False, default=default)
+    if not isinstance(v, bool):
+        raise ScenarioValidationError(f"{ctx}: key '{key}' must be true or false, got {v!r}")
+    return v
+
+
+def _obj(d: dict, key: str, ctx: str, required: bool = True, default=None) -> dict:
+    v = _get(d, key, ctx, required, default)
+    if not isinstance(v, dict):
+        raise ScenarioValidationError(f"{ctx}: key '{key}' must be an object")
     return v
 
 
@@ -77,7 +110,7 @@ def _parse_flow(d: Any, idx: int) -> FlowSpec:
     alpha = _num(d, "alpha", ctx)
     if not 0 < alpha < 1:
         raise ScenarioValidationError(f"{ctx}: key 'alpha' must be in (0, 1)")
-    beta_ms = _num(d, "beta_ms", ctx)
+    beta_ms = _int(d, "beta_ms", ctx)
     if beta_ms < 1:
         raise ScenarioValidationError(f"{ctx}: key 'beta_ms' must be >= 1 ms")
     load = _num(d, "offered_load_bps", ctx)
@@ -85,15 +118,15 @@ def _parse_flow(d: Any, idx: int) -> FlowSpec:
         raise ScenarioValidationError(f"{ctx}: key 'offered_load_bps' must be > 0")
     try:
         return FlowSpec(
-            ue_id=int(_num(d, "ue_id", ctx)),
+            ue_id=_int(d, "ue_id", ctx),
             traffic_class=cls,
             alpha=float(alpha),
-            beta_ms=int(beta_ms),
+            beta_ms=beta_ms,
             offered_load_bps=float(load),
-            adaptive=bool(_get(d, "adaptive", ctx, required=False, default=False)),
-            mean_packet_bits=_num(d, "mean_packet_bits", ctx, required=False),
-            max_packet_bits=_num(d, "max_packet_bits", ctx, required=False),
-            frame_interval_ms=int(_num(d, "frame_interval_ms", ctx, False, 16)),
+            adaptive=_bool(d, "adaptive", ctx, default=False),
+            mean_packet_bits=_int(d, "mean_packet_bits", ctx, required=False),
+            max_packet_bits=_int(d, "max_packet_bits", ctx, required=False),
+            frame_interval_ms=_int(d, "frame_interval_ms", ctx, False, 16),
         )
     except ScenarioValidationError:
         raise
@@ -110,33 +143,37 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioValidationError("scenario: top level must be an object")
     _reject_unknown(raw, _TOP_KEYS, "scenario")
 
-    chan_raw = _get(raw, "channel", "scenario")
+    chan_raw = _obj(raw, "channel", "scenario")
     _reject_unknown(chan_raw, _CHANNEL_KEYS, "channel")
+    cqis = _get(chan_raw, "initial_cqi", "channel", required=False, default=[])
+    if not isinstance(cqis, list):
+        raise ScenarioValidationError("channel: key 'initial_cqi' must be a list")
     try:
         channel = ChannelParams(
             peak_rate_bps=float(_num(chan_raw, "peak_rate_bps", "channel")),
             walk_prob=float(_num(chan_raw, "walk_prob", "channel", False, 0.1)),
-            initial_cqi_per_ue=tuple(chan_raw.get("initial_cqi", ())),
+            initial_cqi_per_ue=tuple(_integer(c, "initial_cqi", "channel") for c in cqis),
         )
     except ScenarioValidationError:
         raise
     except ValueError as e:
         raise ScenarioValidationError(f"channel: {e}") from None
 
-    qoe_raw = _get(raw, "qoe", "scenario", required=False, default={})
+    qoe_raw = _obj(raw, "qoe", "scenario", required=False, default={})
     _reject_unknown(qoe_raw, _QOE_KEYS, "qoe")
-    feedback_delay_tti = int(_num(qoe_raw, "feedback_delay_tti", "qoe", False, 0))
+    feedback_delay_tti = _int(qoe_raw, "feedback_delay_tti", "qoe", False, 0)
     q_max = float(_num(qoe_raw, "q_max", "qoe", False, 100.0))
-    adj_raw = _get(raw, "adjustment", "scenario", required=False, default={})
+    adj_raw = _obj(raw, "adjustment", "scenario", required=False, default={})
     _reject_unknown(adj_raw, _ADJ_KEYS, "adjustment")
     occupancy_threshold = _num(adj_raw, "occupancy_threshold", "adjustment", False, 0.8)
-    starvation_tti = _num(adj_raw, "starvation_tti", "adjustment", False, 100)
+    starvation_tti = _int(adj_raw, "starvation_tti", "adjustment", False, 100)
     factor = _num(adj_raw, "factor", "adjustment", False, 0.75)
+    enabled = _bool(adj_raw, "enabled", "adjustment", default=False)
     try:
         adjustment = AdjustmentParams(
-            enabled=bool(adj_raw.get("enabled", False)),
+            enabled=enabled,
             occupancy_threshold=float(occupancy_threshold),
-            starvation_tti=int(starvation_tti),
+            starvation_tti=starvation_tti,
             factor=float(factor),
         )
     except ValueError as e:
@@ -158,21 +195,20 @@ def parse_scenario(text: str) -> Scenario:
             f"scenario: key 'policy' must be one of {[p.value for p in Policy]}"
         ) from None
 
-    window_tti = _num(raw, "window_tti", "scenario", required=False)
     try:
         return Scenario(
             name=str(_get(raw, "name", "scenario", required=False, default="scenario")),
-            duration_tti=int(_num(raw, "duration_tti", "scenario")),
+            duration_tti=_int(raw, "duration_tti", "scenario"),
             flows=flows,
             channel=channel,
-            buffersize_bits=int(_num(raw, "buffersize_bits", "scenario")),
+            buffersize_bits=_int(raw, "buffersize_bits", "scenario"),
             policy=policy,
-            seed=int(_num(raw, "seed", "scenario", required=False, default=0)),
+            seed=_int(raw, "seed", "scenario", required=False, default=0),
             qoe_feedback_delay_tti=feedback_delay_tti,
             q_max=q_max,
-            window_tti=int(window_tti) if window_tti is not None else None,
+            window_tti=_int(raw, "window_tti", "scenario", required=False),
             adjustment=adjustment,
-            annotations=dict(raw.get("annotations", {})),
+            annotations=dict(_obj(raw, "annotations", "scenario", required=False, default={})),
         )
     except ScenarioValidationError:
         raise

@@ -15,11 +15,11 @@ buffer:
 * ``poisson(0)`` returns 0 and consumes nothing, as numpy does.
 * Every other ``lam`` (``>= 10``, negative, NaN) goes to ``gen.poisson``
   directly, after the generator is put back right behind the last double
-  the stream handed out: the bit-generator state saved at the last refill is
-  restored and the doubles already served are drawn again. numpy then
-  samples, or raises, exactly as it would have. The stream stays direct
-  until the next ``lam < 10`` call, so a flow whose ``lam`` is always at
-  least 10 pays for one hand-back at most.
+  the stream handed out: the bit-generator state saved before the first
+  buffered block is restored and the doubles served since are drawn again.
+  numpy then samples, or raises, exactly as it would have. The stream stays
+  direct until the next ``lam < 10`` call, so a flow whose ``lam`` is always
+  at least 10 pays for one hand-back at most.
 
 The Poisson replay depends on numpy's sampler for small ``lam``;
 ``tests/test_streams.py`` checks the whole call mix against a plain
@@ -42,7 +42,7 @@ _MULT_LAM_MAX = 10.0
 class BufferedStream:
     """Drop-in for the ``random`` and ``poisson`` calls of a ``Generator``."""
 
-    __slots__ = ("_gen", "_buf", "_pos", "_end", "_saved", "_direct",
+    __slots__ = ("_gen", "_buf", "_pos", "_end", "_saved", "_drawn", "_direct",
                  "_lam", "_exp_neg_lam")
 
     def __init__(self, gen: np.random.Generator):
@@ -50,15 +50,22 @@ class BufferedStream:
         self._buf: list[float] = []
         self._pos = 0
         self._end = 0
-        self._saved = None      # bit-generator state before the current block
+        # Bit-generator state before the first block since construction or
+        # the last hand-back, and the doubles drawn since. Reading the state
+        # costs more than drawing a block, so it is read once per run of
+        # blocks, not once per block.
+        self._saved = None
+        self._drawn = 0
         self._direct = False    # serving from the generator, buffer empty
         self._lam = None
         self._exp_neg_lam = 0.0
 
     def _refill(self) -> None:
         gen = self._gen
-        self._saved = gen.bit_generator.state
+        if self._saved is None:
+            self._saved = gen.bit_generator.state
         self._buf = gen.random(BLOCK).tolist()
+        self._drawn += BLOCK
         self._pos = 0
         self._end = BLOCK
 
@@ -67,11 +74,13 @@ class BufferedStream:
         if self._pos < self._end:
             gen = self._gen
             gen.bit_generator.state = self._saved
-            if self._pos:
-                gen.random(self._pos)
+            served = self._drawn - (self._end - self._pos)
+            if served:
+                gen.random(served)
         self._buf = []
         self._pos = self._end = 0
         self._saved = None
+        self._drawn = 0
         self._direct = True
 
     def random(self, size: int | None = None):
@@ -97,6 +106,50 @@ class BufferedStream:
             pos += take
         self._pos = pos
         return out
+
+    def skip_zeros(self, lam: float, max_k: int) -> int:
+        """Consume up to ``max_k`` leading zero ``poisson(lam)`` samples; count them.
+
+        For ``0 < lam < 10`` a zero sample uses exactly one double
+        ``u <= exp(-lam)``. The scan stops before the first larger double,
+        which begins a non-zero sample, so the next ``poisson(lam)`` call sees
+        it. ``lam == 0`` gives zeros without draws, so all ``max_k`` are
+        skipped. Any other ``lam`` skips nothing: numpy samples it by
+        rejection, which uses no fixed number of doubles per sample.
+        """
+        if max_k <= 0:
+            return 0
+        if not 0.0 < lam < _MULT_LAM_MAX:
+            return max_k if lam == 0.0 else 0
+        self._direct = False
+        if lam != self._lam:
+            self._lam = lam
+            self._exp_neg_lam = math.exp(-lam)
+        limit = self._exp_neg_lam
+        pos = self._pos
+        n = 0
+        while n < max_k:
+            if pos == self._end:
+                self._refill()
+                pos = 0
+            stop = pos + max_k - n
+            if stop > self._end:
+                stop = self._end
+            run = self._buf[pos:stop]
+            # max() settles a run of zeros in one C loop; the run with the
+            # first non-zero is walked to find it.
+            if max(run) <= limit:
+                n += stop - pos
+                pos = stop
+                continue
+            for u in run:
+                if u > limit:
+                    break
+                pos += 1
+                n += 1
+            break
+        self._pos = pos
+        return n
 
     def poisson(self, lam: float) -> int:
         if not 0.0 < lam < _MULT_LAM_MAX:

@@ -83,12 +83,16 @@ def exp_bits_from_uniform(u: float, mean_bits: float) -> int:
     return max(1, round(-mean_bits * math.log1p(-u)))
 
 
+def ftp_lam(spec: FlowSpec) -> float:
+    """Mean FTP packet arrivals per TTI."""
+    return spec.offered_load_bps / (spec.mean_packet_bits * 1000.0)
+
+
 def ftp_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[Packet]:
     """Poisson arrivals at offered_load/mean_packet_bits per second."""
     if spec.traffic_class is not TrafficClass.FTP_DOWNLOAD:
         raise ValueError("ftp_arrivals requires an FTP flow spec")
-    lam_per_tti = spec.offered_load_bps / (spec.mean_packet_bits * 1000.0)
-    n = int(rng.poisson(lam_per_tti))
+    n = int(rng.poisson(ftp_lam(spec)))
     if n == 0:
         return []
     us = rng.random(n)

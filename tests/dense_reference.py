@@ -1,0 +1,206 @@
+"""The dense engine loop, kept as the reference for the sparse one.
+
+``DenseSimulation`` processes every UE on every TTI: it calls ``arrivals``,
+steps the CQI, feeds q into the feedback pipe and decays the served-rate
+EMA for each UE in each TTI, and draws from plain ``Generator`` substreams
+with scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window``
+and ``run`` are the engine's loop as it stood before idle UEs could sleep,
+unchanged; only set-up and the report are shared with ``Simulation``.
+Tests compare the two engines' reports field by field.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qoesched import engine
+from qoesched.channel import cqi_step, rate_of
+from qoesched.engine import (
+    _EMA_DECAY,
+    _EMA_GAIN,
+    AdjustmentEvent,
+    SimReport,
+    Simulation,
+)
+from qoesched.scheduler import (
+    AVG_RATE_FLOOR,
+    PRIORITY_FN,
+    SchedDecision,
+    TTI_SECONDS,
+    UeSchedInput,
+    select,
+)
+from qoesched.traffic import apply_adjustment, arrivals
+
+
+def scalar_substream(seed, ue_id, purpose):
+    """The unbuffered substream: a plain Generator on the same Philox key."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+class DenseSimulation(Simulation):
+    """Every UE processed on every TTI, on scalar substreams."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for u in self.ues:
+            u.traffic_rng = scalar_substream(self.seed, u.spec.ue_id, engine._PURPOSE_TRAFFIC)
+            u.cqi_rng = scalar_substream(self.seed, u.spec.ue_id, engine._PURPOSE_CQI)
+
+    def step(self, tti: int) -> SchedDecision:
+        sc = self.scenario
+        channel = sc.channel
+        window = self.window
+        collect = self.collect_trace
+
+        # Steps 1-5 per UE. Only UEs with queued bits become scheduling
+        # inputs, unless the trace needs a priority for every UE.
+        inputs: list[UeSchedInput] = []
+        for u in self.ues:
+            spec = u.spec
+            ue_id = spec.ue_id
+            buf = u.buffer
+
+            # 1. arrivals
+            overflow = 0
+            pkts = arrivals(spec, tti, u.traffic_rng)
+            if pkts:
+                overflow_before = buf.dropped_overflow_bits
+                arrived = 0
+                for p in pkts:
+                    arrived += p.size_bits
+                    buf.enqueue(p)
+                u.qoe.update_requirement(arrived)
+                window.record_arrival(ue_id, arrived)
+                overflow = buf.dropped_overflow_bits - overflow_before
+                if overflow:
+                    window.record_drops(ue_id, overflow, 0)
+            u._overflow_this_tti = overflow
+
+            # 2. deadline expiry; nothing expires from a deadline-ordered
+            # queue whose head is still live
+            expired = 0
+            queue = buf.queue
+            if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
+                expired = buf.expire(tti)
+                if expired:
+                    window.record_drops(ue_id, 0, expired)
+            u._deadline_this_tti = expired
+
+            # 3. channel
+            cqi = u.cqi = cqi_step(u.cqi, channel, u.cqi_rng)
+
+            # 4. QoE feedback (possibly delayed)
+            pipe = u.q_pipe
+            pipe.append(u.qoe.q_of())
+
+            # 5a. scheduling input, built positionally: keyword arguments
+            # cost several times more per call
+            if buf.occupied_bits or collect:
+                inputs.append(
+                    UeSchedInput(
+                        ue_id,                                    # ue_id
+                        buf.occupied_bits,                        # buffer_bits
+                        sc.buffersize_bits,                       # buffersize_bits
+                        spec.alpha,                               # alpha
+                        spec.beta_ms / 1000.0,                    # beta_s
+                        pipe[0],                                  # q
+                        rate_of(cqi.cqi, channel),                # rate_bps
+                        buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
+                        u.avg_rate_bps,                           # avg_rate_bps
+                        u.last_served_tti,                        # last_served_tti
+                    )
+                )
+
+        # 5b. selection; a TTI without candidates is idle
+        if inputs and (not collect or any(i.buffer_bits for i in inputs)):
+            decision = select(inputs, self.policy)
+        else:
+            decision = SchedDecision(None, 0.0, 0)
+
+        # 6. transmission
+        winner = None
+        tx = 0
+        if decision.selected_ue is not None:
+            winner = self._ue_by_id[decision.selected_ue]
+            tx, delays = winner.buffer.drain(decision.budget_bits, tti)
+            winner.qoe.record_delivered(tx)
+            winner.delays_tti.extend(delays)
+            winner.sched_count += 1
+            winner.last_served_tti = tti
+            window.record_delivery(winner.spec.ue_id, tx, delays)
+
+        # 7. served-rate EMAs, as update_avg_rate computes them. A UE not
+        # served adds (1 / AVG_RATE_TC) * 0.0 == 0.0, which leaves the
+        # positive decayed rate exactly as it is, so that term is left out.
+        for u in self.ues:
+            if u is winner:
+                avg = _EMA_DECAY * u.avg_rate_bps + _EMA_GAIN * (tx / TTI_SECONDS)
+            else:
+                avg = _EMA_DECAY * u.avg_rate_bps
+            u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
+
+        # 8. adjustment trigger
+        if sc.adjustment.enabled:
+            self._adjustment_check(tti)
+
+        if collect:
+            # inputs holds every UE, in the order of self.ues
+            pfn = PRIORITY_FN[self.policy]
+            for u, i in zip(self.ues, inputs):
+                self.trace_rows.append(
+                    (
+                        tti,
+                        i.ue_id,
+                        u.cqi.cqi,
+                        i.rate_bps,
+                        u.buffer.occupied_bits,
+                        i.q,
+                        pfn(i),
+                        1 if decision.selected_ue == i.ue_id else None,
+                        tx if u is winner else 0,
+                        u._deadline_this_tti,
+                        u._overflow_this_tti,
+                    )
+                )
+
+        if sc.window_tti is not None and (tti + 1 - window.start_tti) >= sc.window_tti:
+            self._close_window(tti + 1)
+        return decision
+
+    def _adjustment_check(self, tti: int) -> None:
+        adj = self.scenario.adjustment
+        for u in self.ues:
+            if not u.spec.adaptive:
+                continue
+            ratio = u.buffer.occupied_bits / self.scenario.buffersize_bits
+            starved = tti - u.last_served_tti
+            if ratio <= adj.occupancy_threshold or starved < adj.starvation_tti:
+                continue
+            if u.last_adjust_tti is not None and tti - u.last_adjust_tti < adj.starvation_tti:
+                continue
+            old_load = u.spec.offered_load_bps
+            u.spec = apply_adjustment(u.spec, adj.factor)
+            u.last_adjust_tti = tti
+            self.adjustment_events.append(
+                AdjustmentEvent(
+                    tti=tti,
+                    ue_id=u.spec.ue_id,
+                    occupancy_ratio=ratio,
+                    starved_tti=starved,
+                    old_load_bps=old_load,
+                    new_load_bps=u.spec.offered_load_bps,
+                )
+            )
+
+    def _close_window(self, end_tti: int) -> None:
+        self.window_records.append(self.window.close(end_tti))
+        for u in self.ues:
+            u.qoe.reset_window()
+
+    def run(self) -> SimReport:
+        for tti in range(self.scenario.duration_tti):
+            self.step(tti)
+        if self.window.start_tti < self.scenario.duration_tti:
+            self._close_window(self.scenario.duration_tti)
+        return self._report()

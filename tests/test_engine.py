@@ -1,12 +1,14 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from qoesched import engine
+from dense_reference import DenseSimulation
 from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
 from qoesched.scheduler import Policy, update_avg_rate
+from qoesched.streams import BLOCK, BufferedStream
 from qoesched.traffic import FlowSpec, Packet, TrafficClass
 
 TINY_LOAD = 1e-3  # bps; effectively no arrivals over short runs
@@ -57,6 +59,15 @@ class TestStep:
         decision = sim.step(0)
         assert decision.selected_ue is None
         assert sim.ues[0].buffer.delivered_bits == 0
+
+    def test_steps_run_in_order(self):
+        # a skipped or repeated TTI would break the sleepers' catch-up
+        sim = Simulation(make_scenario([ftp_flow(0, load=TINY_LOAD)], cqis=[15]))
+        sim.step(0)
+        for tti in (2, 0):
+            with pytest.raises(ValueError, match="in order"):
+                sim.step(tti)
+        sim.step(1)
 
     def test_full_packet_drained_in_one_tti_at_peak(self):
         # budget at CQI 15 is 6e9 * 0.001 = 6e6 bits
@@ -286,27 +297,56 @@ class TestScenarioValidation:
             )
 
 
-def _scalar_substream(seed, ue_id, purpose):
-    """The unbuffered reference: a plain Generator on the same substream."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))
-    return np.random.Generator(np.random.Philox(ss))
+def _light_cell_flows(n):
+    """n UEs, mostly light FTP (about one packet per 200 TTIs) plus video."""
+    flows = []
+    for ue in range(n):
+        if ue % 5 == 4:
+            flows.append(FlowSpec(ue, TrafficClass.LIVE_HD_VIDEO, alpha=10.0 ** -(2 + ue % 4),
+                                  beta_ms=100 + ue, offered_load_bps=2e6 + 5e4 * ue,
+                                  max_packet_bits=400_000, frame_interval_ms=33 + ue % 8))
+        else:
+            flows.append(ftp_flow(ue, load=2e5 + 4e3 * ue, mean=50_000 + 1_000 * ue,
+                                  beta=150 + ue))
+    return flows
 
 
 class TestScalarStreamReference:
-    """Buffered substreams and the sparse step give the scalar engine's report."""
+    """The sparse engine on buffered streams gives the dense engine's report.
 
-    def both(self, monkeypatch, build, **run_kw):
-        buffered = build().run()
-        with monkeypatch.context() as m:
-            m.setattr(engine, "_substream", _scalar_substream)
-            scalar_sim = build()
-            assert isinstance(scalar_sim.ues[0].traffic_rng, np.random.Generator)
-            scalar = scalar_sim.run()
-        assert dataclasses.asdict(buffered) == dataclasses.asdict(scalar)
-        return buffered
+    The reference (``dense_reference.DenseSimulation``) processes every UE
+    on every TTI with scalar draws from plain ``Generator`` substreams.
+    """
+
+    def both(self, build, between=None):
+        """Run ``build(cls)`` under both engines; compare every report field.
+
+        ``between(sim, tti)``, if given, runs before each ``step(tti)``.
+        """
+        sims, reports = [], []
+        for cls in (Simulation, DenseSimulation):
+            sim = build(cls)
+            if between is not None:
+                def step(tti, sim=sim, step=sim.step):
+                    between(sim, tti)
+                    return step(tti)
+                sim.step = step
+            reports.append(sim.run())
+            sims.append(sim)
+        sparse, dense = sims
+        assert isinstance(sparse.ues[0].traffic_rng, BufferedStream)
+        assert isinstance(dense.ues[0].traffic_rng, np.random.Generator)
+        got, want = (dataclasses.asdict(r) for r in reports)
+        for name in want:
+            assert got[name] == want[name], name
+        # run() leaves every UE caught up to the end of the run
+        for a, b in zip(sparse.ues, dense.ues):
+            assert (a.cqi, a.avg_rate_bps, list(a.q_pipe)) == \
+                (b.cqi, b.avg_rate_bps, list(b.q_pipe)), a.spec.ue_id
+        return reports[0]
 
     @pytest.mark.parametrize("policy", list(Policy))
-    def test_mixed_traffic_with_feedback_delay(self, monkeypatch, policy):
+    def test_mixed_traffic_with_feedback_delay(self, policy):
         # FTP lam ranges from ~0.3 to 40 packets per TTI; light flows leave
         # idle TTIs; some FTP deadlines expire; q reaches the scheduler late.
         sc = make_scenario(
@@ -318,21 +358,20 @@ class TestScalarStreamReference:
             duration=1500, peak=2e9, walk=0.3, cqis=[12, 6, 9, 14, 3],
             buffersize_bits=2_000_000, window_tti=250, qoe_feedback_delay_tti=4,
         )
-        traced = self.both(monkeypatch, lambda: Simulation(sc, policy=policy, seed=21,
-                                                           collect_trace=True))
-        plain = self.both(monkeypatch, lambda: Simulation(sc, policy=policy, seed=21))
+        traced = self.both(lambda cls: cls(sc, policy=policy, seed=21, collect_trace=True))
+        plain = self.both(lambda cls: cls(sc, policy=policy, seed=21))
         assert traced.trace_rows and plain.trace_rows is None
         assert dataclasses.replace(traced, trace_rows=None) == plain
         assert any(u.dropped_deadline_bits for u in plain.per_ue)
         assert any(row[7] is None for row in traced.trace_rows)
 
-    def test_idle_cell(self, monkeypatch):
+    def test_idle_cell(self):
         sc = make_scenario([ftp_flow(0, load=1e5, mean=1_000), video_flow(1, load=1e5)],
                            duration=600, walk=0.5, cqis=[5, 9])
-        report = self.both(monkeypatch, lambda: Simulation(sc, seed=4, collect_trace=True))
+        report = self.both(lambda cls: cls(sc, seed=4, collect_trace=True))
         assert sum(u.sched_count for u in report.per_ue) < 600
 
-    def test_adjustment_moves_lam_below_ten(self, monkeypatch):
+    def test_adjustment_moves_lam_below_ten(self):
         # UE 1 starts at lam = 15 packets per TTI and starves at CQI 1, so the
         # adjustment loop cuts its load below lam = 10 and on towards the floor.
         sc = make_scenario(
@@ -342,22 +381,95 @@ class TestScalarStreamReference:
             adjustment=AdjustmentParams(enabled=True, occupancy_threshold=0.8,
                                         starvation_tti=20, factor=0.75),
         )
-        report = self.both(monkeypatch, lambda: Simulation(sc, seed=10, collect_trace=True))
-        lams = [(e.old_load_bps / 1e6, e.new_load_bps / 1e6)
-                for e in report.adjustment_events if e.ue_id == 1]
-        assert any(old >= 10.0 > new for old, new in lams)
-        assert lams[-1][1] < 5.0
+        for trace in (True, False):
+            report = self.both(lambda cls: cls(sc, seed=10, collect_trace=trace))
+            lams = [(e.old_load_bps / 1e6, e.new_load_bps / 1e6)
+                    for e in report.adjustment_events if e.ue_id == 1]
+            assert any(old >= 10.0 > new for old, new in lams)
+            assert lams[-1][1] < 5.0
 
-    def test_non_monotone_deadlines(self, monkeypatch):
+    def test_non_monotone_deadlines(self):
         sc = make_scenario([ftp_flow(0, load=2e8, beta=40), ftp_flow(1, load=2e8, beta=60)],
                            duration=400, peak=3e8, walk=0.2, cqis=[7, 11])
 
-        def build():
-            sim = Simulation(sc, policy=Policy.MLWDF, seed=8, collect_trace=True)
+        def build(cls):
+            sim = cls(sc, policy=Policy.MLWDF, seed=8, collect_trace=True)
             for deadline in (90, 12, 55, 3, 30):
                 sim.ues[0].buffer.enqueue(Packet(200_000, 0, deadline))
             assert not sim.ues[0].buffer.deadlines_monotone
             return sim
 
-        report = self.both(monkeypatch, build)
+        report = self.both(build)
         assert report.per_ue[0].dropped_deadline_bits > 0
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_light_cell_sleeps_across_windows(self, monkeypatch, policy):
+        # 80 UEs, about one arrival per UE per 200 TTIs, 100-TTI windows and
+        # delayed q: UEs sleep for longer than a stream block and through
+        # window closes, and PF and MLWDF read the decayed served rates.
+        sc = make_scenario(_light_cell_flows(80), duration=700, peak=2e9, walk=0.1,
+                           cqis=[3 + i % 13 for i in range(80)], buffersize_bits=2_000_000,
+                           window_tti=100, qoe_feedback_delay_tti=3)
+        spans = []
+        catch_up = Simulation._catch_up
+
+        def record(sim, u, until):
+            spans.append((u.spec.ue_id, u.synced_tti, until))
+            catch_up(sim, u, until)
+
+        monkeypatch.setattr(Simulation, "_catch_up", record)
+        report = self.both(lambda cls: cls(sc, policy=policy, seed=17))
+        assert max(until - start for _, start, until in spans) > BLOCK
+        # a window close catches a sleeper up, and it sleeps on past the close
+        assert any((ue, end, later) in spans for ue, _, end in spans if end % 100 == 0
+                   for later in range(end + 2, 700))
+        assert sum(u.sched_count for u in report.per_ue) < 700
+
+    def test_adjustment_rearms_a_pending_wake(self, monkeypatch):
+        # UE 1 (lam = 0.04) gets a big packet about every 25 TTIs and starves
+        # at CQI 1 behind UE 0, so it is adjusted while its wake TTI lies ahead.
+        sc = make_scenario(
+            [ftp_flow(0, load=2e8, mean=20_000, beta=100_000),
+             ftp_flow(1, load=1.6e7, mean=400_000, beta=100_000, adaptive=True)],
+            duration=1500, peak=1e8, cqis=[15, 1], buffersize_bits=500_000, q_max=1.0,
+            adjustment=AdjustmentParams(enabled=True, occupancy_threshold=0.5,
+                                        starvation_tti=20, factor=0.5),
+        )
+        rearms = []
+        wake_tti = Simulation._wake_tti
+
+        def record(sim, u, tti):
+            wake = wake_tti(sim, u, tti)
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_adjustment_check":
+                rearms.append((caller.f_locals["tti"], tti, wake))
+            return wake
+
+        monkeypatch.setattr(Simulation, "_wake_tti", record)
+        report = self.both(lambda cls: cls(sc, seed=10))
+        events = [e for e in report.adjustment_events if e.ue_id == 1]
+        assert len(events) == len(rearms) >= 3
+        # Loads never rise, so TTIs skipped under the old load stay empty.
+        assert all(e.new_load_bps <= e.old_load_bps for e in events)
+        assert all(e.old_load_bps / 400_000_000 < 10.0 for e in events)
+        assert any(wake > pending > now + 1 for now, pending, wake in rearms)
+
+    def test_packet_enqueued_into_a_sleeping_ue(self):
+        sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=5e5),
+                            video_flow(2, load=4e6)],
+                           duration=600, peak=1e9, walk=0.2, cqis=[4, 9, 12],
+                           window_tti=100, qoe_feedback_delay_tti=2)
+        woken = []
+
+        def enqueue(sim, tti):
+            if tti % 37 != 5:
+                return
+            u = sim.ues[0]
+            if not isinstance(sim, DenseSimulation):
+                assert tti < u.next_arrival_tti and not u.buffer.queue
+                woken.append(tti)
+            u.buffer.enqueue(Packet(300_000, tti, tti + 50))
+
+        report = self.both(lambda cls: cls(sc, policy=Policy.PF, seed=5), enqueue)
+        assert len(woken) >= 10
+        assert report.per_ue[0].delivered_bits >= 300_000 * len(woken)

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from qoesched import cli
 from qoesched.scenario import (
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -119,6 +120,79 @@ class TestValidation:
         text = json.dumps(raw).replace('"@"', "Infinity")
         with pytest.raises(ScenarioValidationError, match=f"^qoe: key '{key}' must be finite"):
             parse_scenario(text)
+
+
+# (path of the key in table1.json, value, expected message). Each value used
+# to be coerced silently or to raise a bare TypeError.
+MISTYPED = {
+    "adaptive_string": (("flows", 0, "adaptive"), "false",
+                        r"^flows\[0\]: key 'adaptive' must be true or false"),
+    "enabled_string": (("adjustment",), {"enabled": "no"},
+                       r"^adjustment: key 'enabled' must be true or false"),
+    "beta_fraction": (("flows", 3, "beta_ms"), 2.7,
+                      r"^flows\[3\]: key 'beta_ms' must be an integer"),
+    "ue_id_fraction": (("flows", 1, "ue_id"), 1.5,
+                       r"^flows\[1\]: key 'ue_id' must be an integer"),
+    "cqi_fraction": (("channel", "initial_cqi"), [3.7, 11, 9, 11, 13],
+                     r"^channel: key 'initial_cqi' must be an integer"),
+    "cqi_string": (("channel", "initial_cqi"), ["a", 11, 9, 11, 13],
+                   r"^channel: key 'initial_cqi' must be an integer"),
+    "cqi_not_list": (("channel", "initial_cqi"), 13,
+                     r"^channel: key 'initial_cqi' must be a list"),
+    "annotations_number": (("annotations",), 5,
+                           r"^scenario: key 'annotations' must be an object"),
+    "qoe_list": (("qoe",), [], r"^scenario: key 'qoe' must be an object"),
+    "channel_string": (("channel",), "fast", r"^scenario: key 'channel' must be an object"),
+    "duration_null": (("duration_tti",), None,
+                      r"^scenario: key 'duration_tti' must be a number"),
+    "frame_interval_null": (("flows", 3, "frame_interval_ms"), None,
+                            r"^flows\[3\]: key 'frame_interval_ms' must be a number"),
+}
+
+
+def mistyped_text(case):
+    path, value, _ = MISTYPED[case]
+    raw = json.loads(table1_text())
+    d = raw
+    for k in path[:-1]:
+        d = d[k]
+    d[path[-1]] = value
+    return json.dumps(raw)
+
+
+class TestTypes:
+    @pytest.mark.parametrize("case", MISTYPED)
+    def test_mistyped_value_names_key(self, case):
+        with pytest.raises(ScenarioValidationError, match=MISTYPED[case][2]):
+            parse_scenario(mistyped_text(case))
+
+    @pytest.mark.parametrize("case", MISTYPED)
+    def test_mistyped_value_cli_exit_code(self, tmp_path, capsys, case):
+        path = tmp_path / "scenario.json"
+        path.write_text(mistyped_text(case))
+        rc = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_VALIDATION == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_floats_are_integers(self):
+        raw = json.loads(table1_text())
+        raw["buffersize_bits"] = 4e7
+        raw["flows"][0]["beta_ms"] = 300.0
+        raw["channel"]["initial_cqi"] = [13.0, 11, 9, 11, 13]
+        sc = parse_scenario(json.dumps(raw))
+        assert sc.buffersize_bits == 40_000_000 and type(sc.buffersize_bits) is int
+        assert type(sc.flows[0].beta_ms) is int
+        assert sc.channel.initial_cqi_per_ue == (13, 11, 9, 11, 13)
+        assert all(type(c) is int for c in sc.channel.initial_cqi_per_ue)
+
+    def test_json_booleans_parse(self):
+        raw = json.loads(table1_text())
+        raw["flows"][0]["adaptive"] = True
+        raw["adjustment"]["enabled"] = True
+        sc = parse_scenario(json.dumps(raw))
+        assert sc.flows[0].adaptive is True and sc.adjustment.enabled is True
 
 
 class TestRoundTrip:

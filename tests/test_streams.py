@@ -105,3 +105,58 @@ def test_buffer_is_created_on_first_draw():
     assert repr(gen.bit_generator.state) == state
     stream.random()
     assert repr(gen.bit_generator.state) != state
+
+
+def leading_zeros(gen, lam, max_k):
+    """Zero ``poisson(lam)`` draws from ``gen`` before its first non-zero, at most max_k.
+
+    The first non-zero draw is put back, so ``gen`` stands where the
+    stream should after ``skip_zeros``.
+    """
+    n = 0
+    while n < max_k:
+        state = gen.bit_generator.state
+        if gen.poisson(lam) != 0:
+            gen.bit_generator.state = state
+            break
+        n += 1
+    return n
+
+
+small_lams = st.one_of(
+    st.floats(min_value=1e-4, max_value=0.2),
+    st.floats(min_value=0.0, max_value=10.0, exclude_min=True, exclude_max=True),
+    st.just(0.0),
+)
+FOLLOW_UP = [("random", None), ("random_n", BLOCK + 3), ("random", None)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       prefix=st.lists(ops, max_size=12),
+       lam=small_lams,
+       max_k=st.integers(min_value=0, max_value=4 * BLOCK))
+@example(seed=6, prefix=[("random_n", BLOCK - 1)], lam=0.01, max_k=4 * BLOCK)
+@example(seed=7, prefix=[("random_n", BLOCK)], lam=0.01, max_k=BLOCK)
+@example(seed=8, prefix=[("random", None), ("poisson", 15.0)], lam=0.02, max_k=200)
+@example(seed=9, prefix=[("poisson", 25.0)], lam=0.3, max_k=50)
+@example(seed=10, prefix=[("random", None)], lam=0.01, max_k=0)
+@example(seed=11, prefix=[("poisson", 15.0)], lam=0.01, max_k=0)
+@example(seed=12, prefix=[], lam=0.0, max_k=9)
+def test_skip_zeros_matches_leading_zero_draws(seed, prefix, lam, max_k):
+    plain = generator(seed)
+    buffered = BufferedStream(generator(seed))
+    for op in prefix:
+        assert call(buffered, op) == call(plain, op), op
+    assert buffered.skip_zeros(lam, max_k) == leading_zeros(plain, lam, max_k)
+    for op in [("poisson", lam)] + FOLLOW_UP + [("poisson", lam)] + FOLLOW_UP:
+        assert call(buffered, op) == call(plain, op), op
+
+
+@pytest.mark.parametrize("lam", [10.0, 40.0])
+def test_skip_zeros_skips_nothing_from_ten_on(lam):
+    plain = generator(13)
+    buffered = BufferedStream(generator(13))
+    assert buffered.skip_zeros(lam, 100) == 0
+    for op in [("poisson", lam), ("random", None), ("poisson", 0.5), ("random_n", BLOCK)]:
+        assert call(buffered, op) == call(plain, op), op
