@@ -4,13 +4,14 @@ Implements a QoE-assisted scheduler (BCQQ) alongside M-LWDF, proportional
 fair, and round-robin baselines, with Jain's fairness index and a
 QoE-oriented fairness index computed over configurable windows.
 """
+from .buffering import Packet
 from .channel import ChannelParams, CqiState, cqi_step, rate_of
 from .engine import AdjustmentParams, Scenario, SimReport, Simulation, run
 from .metrics import jfi, qoe_fi
 from .qoe import QoeState
 from .scenario import parse_scenario, scenario_to_dict
 from .scheduler import Policy, SchedDecision, UeSchedInput, select
-from .traffic import FlowSpec, Packet, TrafficClass, apply_adjustment
+from .traffic import FlowSpec, TrafficClass, apply_adjustment
 
 __version__ = "0.1.0"
 

@@ -5,18 +5,23 @@ All quantities are integer bits so the conservation identity
     arrived = delivered + dropped_overflow + dropped_deadline + occupied
 
 holds exactly after every operation.
+
+``enqueue(sizes, arrival_tti, deadline_tti)`` takes one TTI's packets of one
+flow in one call: they share the arrival TTI and the deadline. It validates
+the batch once (``deadline_tti > arrival_tti`` and every size at least 1,
+else ``ValueError``), tail-drops each packet whole, in order, and queues a
+``Packet`` only for the packets that fit. It returns the bits accepted.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .traffic import Packet
-
 
 @dataclass(slots=True)
-class QueuedPacket:
-    size_bits: int
+class Packet:
+    """A queued packet: the bits still to send, its arrival and deadline."""
+
     remaining_bits: int
     arrival_tti: int
     deadline_tti: int
@@ -27,7 +32,7 @@ class UeBuffer:
         if capacity_bits <= 0:
             raise ValueError("capacity_bits must be positive")
         self.capacity_bits = capacity_bits
-        self.queue: deque[QueuedPacket] = deque()
+        self.queue: deque[Packet] = deque()
         self.occupied_bits = 0
         self.arrived_bits = 0
         self.delivered_bits = 0
@@ -39,23 +44,33 @@ class UeBuffer:
         # Mixed-deadline enqueues clear the flag and force full scans.
         self.deadlines_monotone = True
 
-    def enqueue(self, pkt: Packet) -> bool:
-        """Append the packet whole, or tail-drop it whole if it won't fit.
+    def enqueue(self, sizes: list[int], arrival_tti: int, deadline_tti: int) -> int:
+        """Queue one TTI's packets, tail-dropping each whole if it won't fit.
 
-        Returns True if the packet was accepted. arrived_bits counts the
-        packet either way.
+        arrived_bits counts every packet; returns the bits accepted.
         """
-        self.arrived_bits += pkt.size_bits
-        if self.occupied_bits + pkt.size_bits > self.capacity_bits:
-            self.dropped_overflow_bits += pkt.size_bits
-            return False
-        if self.queue and pkt.deadline_tti < self.queue[-1].deadline_tti:
+        if deadline_tti <= arrival_tti:
+            raise ValueError("deadline_tti must exceed arrival_tti")
+        if min(sizes, default=1) < 1:
+            raise ValueError("packet sizes must be positive")
+        arrived = sum(sizes)
+        self.arrived_bits += arrived
+        queue = self.queue
+        # The batch shares one deadline, so one look at the tail decides
+        # whether its first accepted packet, and so the batch, breaks order.
+        behind = bool(queue) and deadline_tti < queue[-1].deadline_tti
+        free = self.capacity_bits - self.occupied_bits
+        accepted = 0
+        for size in sizes:
+            if size <= free:
+                free -= size
+                accepted += size
+                queue.append(Packet(size, arrival_tti, deadline_tti))
+        if accepted and behind:
             self.deadlines_monotone = False
-        self.queue.append(
-            QueuedPacket(pkt.size_bits, pkt.size_bits, pkt.arrival_tti, pkt.deadline_tti)
-        )
-        self.occupied_bits += pkt.size_bits
-        return True
+        self.occupied_bits += accepted
+        self.dropped_overflow_bits += arrived - accepted
+        return accepted
 
     def expire(self, now_tti: int) -> int:
         """Drop every queued packet whose deadline has passed.
@@ -94,18 +109,21 @@ class UeBuffer:
         """
         if budget_bits < 0:
             raise ValueError("budget_bits must be non-negative")
-        tx = 0
+        queue = self.queue
         delays: list[int] = []
         remaining = budget_bits
-        while remaining > 0 and self.queue:
-            head = self.queue[0]
-            take = min(remaining, head.remaining_bits)
-            head.remaining_bits -= take
-            tx += take
-            remaining -= take
-            if head.remaining_bits == 0:
-                delays.append(now_tti - head.arrival_tti)
-                self.queue.popleft()
+        while queue:
+            head = queue[0]
+            bits = head.remaining_bits
+            if bits > remaining:
+                # the head leaves only partly sent (or not at all)
+                head.remaining_bits = bits - remaining
+                remaining = 0
+                break
+            remaining -= bits
+            delays.append(now_tti - head.arrival_tti)
+            queue.popleft()
+        tx = budget_bits - remaining
         self.occupied_bits -= tx
         self.delivered_bits += tx
         return tx, delays

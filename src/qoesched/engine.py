@@ -14,7 +14,8 @@ sampler; that replay depends on numpy's sampler and is guarded by the
 stream equivalence test in ``tests/test_streams.py``.
 
 Per-TTI event order is fixed:
-  1. generate arrivals and enqueue
+  1. generate arrivals and enqueue them in one call: the TTI's packet sizes
+     share its arrival TTI and the deadline ``tti + beta_ms``
   2. expire past-deadline packets
   3. step CQI
   4. update QoE demand and q (honoring the feedback delay)
@@ -286,20 +287,14 @@ class Simulation:
             # 1. arrivals; a TTI without any re-arms the wake TTI
             overflow = 0
             if tti >= u.next_arrival_tti:
-                pkts = arrivals(spec, tti, u.traffic_rng)
-                if not pkts:
+                sizes = arrivals(spec, tti, u.traffic_rng)
+                if not sizes:
                     u.next_arrival_tti = self._wake_tti(u, tti + 1)
                 else:
-                    overflow_before = buf.dropped_overflow_bits
-                    arrived = 0
-                    for p in pkts:
-                        arrived += p.size_bits
-                        buf.enqueue(p)
+                    arrived = sum(sizes)
+                    overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
                     u.qoe.update_requirement(arrived)
                     window.record_arrival(ue_id, arrived)
-                    overflow = buf.dropped_overflow_bits - overflow_before
-                    if overflow:
-                        window.record_drops(ue_id, overflow, 0)
             u._overflow_this_tti = overflow
 
             # 2. deadline expiry; nothing expires from a deadline-ordered
@@ -308,8 +303,6 @@ class Simulation:
             queue = buf.queue
             if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
                 expired = buf.expire(tti)
-                if expired:
-                    window.record_drops(ue_id, 0, expired)
             u._deadline_this_tti = expired
 
             # 3. channel
@@ -353,7 +346,7 @@ class Simulation:
             winner.delays_tti.extend(delays)
             winner.sched_count += 1
             winner.last_served_tti = tti
-            window.record_delivery(winner.spec.ue_id, tx, delays)
+            window.record_delivery(winner.spec.ue_id, tx)
 
         # 7. served-rate EMAs of the due UEs, as update_avg_rate computes
         # them; sleeping UEs decay at their catch-up. A UE not served adds

@@ -10,7 +10,7 @@ Two fairness measures are reported per window:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def jfi(xs: list[float]) -> float:
@@ -50,10 +50,6 @@ def qoe_fi(pairs: list[tuple[float, float]]) -> float:
 class UeWindowStats:
     y_bits: int = 0
     y_req_bits: int = 0
-    sched_count: int = 0
-    delays_tti: list[int] = field(default_factory=list)
-    dropped_overflow_bits: int = 0
-    dropped_deadline_bits: int = 0
 
 
 @dataclass
@@ -82,16 +78,8 @@ class MetricsWindow:
     def record_arrival(self, ue_id: int, bits: int) -> None:
         self.per_ue[ue_id].y_req_bits += bits
 
-    def record_delivery(self, ue_id: int, bits: int, delays_tti: list[int]) -> None:
-        st = self.per_ue[ue_id]
-        st.y_bits += bits
-        st.sched_count += 1
-        st.delays_tti.extend(delays_tti)
-
-    def record_drops(self, ue_id: int, overflow_bits: int, deadline_bits: int) -> None:
-        st = self.per_ue[ue_id]
-        st.dropped_overflow_bits += overflow_bits
-        st.dropped_deadline_bits += deadline_bits
+    def record_delivery(self, ue_id: int, bits: int) -> None:
+        self.per_ue[ue_id].y_bits += bits
 
     def close(self, end_tti: int) -> WindowRecord:
         """Emit this window's record and reset the accumulators."""

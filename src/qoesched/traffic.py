@@ -7,7 +7,10 @@ Two traffic classes are supported:
   exponential and clipped at ``max_packet_bits``.
 
 Generators are pure functions of (spec, tti, rng); each flow owns its own
-RNG substream so flows never perturb each other.
+RNG substream so flows never perturb each other. A generator returns the
+sizes, in bits, of the packets that arrive in one TTI. They all arrive at
+that TTI and share one deadline, ``tti + spec.beta_ms``, so the caller stamps
+them once when it enqueues the batch (``UeBuffer.enqueue``).
 """
 from __future__ import annotations
 
@@ -25,19 +28,6 @@ MIN_LOAD_FRACTION = 0.1
 class TrafficClass(str, Enum):
     FTP_DOWNLOAD = "ftp_download"
     LIVE_HD_VIDEO = "live_hd_video"
-
-
-@dataclass(slots=True)
-class Packet:
-    size_bits: int
-    arrival_tti: int
-    deadline_tti: int
-
-    def __post_init__(self):
-        if self.size_bits <= 0:
-            raise ValueError("size_bits must be positive")
-        if self.deadline_tti <= self.arrival_tti:
-            raise ValueError("deadline_tti must exceed arrival_tti")
 
 
 @dataclass(frozen=True)
@@ -78,9 +68,14 @@ class FlowSpec:
             object.__setattr__(self, "original_load_bps", self.offered_load_bps)
 
 
-def exp_bits_from_uniform(u: float, mean_bits: float) -> int:
-    """Inverse-CDF exponential sample, rounded to a positive bit count."""
-    return max(1, round(-mean_bits * math.log1p(-u)))
+def exp_bits(us: list[float], mean_bits: float) -> list[int]:
+    """Inverse-CDF exponential samples, rounded to positive bit counts.
+
+    For ``u`` in [0, 1) and ``mean_bits > 0`` the rounded value is never
+    negative, so ``or 1`` is ``max(1, ...)`` without the call.
+    """
+    log1p = math.log1p
+    return [round(-mean_bits * log1p(-u)) or 1 for u in us]
 
 
 def ftp_lam(spec: FlowSpec) -> float:
@@ -88,33 +83,27 @@ def ftp_lam(spec: FlowSpec) -> float:
     return spec.offered_load_bps / (spec.mean_packet_bits * 1000.0)
 
 
-def ftp_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[Packet]:
+def ftp_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
     """Poisson arrivals at offered_load/mean_packet_bits per second."""
     if spec.traffic_class is not TrafficClass.FTP_DOWNLOAD:
         raise ValueError("ftp_arrivals requires an FTP flow spec")
-    n = int(rng.poisson(ftp_lam(spec)))
+    n = rng.poisson(ftp_lam(spec))
     if n == 0:
         return []
-    us = rng.random(n)
-    deadline = tti + spec.beta_ms
-    mean_bits = spec.mean_packet_bits
-    # Packet(size_bits, arrival_tti, deadline_tti), positional: keyword
-    # arguments cost about twice as much per packet.
-    return [Packet(exp_bits_from_uniform(u, mean_bits), tti, deadline) for u in us]
+    return exp_bits(rng.random(n), spec.mean_packet_bits)
 
 
-def video_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[Packet]:
+def video_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
     """One frame every frame_interval_ms TTIs, size clipped at max_packet_bits."""
     if spec.traffic_class is not TrafficClass.LIVE_HD_VIDEO:
         raise ValueError("video_arrivals requires a video flow spec")
     if tti % spec.frame_interval_ms != 0:
         return []
     mean_bits = spec.offered_load_bps * spec.frame_interval_ms / 1000.0
-    size = min(exp_bits_from_uniform(rng.random(), mean_bits), spec.max_packet_bits)
-    return [Packet(size, tti, tti + spec.beta_ms)]
+    return [min(exp_bits([rng.random()], mean_bits)[0], spec.max_packet_bits)]
 
 
-def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[Packet]:
+def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
     if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
         return ftp_arrivals(spec, tti, rng)
     return video_arrivals(spec, tti, rng)

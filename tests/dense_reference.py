@@ -5,7 +5,9 @@ steps the CQI, feeds q into the feedback pipe and decays the served-rate
 EMA for each UE in each TTI, and draws from plain ``Generator`` substreams
 with scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window``
 and ``run`` are the engine's loop as it stood before idle UEs could sleep,
-unchanged; only set-up and the report are shared with ``Simulation``.
+changed since only where the buffer and window interfaces changed (one
+``enqueue`` call per TTI's packets, no unread drop and delay accounting in
+the window); only set-up and the report are shared with ``Simulation``.
 Tests compare the two engines' reports field by field.
 """
 from __future__ import annotations
@@ -63,18 +65,12 @@ class DenseSimulation(Simulation):
 
             # 1. arrivals
             overflow = 0
-            pkts = arrivals(spec, tti, u.traffic_rng)
-            if pkts:
-                overflow_before = buf.dropped_overflow_bits
-                arrived = 0
-                for p in pkts:
-                    arrived += p.size_bits
-                    buf.enqueue(p)
+            sizes = arrivals(spec, tti, u.traffic_rng)
+            if sizes:
+                arrived = sum(sizes)
+                overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
                 u.qoe.update_requirement(arrived)
                 window.record_arrival(ue_id, arrived)
-                overflow = buf.dropped_overflow_bits - overflow_before
-                if overflow:
-                    window.record_drops(ue_id, overflow, 0)
             u._overflow_this_tti = overflow
 
             # 2. deadline expiry; nothing expires from a deadline-ordered
@@ -83,8 +79,6 @@ class DenseSimulation(Simulation):
             queue = buf.queue
             if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
                 expired = buf.expire(tti)
-                if expired:
-                    window.record_drops(ue_id, 0, expired)
             u._deadline_this_tti = expired
 
             # 3. channel
@@ -128,7 +122,7 @@ class DenseSimulation(Simulation):
             winner.delays_tti.extend(delays)
             winner.sched_count += 1
             winner.last_served_tti = tti
-            window.record_delivery(winner.spec.ue_id, tx, delays)
+            window.record_delivery(winner.spec.ue_id, tx)
 
         # 7. served-rate EMAs, as update_avg_rate computes them. A UE not
         # served adds (1 / AVG_RATE_TC) * 0.0 == 0.0, which leaves the

@@ -1,28 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoesched.buffering import UeBuffer
-from qoesched.traffic import Packet
+from qoesched.buffering import Packet, UeBuffer
 
 
-def pkt(size, arrival=0, deadline=None):
-    return Packet(size_bits=size, arrival_tti=arrival,
-                  deadline_tti=deadline if deadline is not None else arrival + 100)
+def enq(buf, size, arrival=0, deadline=None):
+    """Enqueue one packet as a batch of one; returns the bits accepted."""
+    return buf.enqueue([size], arrival, deadline if deadline is not None else arrival + 100)
 
 
 class TestEnqueue:
     def test_direct_insert(self):
         buf = UeBuffer(40_000_000)
-        buf.enqueue(pkt(1_000_000))
+        enq(buf, 1_000_000)
         assert buf.occupied_bits == 1_000_000
         assert buf.arrived_bits == 1_000_000
 
     def test_full_buffer_tail_drop(self):
         buf = UeBuffer(1_000_000)
-        buf.enqueue(pkt(1_000_000))
-        assert not buf.enqueue(pkt(500))
+        enq(buf, 1_000_000)
+        assert not enq(buf, 500)
         assert buf.dropped_overflow_bits == 500
         assert buf.occupied_bits == 1_000_000
         assert buf.arrived_bits == 1_000_500
@@ -31,11 +30,41 @@ class TestEnqueue:
         with pytest.raises(ValueError):
             UeBuffer(0)
 
+    def test_batch_validation(self):
+        buf = UeBuffer(10_000)
+        for sizes, arrival, deadline in (([0], 0, 10), ([100, -5, 100], 0, 10),
+                                         ([100], 5, 5), ([100], 5, 4)):
+            with pytest.raises(ValueError):
+                buf.enqueue(sizes, arrival, deadline)
+        # a rejected batch leaves no trace
+        assert buf.arrived_bits == 0 and not buf.queue
+        assert buf.enqueue([], 0, 1) == 0
+
+    def test_batch_returns_bits_accepted(self):
+        buf = UeBuffer(1_000)
+        assert buf.enqueue([300, 800, 200, 500], 3, 9) == 1_000
+        assert [(p.remaining_bits, p.arrival_tti, p.deadline_tti) for p in buf.queue] == [
+            (300, 3, 9), (200, 3, 9), (500, 3, 9)]
+        assert buf.dropped_overflow_bits == 800
+        assert buf.arrived_bits == 1_800
+        # nothing fits in a full buffer
+        assert buf.enqueue([1, 1], 4, 10) == 0
+        assert buf.dropped_overflow_bits == 802
+        assert buf.conservation_holds()
+
+    def test_earlier_deadline_batch_clears_order_only_if_accepted(self):
+        buf = UeBuffer(1_000)
+        buf.enqueue([600], 0, 50)
+        buf.enqueue([700], 1, 10)   # dropped whole: order unchanged
+        assert buf.deadlines_monotone
+        buf.enqueue([700, 400], 1, 10)
+        assert not buf.deadlines_monotone
+
 
 class TestExpire:
     def test_noop_before_deadline(self):
         buf = UeBuffer(10_000)
-        buf.enqueue(pkt(100, arrival=0, deadline=10))
+        enq(buf, 100, arrival=0, deadline=10)
         assert buf.expire(5) == 0
         assert buf.occupied_bits == 100
 
@@ -43,7 +72,7 @@ class TestExpire:
         # half-transmitted packet: the sent half stays delivered, the rest
         # is counted as a deadline drop
         buf = UeBuffer(10_000_000)
-        buf.enqueue(pkt(1_000_000, arrival=0, deadline=5))
+        enq(buf, 1_000_000, arrival=0, deadline=5)
         tx, _ = buf.drain(500_000, now_tti=1)
         assert tx == 500_000
         dropped = buf.expire(5)
@@ -56,7 +85,7 @@ class TestExpire:
     def test_all_expired_empties_buffer(self):
         buf = UeBuffer(10_000_000)
         for k in range(5):
-            buf.enqueue(pkt(1000, arrival=k, deadline=k + 10))
+            enq(buf, 1000, arrival=k, deadline=k + 10)
         assert buf.expire(100) == 5000
         assert buf.occupied_bits == 0
 
@@ -64,9 +93,9 @@ class TestExpire:
         # direct API use can interleave deadlines; the scan fallback must
         # still remove the interior expired packet
         buf = UeBuffer(10_000)
-        buf.enqueue(pkt(100, arrival=0, deadline=50))
-        buf.enqueue(pkt(200, arrival=0, deadline=10))
-        buf.enqueue(pkt(300, arrival=0, deadline=60))
+        enq(buf, 100, arrival=0, deadline=50)
+        enq(buf, 200, arrival=0, deadline=10)
+        enq(buf, 300, arrival=0, deadline=60)
         assert buf.expire(10) == 200
         assert buf.occupied_bits == 400
         assert buf.conservation_holds()
@@ -75,22 +104,22 @@ class TestExpire:
 class TestDrain:
     def test_zero_budget(self):
         buf = UeBuffer(10_000)
-        buf.enqueue(pkt(100))
+        enq(buf, 100)
         tx, delays = buf.drain(0)
         assert tx == 0 and delays == []
         assert buf.occupied_bits == 100
 
     def test_full_drain(self):
         buf = UeBuffer(10_000_000)
-        buf.enqueue(pkt(3_000_000))
+        enq(buf, 3_000_000)
         tx, _ = buf.drain(6_000_000)
         assert tx == 3_000_000
         assert buf.occupied_bits == 0
 
     def test_fifo_split(self):
         buf = UeBuffer(10_000_000)
-        buf.enqueue(pkt(2_000_000, arrival=0))
-        buf.enqueue(pkt(2_000_000, arrival=0))
+        enq(buf, 2_000_000, arrival=0)
+        enq(buf, 2_000_000, arrival=0)
         tx, delays = buf.drain(3_000_000, now_tti=4)
         assert tx == 3_000_000
         assert delays == [4]  # only the first packet completed
@@ -98,7 +127,7 @@ class TestDrain:
 
     def test_delivery_delay_at_last_bit(self):
         buf = UeBuffer(10_000_000)
-        buf.enqueue(pkt(1_000_000, arrival=2))
+        enq(buf, 1_000_000, arrival=2)
         buf.drain(400_000, now_tti=3)
         tx, delays = buf.drain(600_000, now_tti=9)
         assert delays == [7]
@@ -106,6 +135,39 @@ class TestDrain:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             UeBuffer(100).drain(-1)
+
+    def test_empty_queue(self):
+        buf = UeBuffer(100)
+        assert buf.drain(50, now_tti=3) == (0, [])
+        assert buf.drain(0) == (0, [])
+        assert buf.occupied_bits == buf.delivered_bits == 0
+
+    def test_budget_equal_to_head_remaining(self):
+        buf = UeBuffer(10_000)
+        buf.enqueue([300, 200], 1, 50)
+        assert buf.drain(300, now_tti=5) == (300, [4])
+        assert [p.remaining_bits for p in buf.queue] == [200]
+        assert buf.occupied_bits == 200
+
+    def test_split_head_then_complete(self):
+        buf = UeBuffer(10_000)
+        buf.enqueue([300], 0, 50)
+        assert buf.drain(120, now_tti=1) == (120, [])
+        assert buf.queue[0].remaining_bits == 180
+        assert buf.drain(180, now_tti=2) == (180, [2])
+        assert not buf.queue and buf.delivered_bits == 300
+
+    def test_several_completed_in_one_call(self):
+        buf = UeBuffer(10_000)
+        buf.enqueue([100], 0, 50)
+        buf.enqueue([200, 50], 2, 52)
+        buf.enqueue([300], 3, 53)
+        tx, delays = buf.drain(500, now_tti=7)
+        assert (tx, delays) == (500, [7, 5, 5])
+        assert [p.remaining_bits for p in buf.queue] == [150]
+        assert buf.drain(1_000, now_tti=8) == (150, [5])
+        assert buf.occupied_bits == 0 and buf.delivered_bits == 650
+        assert buf.conservation_holds()
 
 
 class TestConservationReplay:
@@ -120,9 +182,8 @@ class TestConservationReplay:
             op = rng.integers(0, 3)
             if op == 0:
                 size = int(rng.integers(1, 2_000_000))
-                p = pkt(size, arrival=now, deadline=now + int(rng.integers(1, 50)))
                 fits = buf.occupied_bits + size <= buf.capacity_bits
-                buf.enqueue(p)
+                buf.enqueue([size], now, now + int(rng.integers(1, 50)))
                 arrived += size
                 if not fits:
                     over += size
@@ -155,7 +216,7 @@ def test_property_occupancy_and_conservation(ops):
     now = 0
     for op, amount, dt in ops:
         if op == 0:
-            buf.enqueue(pkt(amount, arrival=now, deadline=now + dt + 1))
+            enq(buf, amount, arrival=now, deadline=now + dt + 1)
         elif op == 1:
             buf.drain(amount, now)
         else:
@@ -168,10 +229,57 @@ def test_property_occupancy_and_conservation(ops):
 def test_fifo_order_preserved():
     buf = UeBuffer(1_000_000)
     for k in range(10):
-        buf.enqueue(pkt(100, arrival=k, deadline=k + 1000))
+        enq(buf, 100, arrival=k, deadline=k + 1000)
     seen = []
     for _ in range(10):
         _, delays = buf.drain(100, now_tti=1000 - 1)
         seen.extend(delays)
     # earlier arrivals finish first: delays strictly decreasing
     assert seen == sorted(seen, reverse=True)
+
+
+def enqueue_per_packet(buf, sizes, arrival_tti, deadline_tti):
+    """Reference: the tail drop one packet at a time, as a single-packet
+    enqueue did it. Returns the bits accepted."""
+    accepted = 0
+    for size in sizes:
+        buf.arrived_bits += size
+        if buf.occupied_bits + size > buf.capacity_bits:
+            buf.dropped_overflow_bits += size
+            continue
+        if buf.queue and deadline_tti < buf.queue[-1].deadline_tti:
+            buf.deadlines_monotone = False
+        buf.queue.append(Packet(size, arrival_tti, deadline_tti))
+        buf.occupied_bits += size
+        accepted += size
+    return accepted
+
+
+def _state(buf):
+    return (list(buf.queue), buf.occupied_bits, buf.arrived_bits,
+            buf.dropped_overflow_bits, buf.deadlines_monotone)
+
+
+_batch = st.tuples(
+    st.lists(st.integers(1, 1_200), max_size=8),  # sizes
+    st.integers(0, 50),                            # arrival
+    st.integers(1, 60),                            # deadline - arrival
+    st.integers(0, 900),                           # drain budget before it
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3_000), st.lists(_batch, max_size=12))
+@example(1_000, [([1_200, 5], 0, 10, 0)])               # small fits after a large drop
+@example(1_000, [([1_000], 0, 10, 0), ([3, 1], 1, 5, 0)])  # nothing fits
+@example(2_000, [([500], 0, 50, 0), ([400, 300], 1, 5, 0)])  # earlier deadline behind
+def test_batched_enqueue_equals_per_packet_tail_drop(capacity, batches):
+    batched, reference = UeBuffer(capacity), UeBuffer(capacity)
+    for sizes, arrival, delay, budget in batches:
+        # drains leave partly sent heads and free room at random points
+        assert batched.drain(budget, arrival) == reference.drain(budget, arrival)
+        deadline = arrival + delay
+        expected = enqueue_per_packet(reference, sizes, arrival, deadline)
+        assert batched.enqueue(sizes, arrival, deadline) == expected
+        assert _state(batched) == _state(reference)
+        assert batched.conservation_holds()

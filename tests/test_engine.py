@@ -9,7 +9,7 @@ from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
 from qoesched.scheduler import Policy, update_avg_rate
 from qoesched.streams import BLOCK, BufferedStream
-from qoesched.traffic import FlowSpec, Packet, TrafficClass
+from qoesched.traffic import FlowSpec, TrafficClass
 
 TINY_LOAD = 1e-3  # bps; effectively no arrivals over short runs
 
@@ -73,7 +73,7 @@ class TestStep:
         # budget at CQI 15 is 6e9 * 0.001 = 6e6 bits
         sc = make_scenario([ftp_flow(0, load=TINY_LOAD)], peak=6e9, cqis=[15])
         sim = Simulation(sc)
-        sim.ues[0].buffer.enqueue(Packet(6_000_000, arrival_tti=0, deadline_tti=500))
+        sim.ues[0].buffer.enqueue([6_000_000], 0, 500)
         decision = sim.step(0)
         assert decision.selected_ue == 0
         assert decision.budget_bits == 6_000_000
@@ -87,8 +87,8 @@ class TestStep:
             buffersize_bits=10_000_000,
         )
         sim = Simulation(sc, policy=Policy.BCQQ)
-        sim.ues[0].buffer.enqueue(Packet(1_000_000, 0, 500))   # ratio 0.1
-        sim.ues[1].buffer.enqueue(Packet(9_000_000, 0, 500))   # ratio 0.9
+        sim.ues[0].buffer.enqueue([1_000_000], 0, 500)   # ratio 0.1
+        sim.ues[1].buffer.enqueue([9_000_000], 0, 500)   # ratio 0.9
         assert sim.step(0).selected_ue == 1
 
 
@@ -97,8 +97,8 @@ class TestStep:
         sc = make_scenario([ftp_flow(0, load=TINY_LOAD)], peak=1e3, cqis=[15])
         sim = Simulation(sc)
         buf = sim.ues[0].buffer
-        buf.enqueue(Packet(1_000, arrival_tti=0, deadline_tti=50))
-        buf.enqueue(Packet(700, arrival_tti=0, deadline_tti=3))
+        buf.enqueue([1_000], 0, 50)
+        buf.enqueue([700], 0, 3)
         for tti in range(3):
             sim.step(tti)
         assert buf.dropped_deadline_bits == 0
@@ -395,7 +395,7 @@ class TestScalarStreamReference:
         def build(cls):
             sim = cls(sc, policy=Policy.MLWDF, seed=8, collect_trace=True)
             for deadline in (90, 12, 55, 3, 30):
-                sim.ues[0].buffer.enqueue(Packet(200_000, 0, deadline))
+                sim.ues[0].buffer.enqueue([200_000], 0, deadline)
             assert not sim.ues[0].buffer.deadlines_monotone
             return sim
 
@@ -468,7 +468,7 @@ class TestScalarStreamReference:
             if not isinstance(sim, DenseSimulation):
                 assert tti < u.next_arrival_tti and not u.buffer.queue
                 woken.append(tti)
-            u.buffer.enqueue(Packet(300_000, tti, tti + 50))
+            u.buffer.enqueue([300_000], tti, tti + 50)
 
         report = self.both(lambda cls: cls(sc, policy=Policy.PF, seed=5), enqueue)
         assert len(woken) >= 10

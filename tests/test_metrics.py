@@ -81,7 +81,7 @@ class TestWindowClose:
     def test_single_active_ue_qoefi_absent(self):
         w = MetricsWindow([0, 1])
         w.record_arrival(0, 1000)
-        w.record_delivery(0, 500, [3])
+        w.record_delivery(0, 500)
         rec = w.close(100)
         assert rec.qoe_fi is None
         assert rec.jfi is not None
@@ -91,7 +91,7 @@ class TestWindowClose:
         ys = {0: 4_000_000, 1: 2_000_000, 2: 1_000_000}
         for u, y in ys.items():
             w.record_arrival(u, 4_000_000)
-            w.record_delivery(u, y, [])
+            w.record_delivery(u, y)
         rec = w.close(1000)
         # ratios {1.0, 0.5, 0.25} -> qoe_fi 3.0
         assert rec.qoe_fi == pytest.approx(3.0, abs=1e-12)
@@ -103,7 +103,7 @@ class TestWindowClose:
     def test_reset_after_close(self):
         w = MetricsWindow([0])
         w.record_arrival(0, 100)
-        w.record_delivery(0, 100, [1])
+        w.record_delivery(0, 100)
         first = w.close(10)
         assert first.per_ue_y_bits[0] == 100
         second = w.close(20)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qoesched.buffering import UeBuffer
+from qoesched.channel import ChannelParams
+from qoesched.engine import Scenario, Simulation
 from qoesched.traffic import (
     FlowSpec,
-    Packet,
     TrafficClass,
     apply_adjustment,
-    exp_bits_from_uniform,
+    exp_bits,
     ftp_arrivals,
     video_arrivals,
 )
@@ -46,9 +50,9 @@ class TestFtpArrivals:
         # lambda per TTI chosen so one call yields ~1e6 packets
         spec = ftp_spec(offered_load_bps=5e14)
         rng = np.random.default_rng(42)
-        pkts = ftp_arrivals(spec, 0, rng)
-        assert len(pkts) > 900_000
-        mean = sum(p.size_bits for p in pkts) / len(pkts)
+        sizes = ftp_arrivals(spec, 0, rng)
+        assert len(sizes) > 900_000
+        mean = sum(sizes) / len(sizes)
         assert abs(mean - 500_000) / 500_000 < 0.01
 
     def test_zero_load_rejected_at_construction(self):
@@ -59,18 +63,50 @@ class TestFtpArrivals:
 
     def test_inverse_cdf_median(self):
         # u = 0.5 lands on mean * ln 2
-        assert exp_bits_from_uniform(0.5, 5e5) == round(5e5 * math.log(2)) == 346574
+        assert exp_bits([0.5], 5e5) == [round(5e5 * math.log(2))] == [346574]
 
     def test_deadlines_stamped(self):
-        spec = ftp_spec(offered_load_bps=5e11)
-        rng = np.random.default_rng(0)
-        for p in ftp_arrivals(spec, 7, rng):
-            assert p.arrival_tti == 7
-            assert p.deadline_tti == 7 + 300
+        # the engine stamps a TTI's packets with that TTI and tti + beta_ms
+        sc = Scenario(name="stamp", duration_tti=10, flows=[ftp_spec(offered_load_bps=5e9)],
+                      channel=ChannelParams(peak_rate_bps=1e3, walk_prob=0.0),
+                      buffersize_bits=10**12)
+        sim = Simulation(sc)
+        for tti in range(8):
+            sim.step(tti)
+        stamped = [p for p in sim.ues[0].buffer.queue if p.arrival_tti == 7]
+        assert stamped
+        for p in sim.ues[0].buffer.queue:
+            assert p.deadline_tti == p.arrival_tti + 300
 
     def test_wrong_class_rejected(self):
         with pytest.raises(ValueError):
             ftp_arrivals(video_spec(), 0, np.random.default_rng(0))
+
+
+def _reference_bits(u, mean_bits):
+    return max(1, round(-mean_bits * math.log1p(-u)))
+
+
+_uniform = st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestExpBits:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_uniform, max_size=20),
+           st.one_of(st.integers(1, 10**8), st.floats(1e-3, 1e8)))
+    @example([0.0, 1e-12, 0.5, 0.999_999_999_999], 3)    # 0.0 and values rounding to 0
+    @example([0.0, 1e-300, 5e-324], 1e8)
+    @example([1.0 - 2.0**-53], 0.5)
+    def test_equals_max_one_rounded_inverse_cdf(self, us, mean_bits):
+        assert exp_bits(us, mean_bits) == [_reference_bits(u, mean_bits) for u in us]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.floats(1e3, 1e10), st.integers(1, 5_000_000))
+    def test_video_frame_clamps_at_cap(self, seed, load, cap):
+        spec = video_spec(offered_load_bps=load, max_packet_bits=cap)
+        u = np.random.default_rng(seed).random()
+        expected = min(_reference_bits(u, load * 16 / 1000.0), cap)
+        assert video_arrivals(spec, 32, np.random.default_rng(seed)) == [expected]
 
 
 class TestVideoArrivals:
@@ -79,9 +115,9 @@ class TestVideoArrivals:
         rng = np.random.default_rng(1)
         sizes = []
         for k in range(200_000):
-            pkts = video_arrivals(spec, k * 16, rng)
-            assert len(pkts) == 1
-            sizes.append(pkts[0].size_bits)
+            frame = video_arrivals(spec, k * 16, rng)
+            assert len(frame) == 1
+            sizes.append(frame[0])
         assert max(sizes) <= 2_000_000
 
     def test_off_frame_tti_empty(self):
@@ -93,7 +129,7 @@ class TestVideoArrivals:
         # untruncated frame mean 1.6e7 bits >> 2e6 cap
         spec = video_spec(offered_load_bps=1e9, frame_interval_ms=16)
         rng = np.random.default_rng(3)
-        sizes = [video_arrivals(spec, k * 16, rng)[0].size_bits for k in range(100_000)]
+        sizes = [video_arrivals(spec, k * 16, rng)[0] for k in range(100_000)]
         assert max(sizes) <= 2_000_000
         # sampling oracle for the clipped-exponential mean
         oracle = np.minimum(
@@ -111,8 +147,7 @@ class TestLongRunRate:
         total = 0
         ttis = 1_000_000
         for tti in range(ttis):
-            for p in ftp_arrivals(spec, tti, rng):
-                total += p.size_bits
+            total += sum(ftp_arrivals(spec, tti, rng))
         rate = total / (ttis / 1000.0)
         assert abs(rate - 5e8) / 5e8 < 0.02
 
@@ -127,7 +162,7 @@ class TestLongRunRate:
         ttis = 1_000_000
         total = 0
         for tti in range(0, ttis, 16):
-            total += video_arrivals(spec, tti, rng)[0].size_bits
+            total += video_arrivals(spec, tti, rng)[0]
         rate = total / (ttis / 1000.0)
         expected = oracle * 1000.0 / 16
         assert abs(rate - expected) / expected < 0.02
@@ -142,10 +177,11 @@ class TestReproducibility:
             assert ftp_arrivals(spec, tti, a) == ftp_arrivals(spec, tti, b)
 
     def test_packet_invariants(self):
+        # packets are checked once per batch, where they enter a buffer
         with pytest.raises(ValueError):
-            Packet(size_bits=0, arrival_tti=0, deadline_tti=10)
+            UeBuffer(1_000).enqueue([0], 0, 10)
         with pytest.raises(ValueError):
-            Packet(size_bits=100, arrival_tti=5, deadline_tti=5)
+            UeBuffer(1_000).enqueue([100], 5, 5)
 
 
 class TestAdjustment:
