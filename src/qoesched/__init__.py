@@ -5,7 +5,7 @@ fair, and round-robin baselines, with Jain's fairness index and a
 QoE-oriented fairness index computed over configurable windows.
 """
 from .buffering import Packet
-from .channel import ChannelParams, CqiState, cqi_step, rate_of
+from .channel import ChannelParams, cqi_step, rate_of
 from .engine import AdjustmentParams, Scenario, SimReport, Simulation, run
 from .metrics import jfi, qoe_fi
 from .qoe import QoeState
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjustmentParams",
     "ChannelParams",
-    "CqiState",
     "FlowSpec",
     "Packet",
     "Policy",

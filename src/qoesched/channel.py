@@ -38,15 +38,6 @@ class ChannelParams:
                 raise ValueError(f"initial CQI {c} outside [{CQI_MIN}, {CQI_MAX}]")
 
 
-@dataclass(slots=True)
-class CqiState:
-    cqi: int
-
-    def __post_init__(self):
-        if not CQI_MIN <= self.cqi <= CQI_MAX:
-            raise ValueError(f"cqi {self.cqi} outside [{CQI_MIN}, {CQI_MAX}]")
-
-
 def cqi_walk(cqi: int, params: ChannelParams, us) -> int:
     """Apply one TTI of the walk per uniform in ``us``, in order.
 
@@ -66,12 +57,12 @@ def cqi_walk(cqi: int, params: ChannelParams, us) -> int:
     return cqi
 
 
-def cqi_step(state: CqiState, params: ChannelParams, rng: np.random.Generator) -> CqiState:
+def cqi_step(cqi: int, params: ChannelParams, rng: np.random.Generator) -> int:
     """One TTI of ``cqi_walk``: move CQI +/-1 with probability walk_prob."""
     u = rng.random()
     if u >= params.walk_prob:
-        return state
-    return CqiState(cqi_walk(state.cqi, params, (u,)))
+        return cqi
+    return cqi_walk(cqi, params, (u,))
 
 
 def rate_of(cqi: int, params: ChannelParams) -> float:

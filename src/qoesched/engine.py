@@ -21,13 +21,14 @@ Per-TTI event order is fixed:
   4. update QoE demand and q (honoring the feedback delay)
   5. compute priorities and select one UE
   6. drain the winner with budget rate * TTI
-  7. update served-rate EMAs and metrics
+  7. update served-rate EMAs
   8. evaluate the service-adjustment trigger
 
 Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
 they run in one loop over the UEs, in that order within each UE. Only UEs
-with queued bits are scheduling candidates; a TTI without candidates is idle
-and ``select`` is not called.
+with queued bits are scheduling inputs, unless the trace is on, which makes
+every UE one. A TTI without inputs is idle; ``select`` returns an idle
+decision when no input has queued bits.
 
 Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
 ``next_arrival_tti`` has come, when it has queued bits, or when the trace is
@@ -72,17 +73,19 @@ from typing import Any
 import numpy as np
 
 from .buffering import UeBuffer
-from .channel import ChannelParams, CqiState, cqi_step, cqi_walk, rate_of
+from .channel import ChannelParams, cqi_step, cqi_walk, rate_of
 from .metrics import MetricsWindow, WindowRecord, jfi, qoe_fi
 from .qoe import QoeState
 from .scheduler import (
     AVG_RATE_FLOOR,
-    AVG_RATE_TC,
+    EMA_DECAY,
+    EMA_GAIN,
     PRIORITY_FN,
     Policy,
     SchedDecision,
     TTI_SECONDS,
     UeSchedInput,
+    qos_weight,
     select,
 )
 from .streams import BufferedStream
@@ -143,12 +146,14 @@ class Scenario:
 class UeState:
     spec: FlowSpec
     buffer: UeBuffer
-    cqi: CqiState
+    cqi: int
     qoe: QoeState
     traffic_rng: BufferedStream
     cqi_rng: BufferedStream
     # q feedback pipeline: index 0 is the value the scheduler sees now.
     q_pipe: deque[float]
+    # fixed per flow: service adjustment changes only the load
+    qos_weight: float
     avg_rate_bps: float = 1.0
     last_served_tti: int = -1
     last_adjust_tti: int | None = None
@@ -215,10 +220,6 @@ def _substream(seed: int, ue_id: int, purpose: int) -> BufferedStream:
 _PURPOSE_TRAFFIC = 0
 _PURPOSE_CQI = 1
 
-# update_avg_rate's coefficients at its default time constant.
-_EMA_DECAY = 1.0 - 1.0 / AVG_RATE_TC
-_EMA_GAIN = 1.0 / AVG_RATE_TC
-
 
 class Simulation:
     """Mutable state for one run; step() executes one TTI."""
@@ -242,17 +243,18 @@ class Simulation:
             UeState(
                 spec=flow,
                 buffer=UeBuffer(scenario.buffersize_bits),
-                cqi=CqiState(cqi0),
+                cqi=cqi0,
                 qoe=QoeState(ue_id=flow.ue_id, q_max=scenario.q_max),
                 traffic_rng=_substream(self.seed, flow.ue_id, _PURPOSE_TRAFFIC),
                 cqi_rng=_substream(self.seed, flow.ue_id, _PURPOSE_CQI),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
+                qos_weight=qos_weight(flow.alpha, flow.beta_ms / 1000.0),
             )
             for flow, cqi0 in zip(scenario.flows, init_cqis)
         ]
         self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
 
-        self.window = MetricsWindow([u.spec.ue_id for u in self.ues], TTI_SECONDS)
+        self.window = MetricsWindow([u.qoe for u in self.ues])
         self.window_records: list[WindowRecord] = []
         self.adjustment_events: list[AdjustmentEvent] = []
         self.trace_rows: list[tuple] = []
@@ -266,7 +268,6 @@ class Simulation:
         self._next_tti = tti + 1
         sc = self.scenario
         channel = sc.channel
-        window = self.window
         collect = self.collect_trace
 
         # Steps 1-5 per due UE. Only UEs with queued bits become scheduling
@@ -294,7 +295,6 @@ class Simulation:
                     arrived = sum(sizes)
                     overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
                     u.qoe.update_requirement(arrived)
-                    window.record_arrival(ue_id, arrived)
             u._overflow_this_tti = overflow
 
             # 2. deadline expiry; nothing expires from a deadline-ordered
@@ -320,10 +320,9 @@ class Simulation:
                         ue_id,                                    # ue_id
                         buf.occupied_bits,                        # buffer_bits
                         sc.buffersize_bits,                       # buffersize_bits
-                        spec.alpha,                               # alpha
-                        spec.beta_ms / 1000.0,                    # beta_s
+                        u.qos_weight,                             # qos_weight
                         pipe[0],                                  # q
-                        rate_of(cqi.cqi, channel),                # rate_bps
+                        rate_of(cqi, channel),                    # rate_bps
                         buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
                         u.avg_rate_bps,                           # avg_rate_bps
                         u.last_served_tti,                        # last_served_tti
@@ -331,10 +330,7 @@ class Simulation:
                 )
 
         # 5b. selection; a TTI without candidates is idle
-        if inputs and (not collect or any(i.buffer_bits for i in inputs)):
-            decision = select(inputs, self.policy)
-        else:
-            decision = SchedDecision(None, 0.0, 0)
+        decision = select(inputs, self.policy) if inputs else SchedDecision(None, 0)
 
         # 6. transmission
         winner = None
@@ -346,16 +342,15 @@ class Simulation:
             winner.delays_tti.extend(delays)
             winner.sched_count += 1
             winner.last_served_tti = tti
-            window.record_delivery(winner.spec.ue_id, tx)
 
-        # 7. served-rate EMAs of the due UEs, as update_avg_rate computes
-        # them; sleeping UEs decay at their catch-up. A UE not served adds
-        # (1 / AVG_RATE_TC) * 0.0 == 0.0, which leaves the positive decayed
-        # rate exactly as it is, so that term is left out.
+        # 7. served-rate EMAs of the due UEs, by the scheduler's EMA_DECAY
+        # and EMA_GAIN; sleeping UEs decay at their catch-up. A UE not served
+        # adds EMA_GAIN * 0.0 == 0.0, which leaves the positive decayed rate
+        # exactly as it is, so that term is left out.
         for u in due:
-            avg = _EMA_DECAY * u.avg_rate_bps
+            avg = EMA_DECAY * u.avg_rate_bps
             if u is winner:
-                avg = avg + _EMA_GAIN * (tx / TTI_SECONDS)
+                avg = avg + EMA_GAIN * (tx / TTI_SECONDS)
             u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
         # 8. adjustment trigger
@@ -370,7 +365,7 @@ class Simulation:
                     (
                         tti,
                         i.ue_id,
-                        u.cqi.cqi,
+                        u.cqi,
                         i.rate_bps,
                         u.buffer.occupied_bits,
                         i.q,
@@ -382,7 +377,7 @@ class Simulation:
                     )
                 )
 
-        if sc.window_tti is not None and (tti + 1 - window.start_tti) >= sc.window_tti:
+        if sc.window_tti is not None and (tti + 1 - self.window.start_tti) >= sc.window_tti:
             self._close_window(tti + 1)
         return decision
 
@@ -406,9 +401,7 @@ class Simulation:
         """
         k = until - u.synced_tti
         u.synced_tti = until
-        cqi = cqi_walk(u.cqi.cqi, self.scenario.channel, u.cqi_rng.random(k))
-        if cqi != u.cqi.cqi:
-            u.cqi = CqiState(cqi)
+        u.cqi = cqi_walk(u.cqi, self.scenario.channel, u.cqi_rng.random(k))
         pipe = u.q_pipe
         pipe.extend([u.qoe.q_of()] * min(k, pipe.maxlen))
         # k decays, multiplied out in order: decay**k differs in the last
@@ -416,7 +409,7 @@ class Simulation:
         # the floored rate would have reached the floor, which it keeps.
         avg = u.avg_rate_bps
         if avg > AVG_RATE_FLOOR:
-            avg = math.prod(repeat(_EMA_DECAY, k), start=avg)
+            avg = math.prod(repeat(EMA_DECAY, k), start=avg)
             u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
     def _adjustment_check(self, tti: int, due: list[UeState]) -> None:
@@ -450,14 +443,13 @@ class Simulation:
             )
 
     def _close_window(self, end_tti: int) -> None:
-        # Sleepers feed their q into the pipe at catch-up, and the reset
-        # changes q: bring every UE up to the window end first.
+        # Sleepers feed their q into the pipe at catch-up, and the close
+        # resets the window volumes, which changes q: bring every UE up to
+        # the window end first.
         for u in self.ues:
             if end_tti > u.synced_tti:
                 self._catch_up(u, end_tti)
         self.window_records.append(self.window.close(end_tti))
-        for u in self.ues:
-            u.qoe.reset_window()
 
     def run(self) -> SimReport:
         # The last window closes at the end of the run, in the last step or

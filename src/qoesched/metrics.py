@@ -1,4 +1,4 @@
-"""Fairness indices and per-window metric accumulation.
+"""Fairness indices and the window close that reports them.
 
 Two fairness measures are reported per window:
 
@@ -7,10 +7,16 @@ Two fairness measures are reported per window:
   absolute difference of their satisfaction ratios y_i / Y_i. Smaller is
   fairer; 0 means every user got the same fraction of its demand. The sum
   is kept unnormalized (each unordered pair counts twice).
+
+The window volumes y and Y are the UEs' ``QoeState`` accounts: a window
+close reads them and resets them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .qoe import QoeState
+from .scheduler import TTI_SECONDS
 
 
 def jfi(xs: list[float]) -> float:
@@ -30,26 +36,19 @@ def qoe_fi(pairs: list[tuple[float, float]]) -> float:
     """QoE fairness index over (delivered, required) volume pairs.
 
     Literal double sum over ordered pairs i != j of
-    |y_i/Y_i - y_j/Y_j|. Requires n >= 2 and every Y > 0.
+    |y_i/Y_i - y_j/Y_j|. Requires n >= 2 and every Y > 0. The diagonal
+    terms i == j add exactly 0.0, so the loop runs over every pair.
     """
     if len(pairs) < 2:
         raise ValueError("qoe_fi requires at least two users")
     if any(y_req <= 0 for _, y_req in pairs):
         raise ValueError("qoe_fi requires every required volume > 0")
     ratios = [y / y_req for y, y_req in pairs]
-    n = len(ratios)
     total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += abs(ratios[i] - ratios[j])
+    for a in ratios:
+        for b in ratios:
+            total += abs(a - b)
     return total
-
-
-@dataclass
-class UeWindowStats:
-    y_bits: int = 0
-    y_req_bits: int = 0
 
 
 @dataclass
@@ -66,34 +65,26 @@ class WindowRecord:
 
 
 class MetricsWindow:
-    """Accumulates per-UE deliveries and demand between window closes."""
+    """Closes windows over the UEs' ``QoeState`` volume accounts."""
 
-    def __init__(self, ue_ids: list[int], tti_s: float = 0.001):
-        self.ue_ids = list(ue_ids)
-        self.tti_s = tti_s
+    def __init__(self, qoes: list[QoeState]):
+        self.qoes = list(qoes)
         self.start_tti = 0
         self.index = 0
-        self.per_ue: dict[int, UeWindowStats] = {u: UeWindowStats() for u in self.ue_ids}
-
-    def record_arrival(self, ue_id: int, bits: int) -> None:
-        self.per_ue[ue_id].y_req_bits += bits
-
-    def record_delivery(self, ue_id: int, bits: int) -> None:
-        self.per_ue[ue_id].y_bits += bits
 
     def close(self, end_tti: int) -> WindowRecord:
-        """Emit this window's record and reset the accumulators."""
-        ys = {u: self.per_ue[u].y_bits for u in self.ue_ids}
-        y_reqs = {u: self.per_ue[u].y_req_bits for u in self.ue_ids}
+        """Emit this window's record and reset the UEs' window volumes."""
+        ys = {q.ue_id: q.y_bits for q in self.qoes}
+        y_reqs = {q.ue_id: q.y_req_bits for q in self.qoes}
         tx = sum(ys.values())
         span_tti = max(end_tti - self.start_tti, 1)
-        throughput = tx / (span_tti * self.tti_s)
+        throughput = tx / (span_tti * TTI_SECONDS)
 
         jfi_val = None
         if any(y > 0 for y in ys.values()):
             jfi_val = jfi([float(y) for y in ys.values()])
 
-        active = [(float(ys[u]), float(y_reqs[u])) for u in self.ue_ids if y_reqs[u] > 0]
+        active = [(float(ys[u]), float(y_reqs[u])) for u in ys if y_reqs[u] > 0]
         fi_val = qoe_fi(active) if len(active) >= 2 else None
 
         rec = WindowRecord(
@@ -107,7 +98,8 @@ class MetricsWindow:
             jfi=jfi_val,
             qoe_fi=fi_val,
         )
-        self.per_ue = {u: UeWindowStats() for u in self.ue_ids}
+        for q in self.qoes:
+            q.reset_window()
         self.start_tti = end_tti
         self.index += 1
         return rec

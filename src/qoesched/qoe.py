@@ -6,8 +6,8 @@ the air interface to fully satisfy the user). The scheduler multiplier is
 the unmet-demand ratio, clamped to [1, q_max]: fully served users get 1,
 underserved users get proportionally more, capped.
 
-The default model lives behind q_of() so alternative QoE models can be
-swapped in without touching the scheduler.
+``QoeState`` is the one account of a UE's window volumes: the engine feeds
+it, and ``MetricsWindow.close`` reads it for the window record and resets it.
 """
 from __future__ import annotations
 

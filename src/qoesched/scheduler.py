@@ -20,6 +20,10 @@ from enum import Enum
 TTI_SECONDS = 0.001
 AVG_RATE_TC = 1000       # EMA time constant, in TTIs
 AVG_RATE_FLOOR = 1.0     # bps, keeps rate ratios finite
+# One TTI of the served-rate EMA: avg' = max(EMA_DECAY * avg +
+# EMA_GAIN * served_bits / TTI_SECONDS, AVG_RATE_FLOOR).
+EMA_DECAY = 1.0 - 1.0 / AVG_RATE_TC
+EMA_GAIN = 1.0 / AVG_RATE_TC
 
 
 class Policy(str, Enum):
@@ -34,8 +38,7 @@ class UeSchedInput:
     ue_id: int
     buffer_bits: int
     buffersize_bits: int
-    alpha: float
-    beta_s: float
+    qos_weight: float
     q: float
     rate_bps: float
     hol_delay_s: float
@@ -44,6 +47,7 @@ class UeSchedInput:
 
 
 def qos_weight(alpha: float, beta_s: float) -> float:
+    """-ln(alpha) / beta_s; fixed per flow, since adjustment changes only the load."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     if beta_s <= 0.0:
@@ -55,13 +59,13 @@ def bcqq_priority(u: UeSchedInput) -> float:
     if u.buffer_bits == 0:
         return 0.0
     occupancy = u.buffer_bits / u.buffersize_bits
-    return occupancy * qos_weight(u.alpha, u.beta_s) * u.q * u.rate_bps
+    return occupancy * u.qos_weight * u.q * u.rate_bps
 
 
 def mlwdf_priority(u: UeSchedInput) -> float:
     if u.buffer_bits == 0:
         return 0.0
-    return qos_weight(u.alpha, u.beta_s) * u.hol_delay_s * u.rate_bps / u.avg_rate_bps
+    return u.qos_weight * u.hol_delay_s * u.rate_bps / u.avg_rate_bps
 
 
 def pf_priority(u: UeSchedInput) -> float:
@@ -88,12 +92,10 @@ PRIORITY_FN = {
 @dataclass
 class SchedDecision:
     selected_ue: int | None
-    priority: float
     budget_bits: int
 
 
-def select(inputs: list[UeSchedInput], policy: Policy,
-           tti_s: float = TTI_SECONDS) -> SchedDecision:
+def select(inputs: list[UeSchedInput], policy: Policy) -> SchedDecision:
     """Pick the highest-priority UE among those with queued data.
 
     Ties break deterministically: least recently served first, then lowest
@@ -111,12 +113,5 @@ def select(inputs: list[UeSchedInput], policy: Policy,
         if best_key is None or key > best_key:
             best, best_key = u, key
     if best is None:
-        return SchedDecision(None, 0.0, 0)
-    return SchedDecision(best.ue_id, best_key[0], int(best.rate_bps * tti_s))
-
-
-def update_avg_rate(avg_rate_bps: float, served_bits: int,
-                    tti_s: float = TTI_SECONDS, t_c: int = AVG_RATE_TC) -> float:
-    """EMA of served rate over t_c TTIs, floored at AVG_RATE_FLOOR."""
-    updated = (1.0 - 1.0 / t_c) * avg_rate_bps + (1.0 / t_c) * (served_bits / tti_s)
-    return max(updated, AVG_RATE_FLOOR)
+        return SchedDecision(None, 0)
+    return SchedDecision(best.ue_id, int(best.rate_bps * TTI_SECONDS))

@@ -5,9 +5,12 @@ steps the CQI, feeds q into the feedback pipe and decays the served-rate
 EMA for each UE in each TTI, and draws from plain ``Generator`` substreams
 with scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window``
 and ``run`` are the engine's loop as it stood before idle UEs could sleep,
-changed since only where the buffer and window interfaces changed (one
-``enqueue`` call per TTI's packets, no unread drop and delay accounting in
-the window); only set-up and the report are shared with ``Simulation``.
+changed since only where the buffer, window, channel and scheduler
+interfaces changed (one ``enqueue`` call per TTI's packets, window volumes
+read from ``QoeState``, an ``int`` CQI, a per-flow QoS weight); only set-up
+and the report are shared with ``Simulation``. Its served-rate EMA is
+``update_avg_rate``, written from ``AVG_RATE_TC`` and not from the
+``EMA_DECAY`` and ``EMA_GAIN`` the engine uses, so a wrong coefficient shows.
 Tests compare the two engines' reports field by field.
 """
 from __future__ import annotations
@@ -16,15 +19,10 @@ import numpy as np
 
 from qoesched import engine
 from qoesched.channel import cqi_step, rate_of
-from qoesched.engine import (
-    _EMA_DECAY,
-    _EMA_GAIN,
-    AdjustmentEvent,
-    SimReport,
-    Simulation,
-)
+from qoesched.engine import AdjustmentEvent, SimReport, Simulation
 from qoesched.scheduler import (
     AVG_RATE_FLOOR,
+    AVG_RATE_TC,
     PRIORITY_FN,
     SchedDecision,
     TTI_SECONDS,
@@ -32,6 +30,13 @@ from qoesched.scheduler import (
     select,
 )
 from qoesched.traffic import apply_adjustment, arrivals
+
+
+def update_avg_rate(avg_rate_bps: float, served_bits: int) -> float:
+    """One TTI of the served-rate EMA over AVG_RATE_TC TTIs, floored at AVG_RATE_FLOOR."""
+    updated = ((1.0 - 1.0 / AVG_RATE_TC) * avg_rate_bps
+               + (1.0 / AVG_RATE_TC) * (served_bits / TTI_SECONDS))
+    return max(updated, AVG_RATE_FLOOR)
 
 
 def scalar_substream(seed, ue_id, purpose):
@@ -52,7 +57,6 @@ class DenseSimulation(Simulation):
     def step(self, tti: int) -> SchedDecision:
         sc = self.scenario
         channel = sc.channel
-        window = self.window
         collect = self.collect_trace
 
         # Steps 1-5 per UE. Only UEs with queued bits become scheduling
@@ -70,7 +74,6 @@ class DenseSimulation(Simulation):
                 arrived = sum(sizes)
                 overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
                 u.qoe.update_requirement(arrived)
-                window.record_arrival(ue_id, arrived)
             u._overflow_this_tti = overflow
 
             # 2. deadline expiry; nothing expires from a deadline-ordered
@@ -96,10 +99,9 @@ class DenseSimulation(Simulation):
                         ue_id,                                    # ue_id
                         buf.occupied_bits,                        # buffer_bits
                         sc.buffersize_bits,                       # buffersize_bits
-                        spec.alpha,                               # alpha
-                        spec.beta_ms / 1000.0,                    # beta_s
+                        u.qos_weight,                             # qos_weight
                         pipe[0],                                  # q
-                        rate_of(cqi.cqi, channel),                # rate_bps
+                        rate_of(cqi, channel),                    # rate_bps
                         buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
                         u.avg_rate_bps,                           # avg_rate_bps
                         u.last_served_tti,                        # last_served_tti
@@ -107,10 +109,7 @@ class DenseSimulation(Simulation):
                 )
 
         # 5b. selection; a TTI without candidates is idle
-        if inputs and (not collect or any(i.buffer_bits for i in inputs)):
-            decision = select(inputs, self.policy)
-        else:
-            decision = SchedDecision(None, 0.0, 0)
+        decision = select(inputs, self.policy) if inputs else SchedDecision(None, 0)
 
         # 6. transmission
         winner = None
@@ -122,17 +121,10 @@ class DenseSimulation(Simulation):
             winner.delays_tti.extend(delays)
             winner.sched_count += 1
             winner.last_served_tti = tti
-            window.record_delivery(winner.spec.ue_id, tx)
 
-        # 7. served-rate EMAs, as update_avg_rate computes them. A UE not
-        # served adds (1 / AVG_RATE_TC) * 0.0 == 0.0, which leaves the
-        # positive decayed rate exactly as it is, so that term is left out.
+        # 7. served-rate EMAs
         for u in self.ues:
-            if u is winner:
-                avg = _EMA_DECAY * u.avg_rate_bps + _EMA_GAIN * (tx / TTI_SECONDS)
-            else:
-                avg = _EMA_DECAY * u.avg_rate_bps
-            u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
+            u.avg_rate_bps = update_avg_rate(u.avg_rate_bps, tx if u is winner else 0)
 
         # 8. adjustment trigger
         if sc.adjustment.enabled:
@@ -146,7 +138,7 @@ class DenseSimulation(Simulation):
                     (
                         tti,
                         i.ue_id,
-                        u.cqi.cqi,
+                        u.cqi,
                         i.rate_bps,
                         u.buffer.occupied_bits,
                         i.q,
@@ -158,7 +150,7 @@ class DenseSimulation(Simulation):
                     )
                 )
 
-        if sc.window_tti is not None and (tti + 1 - window.start_tti) >= sc.window_tti:
+        if sc.window_tti is not None and (tti + 1 - self.window.start_tti) >= sc.window_tti:
             self._close_window(tti + 1)
         return decision
 
@@ -189,8 +181,6 @@ class DenseSimulation(Simulation):
 
     def _close_window(self, end_tti: int) -> None:
         self.window_records.append(self.window.close(end_tti))
-        for u in self.ues:
-            u.qoe.reset_window()
 
     def run(self) -> SimReport:
         for tti in range(self.scenario.duration_tti):

@@ -23,7 +23,7 @@ from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
 from qoesched.metrics import jfi, qoe_fi
 from qoesched.output import emit
 from qoesched.scenario import parse_scenario
-from qoesched.scheduler import Policy, UeSchedInput, bcqq_priority, select
+from qoesched.scheduler import Policy, UeSchedInput, bcqq_priority, qos_weight, select
 from qoesched.traffic import FlowSpec, TrafficClass
 
 
@@ -85,10 +85,10 @@ def test_c02_qoe_fi_unit_oracle():
 
 # --- criterion 3: composite priority hand value and monotonicity -----------
 
-def _sched_input(**overrides):
+def _sched_input(alpha=1e-6, beta_s=0.3, **overrides):
     base = dict(ue_id=0, buffer_bits=1_000_000, buffersize_bits=40_000_000,
-                alpha=1e-6, beta_s=0.3, q=1.0, rate_bps=1e8, hol_delay_s=0.0,
-                avg_rate_bps=1e8, last_served_tti=-1)
+                qos_weight=qos_weight(alpha, beta_s), q=1.0, rate_bps=1e8,
+                hol_delay_s=0.0, avg_rate_bps=1e8, last_served_tti=-1)
     base.update(overrides)
     return UeSchedInput(**base)
 
@@ -102,21 +102,22 @@ def test_c03_priority_hand_value_and_monotonicity():
 
     rng = np.random.default_rng(303)
     for _ in range(10_000):
-        base = _sched_input(
-            buffer_bits=int(rng.integers(1, 20_000_000)),
-            q=float(rng.uniform(1, 50)),
-            rate_bps=float(rng.uniform(1e6, 6e9)),
-            alpha=float(rng.uniform(1e-9, 0.5)),
-            beta_s=float(rng.uniform(0.01, 1.0)),
-        )
+        buffer_bits = int(rng.integers(1, 20_000_000))
+        q = float(rng.uniform(1, 50))
+        rate_bps = float(rng.uniform(1e6, 6e9))
+        alpha = float(rng.uniform(1e-9, 0.5))
+        beta_s = float(rng.uniform(0.01, 1.0))
+        base = _sched_input(buffer_bits=buffer_bits, q=q, rate_bps=rate_bps,
+                            alpha=alpha, beta_s=beta_s)
         p0 = bcqq_priority(base)
         bump = 1.0 + float(rng.uniform(0.01, 1.0))
         assert bcqq_priority(replace(base, buffer_bits=base.buffer_bits * 2)) > p0
         assert bcqq_priority(replace(base, q=base.q * bump)) > p0
         assert bcqq_priority(replace(base, rate_bps=base.rate_bps * bump)) > p0
         # halving the delay bound doubles the QoS weight
-        assert bcqq_priority(replace(base, beta_s=base.beta_s / 2)) == pytest.approx(
-            2 * p0, rel=1e-9)
+        halved = _sched_input(buffer_bits=buffer_bits, q=q, rate_bps=rate_bps,
+                              alpha=alpha, beta_s=beta_s / 2)
+        assert bcqq_priority(halved) == pytest.approx(2 * p0, rel=1e-9)
 
 
 # --- criterion 4: bit conservation at every window close -------------------

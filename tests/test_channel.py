@@ -4,7 +4,6 @@ import pytest
 from qoesched.channel import (
     CQI_EFFICIENCY,
     ChannelParams,
-    CqiState,
     cqi_step,
     rate_of,
 )
@@ -23,34 +22,32 @@ class FixedRng:
 class TestCqiStep:
     def test_frozen_channel(self):
         params = ChannelParams(peak_rate_bps=6e9, walk_prob=0.0)
-        state = CqiState(9)
+        cqi = 9
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            state = cqi_step(state, params, rng)
-            assert state.cqi == 9
+            cqi = cqi_step(cqi, params, rng)
+            assert cqi == 9
 
     def test_clamp_at_top(self):
         params = ChannelParams(peak_rate_bps=6e9, walk_prob=1.0)
         # u in [0.5, 1) is an upward step
-        state = cqi_step(CqiState(15), params, FixedRng([0.9]))
-        assert state.cqi == 15
+        assert cqi_step(15, params, FixedRng([0.9])) == 15
 
     def test_clamp_at_bottom(self):
         params = ChannelParams(peak_rate_bps=6e9, walk_prob=1.0)
-        state = cqi_step(CqiState(1), params, FixedRng([0.1]))
-        assert state.cqi == 1
+        assert cqi_step(1, params, FixedRng([0.1])) == 1
 
     def test_stationary_distribution_symmetric(self):
         # Monte-Carlo oracle: the clamped +/-1 walk mixes to a distribution
         # symmetric about the midpoint 8.
         params = ChannelParams(peak_rate_bps=6e9, walk_prob=1.0)
         rng = np.random.default_rng(123)
-        state = CqiState(8)
+        cqi = 8
         counts = np.zeros(16)
         n = 1_000_000
         for _ in range(n):
-            state = cqi_step(state, params, rng)
-            counts[state.cqi] += 1
+            cqi = cqi_step(cqi, params, rng)
+            counts[cqi] += 1
         freqs = counts / n
         mean = sum(k * freqs[k] for k in range(1, 16))
         assert abs(mean - 8.0) <= 0.05 * 8.0
@@ -60,11 +57,11 @@ class TestCqiStep:
     def test_determinism(self):
         params = ChannelParams(peak_rate_bps=6e9, walk_prob=0.3)
         a, b = np.random.default_rng(5), np.random.default_rng(5)
-        sa, sb = CqiState(7), CqiState(7)
+        ca, cb = 7, 7
         for _ in range(5000):
-            sa = cqi_step(sa, params, a)
-            sb = cqi_step(sb, params, b)
-            assert sa.cqi == sb.cqi
+            ca = cqi_step(ca, params, a)
+            cb = cqi_step(cb, params, b)
+            assert ca == cb
 
 
 class TestRateOf:
@@ -104,7 +101,8 @@ class TestParams:
         with pytest.raises(ValueError):
             ChannelParams(peak_rate_bps=1e9, initial_cqi_per_ue=(0,))
         with pytest.raises(ValueError):
-            CqiState(16)
+            ChannelParams(peak_rate_bps=1e9, initial_cqi_per_ue=(16,))
+
     def test_efficiency_table_shape(self):
         assert len(CQI_EFFICIENCY) == 15
         assert list(CQI_EFFICIENCY) == sorted(CQI_EFFICIENCY)

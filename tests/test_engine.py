@@ -4,10 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from dense_reference import DenseSimulation
+from dense_reference import DenseSimulation, update_avg_rate
 from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
-from qoesched.scheduler import Policy, update_avg_rate
+from qoesched.scheduler import Policy
 from qoesched.streams import BLOCK, BufferedStream
 from qoesched.traffic import FlowSpec, TrafficClass
 

