@@ -35,7 +35,7 @@ class ChannelParams:
             raise ValueError("walk_prob must be in [0, 1]")
         for c in self.initial_cqi_per_ue:
             if not CQI_MIN <= c <= CQI_MAX:
-                raise ValueError(f"initial CQI {c} outside [{CQI_MIN}, {CQI_MAX}]")
+                raise ValueError(f"initial_cqi_per_ue entry {c} outside [{CQI_MIN}, {CQI_MAX}]")
 
 
 def cqi_walk(cqi: int, params: ChannelParams, us) -> int:

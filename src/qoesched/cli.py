@@ -42,9 +42,8 @@ def cmd_run(args) -> int:
         return EXIT_IO
     scenario = parse_scenario(text)
 
+    # the overrides and each seed go through the Scenario invariants
     if args.duration_ms is not None:
-        if args.duration_ms < 1:
-            raise ScenarioValidationError("duration-ms: must be >= 1")
         scenario = dataclasses.replace(scenario, duration_tti=args.duration_ms)
     if args.window_ms is not None:
         scenario = dataclasses.replace(scenario, window_tti=args.window_ms)
@@ -54,10 +53,11 @@ def cmd_run(args) -> int:
     if not policies or not seeds:
         raise ScenarioValidationError("need at least one policy and one seed")
 
+    seeded = [dataclasses.replace(scenario, seed=s) for s in seeds]
     reports = [
-        engine.run(scenario, policy=p, seed=s, collect_trace=args.trace)
+        engine.run(sc, policy=p, collect_trace=args.trace)
         for p in policies
-        for s in seeds
+        for sc in seeded
     ]
     try:
         written = output.emit(reports, scenario, args.out, trace=args.trace)

@@ -64,6 +64,7 @@ through the queued-bits check.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -130,16 +131,28 @@ class Scenario:
         if self.duration_tti < 1:
             raise ValueError("duration_tti must be >= 1")
         if not self.flows:
-            raise ValueError("scenario needs at least one flow")
+            raise ValueError("flows must not be empty")
         ids = [f.ue_id for f in self.flows]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate ue_id in flows")
+            raise ValueError("flows must have distinct ue_ids")
+        n_cqis = len(self.channel.initial_cqi_per_ue)
+        if n_cqis and n_cqis != len(self.flows):
+            raise ValueError(f"initial_cqi_per_ue must give one CQI per flow, "
+                             f"got {n_cqis} for {len(self.flows)} flows")
         if self.buffersize_bits <= 0:
             raise ValueError("buffersize_bits must be positive")
         if self.qoe_feedback_delay_tti < 0:
             raise ValueError("qoe_feedback_delay_tti must be >= 0")
         if self.window_tti is not None and self.window_tti < 1:
             raise ValueError("window_tti must be >= 1")
+        if not self.q_max >= 1.0:
+            raise ValueError(f"q_max must be >= 1, got {self.q_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:
+            json.dumps(self.annotations, allow_nan=False)
+        except ValueError:  # summary.json repeats them and is strict JSON
+            raise ValueError("annotations must hold only finite numbers") from None
 
 
 @dataclass
@@ -235,8 +248,6 @@ class Simulation:
             DEFAULT_CQI_PATTERN[i % len(DEFAULT_CQI_PATTERN)]
             for i in range(len(scenario.flows))
         )
-        if len(init_cqis) != len(scenario.flows):
-            raise ValueError("initial_cqi_per_ue length must match flow count")
 
         delay = scenario.qoe_feedback_delay_tti
         self.ues = [
@@ -250,7 +261,7 @@ class Simulation:
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
                 qos_weight=qos_weight(flow.alpha, flow.beta_ms / 1000.0),
             )
-            for flow, cqi0 in zip(scenario.flows, init_cqis)
+            for flow, cqi0 in zip(scenario.flows, init_cqis, strict=True)
         ]
         self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
 

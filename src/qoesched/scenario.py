@@ -1,14 +1,16 @@
 """Scenario (de)serialization: strict JSON with named-key diagnostics.
 
-Syntax errors (malformed JSON) and semantic errors (invariant violations,
-unknown keys) raise distinct exception types; semantic errors always name
-the offending key.
+One table, ``SCHEMA``, drives ``parse_scenario`` and ``scenario_to_dict``. The
+parser checks only types; each range invariant lives in one dataclass's
+``__post_init__``, whose message starts with the field name and is reported
+as ``<section>: key '<json key>' ...``.
 """
 from __future__ import annotations
 
 import json
-import math
-from typing import Any
+from enum import Enum
+from sys import float_info
+from typing import Any, NamedTuple
 
 from .channel import ChannelParams
 from .engine import AdjustmentParams, Scenario
@@ -24,238 +26,173 @@ class ScenarioValidationError(ValueError):
     """The scenario JSON violates an invariant; message names the key."""
 
 
-_TOP_KEYS = {
-    "name", "duration_tti", "seed", "policy", "buffersize_bits", "window_tti",
-    "channel", "qoe", "adjustment", "annotations", "flows",
+REQUIRED = object()
+INTS = "list of int"
+
+
+class Key(NamedTuple):
+    """A JSON key. kind: int, float, bool, str, dict (an object), list, INTS or
+    an enum. default: a JSON value, REQUIRED, or None to allow null. field: the
+    dataclass field, where it differs. classes: those a flow key applies to."""
+
+    name: str
+    kind: Any
+    default: Any = REQUIRED
+    field: str | None = None
+    classes: tuple[TrafficClass, ...] | None = None
+
+
+# channel, qoe, adjustment and flows are sections; a flow's class precedes class-only keys
+SCHEMA: dict[str, tuple[Key, ...]] = {
+    "scenario": (
+        Key("name", str, "scenario"),
+        Key("duration_tti", int),
+        Key("seed", int, 0),
+        Key("policy", Policy, "BCQQ"),
+        Key("buffersize_bits", int),
+        Key("window_tti", int, None),
+        Key("channel", dict),
+        Key("qoe", dict, {}),
+        Key("adjustment", dict, {}),
+        Key("annotations", dict, {}),
+        Key("flows", list),
+    ),
+    "channel": (
+        Key("peak_rate_bps", float),
+        Key("walk_prob", float, 0.1),
+        Key("initial_cqi", INTS, [], "initial_cqi_per_ue"),
+    ),
+    "qoe": (
+        Key("q_max", float, 100.0),
+        Key("feedback_delay_tti", int, 0, "qoe_feedback_delay_tti"),
+    ),
+    "adjustment": (
+        Key("enabled", bool, False),
+        Key("occupancy_threshold", float, 0.8),
+        Key("starvation_tti", int, 100),
+        Key("factor", float, 0.75),
+    ),
+    "flows": (
+        Key("ue_id", int),
+        Key("class", TrafficClass, field="traffic_class"),
+        Key("alpha", float),
+        Key("beta_ms", int),
+        Key("offered_load_bps", float),
+        Key("adaptive", bool, False),
+        Key("mean_packet_bits", int, None, classes=(TrafficClass.FTP_DOWNLOAD,)),
+        Key("max_packet_bits", int, None, classes=(TrafficClass.LIVE_HD_VIDEO,)),
+        Key("frame_interval_ms", int, 16, classes=(TrafficClass.LIVE_HD_VIDEO,)),
+    ),
 }
-_CHANNEL_KEYS = {"peak_rate_bps", "walk_prob", "initial_cqi"}
-_QOE_KEYS = {"q_max", "feedback_delay_tti"}
-_ADJ_KEYS = {"enabled", "occupancy_threshold", "starvation_tti", "factor"}
-_FLOW_KEYS = {
-    "ue_id", "class", "alpha", "beta_ms", "offered_load_bps", "adaptive",
-    "mean_packet_bits", "max_packet_bits", "frame_interval_ms",
-}
+_NAMES = {section: {k.name for k in keys} for section, keys in SCHEMA.items()}
+# dataclass field -> (section, JSON key); no field name is in two sections
+_KEY_OF_FIELD = {k.field or k.name: (s, k.name) for s, keys in SCHEMA.items() for k in keys}
+# the Python type of a JSON value -> how a message names it
+_SHAPES = {bool: "true or false", str: "a string", dict: "an object", list: "a list"}
 
 
-def _reject_unknown(d: dict, allowed: set, ctx: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ScenarioValidationError(f"{ctx}: unknown key(s) {sorted(unknown)}")
-
-
-def _get(d: dict, key: str, ctx: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise ScenarioValidationError(f"{ctx}: missing key '{key}'")
-        return default
-    return d[key]
-
-
-def _num(d: dict, key: str, ctx: str, required: bool = True, default=None):
-    """A number; null only for an optional key whose default is None."""
-    v = _get(d, key, ctx, required, default)
-    if v is None:
-        if required or default is not None:
-            raise ScenarioValidationError(f"{ctx}: key '{key}' must be a number")
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioValidationError(f"{ctx}: key '{key}' must be a number")
-    # json.loads accepts NaN and Infinity, and overflows literals like 1e400
-    # to inf; strict JSON has neither.
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ScenarioValidationError(f"{ctx}: key '{key}' must be finite, got {v}")
-    return v
+def _error(ctx: str, key: str, what: str) -> ScenarioValidationError:
+    return ScenarioValidationError(f"{ctx}: key '{key}' {what}")
 
 
 def _integer(v, key: str, ctx: str) -> int:
     """``v`` as an int. An integral float such as 4e7 is taken, 2.7 is not."""
-    if isinstance(v, float) and v.is_integer():
+    if type(v) is int or isinstance(v, float) and v.is_integer():
         return int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioValidationError(f"{ctx}: key '{key}' must be an integer, got {v!r}")
-    return v
+    raise _error(ctx, key, f"must be an integer, got {v!r}")
 
 
-def _int(d: dict, key: str, ctx: str, required: bool = True, default=None):
-    v = _num(d, key, ctx, required, default)
-    return None if v is None else _integer(v, key, ctx)
+def _value(v, k: Key, ctx: str):
+    """``v`` checked against ``k.kind`` and converted to the field's type."""
+    kind = k.kind
+    if v is None and k.default is None:
+        return None
+    if kind is int or kind is float:
+        if type(v) is not int and type(v) is not float:  # bool is no number here
+            raise _error(ctx, k.name, "must be a number")
+        # json.loads reads NaN, Infinity, 1e400 (as inf) and 400-digit integers
+        if not abs(v) <= float_info.max:
+            raise _error(ctx, k.name, f"must be finite, got {v}")
+        return _integer(v, k.name, ctx) if kind is int else float(v)
+    json_type = list if kind is INTS else kind
+    if json_type in _SHAPES:
+        if not isinstance(v, json_type):
+            raise _error(ctx, k.name, f"must be {_SHAPES[json_type]}, got {v!r}")
+        if kind is INTS:
+            return tuple(_integer(c, k.name, ctx) for c in v)
+        return dict(v) if kind is dict else v
+    try:
+        return kind(v)
+    except (ValueError, TypeError):
+        raise _error(ctx, k.name, f"must be one of {[e.value for e in kind]}") from None
 
 
-def _bool(d: dict, key: str, ctx: str, default: bool) -> bool:
-    v = _get(d, key, ctx, required=False, default=default)
-    if not isinstance(v, bool):
-        raise ScenarioValidationError(f"{ctx}: key '{key}' must be true or false, got {v!r}")
-    return v
-
-
-def _obj(d: dict, key: str, ctx: str, required: bool = True, default=None) -> dict:
-    v = _get(d, key, ctx, required, default)
-    if not isinstance(v, dict):
-        raise ScenarioValidationError(f"{ctx}: key '{key}' must be an object")
-    return v
-
-
-def _parse_flow(d: Any, idx: int) -> FlowSpec:
-    ctx = f"flows[{idx}]"
+def _read(d: Any, section: str, ctx: str | None = None) -> dict:
+    """The fields of one section of the JSON, type-checked, defaults filled in."""
+    ctx = ctx or section
     if not isinstance(d, dict):
         raise ScenarioValidationError(f"{ctx}: must be an object")
-    _reject_unknown(d, _FLOW_KEYS, ctx)
-    cls_name = _get(d, "class", ctx)
+    unknown = d.keys() - _NAMES[section]
+    if unknown:
+        raise ScenarioValidationError(f"{ctx}: unknown key(s) {sorted(unknown)}")
+    fields = {}
+    for k in SCHEMA[section]:
+        name, _, default, field, classes = k
+        if name not in d and default is REQUIRED:
+            raise ScenarioValidationError(f"{ctx}: missing key '{name}'")
+        fields[field or name] = _value(d.get(name, default), k, ctx)
+        if classes and name in d and fields["traffic_class"] not in classes:
+            raise _error(ctx, name, f"does not apply to {fields['traffic_class'].value} flows")
+    return fields
+
+
+def _build(cls, fields: dict, ctx: str | None = None):
+    """``cls(**fields)``, an invariant's error reported under its JSON key."""
     try:
-        cls = TrafficClass(cls_name)
-    except ValueError:
-        raise ScenarioValidationError(
-            f"{ctx}: key 'class' must be one of {[c.value for c in TrafficClass]}"
-        ) from None
-    alpha = _num(d, "alpha", ctx)
-    if not 0 < alpha < 1:
-        raise ScenarioValidationError(f"{ctx}: key 'alpha' must be in (0, 1)")
-    beta_ms = _int(d, "beta_ms", ctx)
-    if beta_ms < 1:
-        raise ScenarioValidationError(f"{ctx}: key 'beta_ms' must be >= 1 ms")
-    load = _num(d, "offered_load_bps", ctx)
-    if load <= 0:
-        raise ScenarioValidationError(f"{ctx}: key 'offered_load_bps' must be > 0")
-    try:
-        return FlowSpec(
-            ue_id=_int(d, "ue_id", ctx),
-            traffic_class=cls,
-            alpha=float(alpha),
-            beta_ms=beta_ms,
-            offered_load_bps=float(load),
-            adaptive=_bool(d, "adaptive", ctx, default=False),
-            mean_packet_bits=_int(d, "mean_packet_bits", ctx, required=False),
-            max_packet_bits=_int(d, "max_packet_bits", ctx, required=False),
-            frame_interval_ms=_int(d, "frame_interval_ms", ctx, False, 16),
-        )
-    except ScenarioValidationError:
-        raise
+        return cls(**fields)
     except ValueError as e:
-        raise ScenarioValidationError(f"{ctx}: {e}") from None
+        field, _, what = str(e).partition(" ")
+        section, key = _KEY_OF_FIELD[field]
+        raise _error(ctx or section, key, what) from None
 
 
 def parse_scenario(text: str) -> Scenario:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also: too many digits, too deep
         raise ScenarioSyntaxError(f"scenario is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ScenarioValidationError("scenario: top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "scenario")
-
-    chan_raw = _obj(raw, "channel", "scenario")
-    _reject_unknown(chan_raw, _CHANNEL_KEYS, "channel")
-    cqis = _get(chan_raw, "initial_cqi", "channel", required=False, default=[])
-    if not isinstance(cqis, list):
-        raise ScenarioValidationError("channel: key 'initial_cqi' must be a list")
-    try:
-        channel = ChannelParams(
-            peak_rate_bps=float(_num(chan_raw, "peak_rate_bps", "channel")),
-            walk_prob=float(_num(chan_raw, "walk_prob", "channel", False, 0.1)),
-            initial_cqi_per_ue=tuple(_integer(c, "initial_cqi", "channel") for c in cqis),
-        )
-    except ScenarioValidationError:
-        raise
-    except ValueError as e:
-        raise ScenarioValidationError(f"channel: {e}") from None
-
-    qoe_raw = _obj(raw, "qoe", "scenario", required=False, default={})
-    _reject_unknown(qoe_raw, _QOE_KEYS, "qoe")
-    feedback_delay_tti = _int(qoe_raw, "feedback_delay_tti", "qoe", False, 0)
-    q_max = float(_num(qoe_raw, "q_max", "qoe", False, 100.0))
-    adj_raw = _obj(raw, "adjustment", "scenario", required=False, default={})
-    _reject_unknown(adj_raw, _ADJ_KEYS, "adjustment")
-    occupancy_threshold = _num(adj_raw, "occupancy_threshold", "adjustment", False, 0.8)
-    starvation_tti = _int(adj_raw, "starvation_tti", "adjustment", False, 100)
-    factor = _num(adj_raw, "factor", "adjustment", False, 0.75)
-    enabled = _bool(adj_raw, "enabled", "adjustment", default=False)
-    try:
-        adjustment = AdjustmentParams(
-            enabled=enabled,
-            occupancy_threshold=float(occupancy_threshold),
-            starvation_tti=starvation_tti,
-            factor=float(factor),
-        )
-    except ValueError as e:
-        raise ScenarioValidationError(f"adjustment: {e}") from None
-
-    flows_raw = _get(raw, "flows", "scenario")
-    if not isinstance(flows_raw, list) or not flows_raw:
-        raise ScenarioValidationError("scenario: key 'flows' must be a non-empty list")
-    flows = [_parse_flow(f, i) for i, f in enumerate(flows_raw)]
-    ids = [f.ue_id for f in flows]
-    if len(set(ids)) != len(ids):
-        raise ScenarioValidationError("flows: duplicate ue_id")
-
-    policy_name = _get(raw, "policy", "scenario", required=False, default="BCQQ")
-    try:
-        policy = Policy(policy_name)
-    except ValueError:
-        raise ScenarioValidationError(
-            f"scenario: key 'policy' must be one of {[p.value for p in Policy]}"
-        ) from None
-
-    try:
-        return Scenario(
-            name=str(_get(raw, "name", "scenario", required=False, default="scenario")),
-            duration_tti=_int(raw, "duration_tti", "scenario"),
-            flows=flows,
-            channel=channel,
-            buffersize_bits=_int(raw, "buffersize_bits", "scenario"),
-            policy=policy,
-            seed=_int(raw, "seed", "scenario", required=False, default=0),
-            qoe_feedback_delay_tti=feedback_delay_tti,
-            q_max=q_max,
-            window_tti=_int(raw, "window_tti", "scenario", required=False),
-            adjustment=adjustment,
-            annotations=dict(_obj(raw, "annotations", "scenario", required=False, default={})),
-        )
-    except ScenarioValidationError:
-        raise
-    except ValueError as e:
-        raise ScenarioValidationError(f"scenario: {e}") from None
+    fields = _read(raw, "scenario")
+    fields["channel"] = _build(ChannelParams, _read(fields["channel"], "channel"))
+    fields.update(_read(fields.pop("qoe"), "qoe"))
+    fields["adjustment"] = _build(AdjustmentParams, _read(fields["adjustment"], "adjustment"))
+    flows = fields["flows"]
+    for i, d in enumerate(flows):
+        flows[i] = _build(FlowSpec, _read(d, "flows", f"flows[{i}]"), f"flows[{i}]")
+    return _build(Scenario, fields)
 
 
-def flow_to_dict(f: FlowSpec) -> dict:
-    d = {
-        "ue_id": f.ue_id,
-        "class": f.traffic_class.value,
-        "alpha": f.alpha,
-        "beta_ms": f.beta_ms,
-        "offered_load_bps": f.offered_load_bps,
-        "adaptive": f.adaptive,
-    }
-    if f.traffic_class is TrafficClass.FTP_DOWNLOAD:
-        d["mean_packet_bits"] = f.mean_packet_bits
-    else:
-        d["max_packet_bits"] = f.max_packet_bits
-        d["frame_interval_ms"] = f.frame_interval_ms
+def _dump(obj: Any, section: str) -> dict:
+    """The JSON of one section's plain keys; a flow gets its class's keys."""
+    d = {}
+    for k in SCHEMA[section]:
+        if k.name in SCHEMA or (k.classes and obj.traffic_class not in k.classes):
+            continue
+        v = getattr(obj, k.field or k.name)
+        if isinstance(v, Enum):
+            v = v.value
+        elif isinstance(v, (tuple, dict)):
+            v = list(v) if k.kind is INTS else dict(v)
+        d[k.name] = v
     return d
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "duration_tti": sc.duration_tti,
-        "seed": sc.seed,
-        "policy": sc.policy.value,
-        "buffersize_bits": sc.buffersize_bits,
-        "window_tti": sc.window_tti,
-        "channel": {
-            "peak_rate_bps": sc.channel.peak_rate_bps,
-            "walk_prob": sc.channel.walk_prob,
-            "initial_cqi": list(sc.channel.initial_cqi_per_ue),
-        },
-        "qoe": {"q_max": sc.q_max, "feedback_delay_tti": sc.qoe_feedback_delay_tti},
-        "adjustment": {
-            "enabled": sc.adjustment.enabled,
-            "occupancy_threshold": sc.adjustment.occupancy_threshold,
-            "starvation_tti": sc.adjustment.starvation_tti,
-            "factor": sc.adjustment.factor,
-        },
-        "annotations": dict(sc.annotations),
-        "flows": [flow_to_dict(f) for f in sc.flows],
-    }
+    d = _dump(sc, "scenario")
+    d["channel"] = _dump(sc.channel, "channel")
+    d["qoe"] = _dump(sc, "qoe")
+    d["adjustment"] = _dump(sc.adjustment, "adjustment")
+    d["flows"] = [_dump(f, "flows") for f in sc.flows]
+    return d
 
 
 def dump_scenario(sc: Scenario) -> str:

@@ -17,6 +17,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+# The TTI is fixed at 1 ms. beta_ms, frame_interval_ms, duration_tti,
+# window_tti and the CLI's --duration-ms all count TTIs, and traffic rates
+# are converted per TTI with a literal 1000, so this value alone does not
+# change the TTI length.
 TTI_SECONDS = 0.001
 AVG_RATE_TC = 1000       # EMA time constant, in TTIs
 AVG_RATE_FLOOR = 1.0     # bps, keeps rate ratios finite

@@ -50,6 +50,8 @@ class FlowSpec:
     original_load_bps: float | None = None   # set on first adjustment
 
     def __post_init__(self):
+        if self.ue_id < 0:
+            raise ValueError(f"ue_id must be >= 0, got {self.ue_id}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.beta_ms < 1:
@@ -58,10 +60,10 @@ class FlowSpec:
             raise ValueError("offered_load_bps must be positive")
         if self.traffic_class is TrafficClass.FTP_DOWNLOAD:
             if not self.mean_packet_bits or self.mean_packet_bits <= 0:
-                raise ValueError("FTP flow requires mean_packet_bits > 0")
+                raise ValueError("mean_packet_bits must be > 0 for ftp_download flows")
         else:
             if not self.max_packet_bits or self.max_packet_bits <= 0:
-                raise ValueError("video flow requires max_packet_bits > 0")
+                raise ValueError("max_packet_bits must be > 0 for live_hd_video flows")
             if self.frame_interval_ms < 1:
                 raise ValueError("frame_interval_ms must be >= 1")
         if self.original_load_bps is None:

@@ -280,8 +280,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             make_scenario([ftp_flow(0), ftp_flow(0)])
 
-    def test_initial_cqi_length_mismatch(self):
-        sc = make_scenario([ftp_flow(0), ftp_flow(1)], cqis=[9])
+    def test_initial_cqi_length_mismatch_rejected_by_scenario(self):
+        with pytest.raises(ValueError, match="^initial_cqi_per_ue must give one CQI per flow"):
+            make_scenario([ftp_flow(0), ftp_flow(1)], cqis=[9])
+
+    def test_initial_cqis_shortened_after_construction_fail_loudly(self):
+        sc = make_scenario([ftp_flow(0), ftp_flow(1)], cqis=[9, 12])
+        sc.channel.initial_cqi_per_ue = (9,)
         with pytest.raises(ValueError):
             Simulation(sc)
 
