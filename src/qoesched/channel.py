@@ -22,7 +22,7 @@ CQI_EFFICIENCY = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelParams:
     peak_rate_bps: float
     walk_prob: float = 0.1

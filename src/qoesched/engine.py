@@ -26,21 +26,20 @@ Per-TTI event order is fixed:
 
 Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
 they run in one loop over the UEs, in that order within each UE. Only UEs
-with queued bits are scheduling inputs, unless the trace is on, which makes
-every UE one. A TTI without inputs is idle; ``select`` returns an idle
-decision when no input has queued bits.
+with queued bits are scheduling inputs. A TTI without inputs is idle and
+does not reach ``select``.
 
 Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
-``next_arrival_tti`` has come, when it has queued bits, or when the trace is
-on, which makes every UE due on every TTI. In a TTI it sleeps through, a UE
-has no arrival, no queued bits and no grant, so what remains depends only on
-its own substreams and state, and is caught up exactly and lazily when the
-UE is next processed, at each window close and at the end of ``run``: one
-CQI walk step per TTI from its CQI stream, its unchanged q fed into the
-feedback pipe once per TTI, and one served-rate decay per TTI, multiplied
-out in order because ``decay**k`` is not the same float. ``synced_tti``
-marks the first TTI not yet applied. The window close catches every UE up
-before the reset changes q.
+``next_arrival_tti`` has come or when it has queued bits. In a TTI it sleeps
+through, a UE has no arrival, no queued bits and no grant, so what remains
+depends only on its own substreams and state, and is caught up exactly and
+lazily when the UE is next processed, at each window close and at the end
+of ``run``: one CQI walk step per TTI from its CQI stream, its unchanged q
+fed into the feedback pipe once per TTI, and one served-rate decay per TTI,
+multiplied out in order because ``decay**k`` is not the same float.
+``synced_tti`` marks the first TTI not yet applied. The window close catches
+every UE up before the reset changes q. The trace, written after the step,
+catches each sleeper up through every TTI, so it changes no decision.
 
 Two invariants keep the skipping exact:
 
@@ -85,6 +84,7 @@ from .scheduler import (
     Policy,
     SchedDecision,
     TTI_SECONDS,
+    TTIS_PER_SECOND,
     UeSchedInput,
     qos_weight,
     select,
@@ -96,7 +96,7 @@ from .traffic import FlowSpec, TrafficClass, apply_adjustment, arrivals, ftp_lam
 DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdjustmentParams:
     enabled: bool = False
     occupancy_threshold: float = 0.8
@@ -112,7 +112,7 @@ class AdjustmentParams:
             raise ValueError("factor must be in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     duration_tti: int
@@ -178,7 +178,7 @@ class UeState:
     synced_tti: int = 0
     delays_tti: list[int] = field(default_factory=list)
     sched_count: int = 0
-    # per-TTI drop deltas, kept for trace emission
+    # drops in the last TTI the UE was due, read by the trace
     _overflow_this_tti: int = 0
     _deadline_this_tti: int = 0
 
@@ -259,7 +259,7 @@ class Simulation:
                 traffic_rng=_substream(self.seed, flow.ue_id, _PURPOSE_TRAFFIC),
                 cqi_rng=_substream(self.seed, flow.ue_id, _PURPOSE_CQI),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
-                qos_weight=qos_weight(flow.alpha, flow.beta_ms / 1000.0),
+                qos_weight=qos_weight(flow.alpha, flow.beta_ms / TTIS_PER_SECOND),
             )
             for flow, cqi0 in zip(scenario.flows, init_cqis, strict=True)
         ]
@@ -279,14 +279,12 @@ class Simulation:
         self._next_tti = tti + 1
         sc = self.scenario
         channel = sc.channel
-        collect = self.collect_trace
 
-        # Steps 1-5 per due UE. Only UEs with queued bits become scheduling
-        # inputs, unless the trace needs a priority for every UE.
+        # Steps 1-5 per due UE; only UEs with queued bits become inputs.
         due: list[UeState] = []
         inputs: list[UeSchedInput] = []
         for u in self.ues:
-            if tti < u.next_arrival_tti and not u.buffer.queue and not collect:
+            if tti < u.next_arrival_tti and not u.buffer.queue:
                 continue
             due.append(u)
             if tti > u.synced_tti:
@@ -325,7 +323,7 @@ class Simulation:
 
             # 5a. scheduling input, built positionally: keyword arguments
             # cost several times more per call
-            if buf.occupied_bits or collect:
+            if buf.occupied_bits:
                 inputs.append(
                     UeSchedInput(
                         ue_id,                                    # ue_id
@@ -368,29 +366,37 @@ class Simulation:
         if sc.adjustment.enabled:
             self._adjustment_check(tti, due)
 
-        if collect:
-            # inputs holds every UE, in the order of self.ues
-            pfn = PRIORITY_FN[self.policy]
-            for u, i in zip(self.ues, inputs):
-                self.trace_rows.append(
-                    (
-                        tti,
-                        i.ue_id,
-                        u.cqi,
-                        i.rate_bps,
-                        u.buffer.occupied_bits,
-                        i.q,
-                        pfn(i),
-                        1 if decision.selected_ue == i.ue_id else None,
-                        tx if u is winner else 0,
-                        u._deadline_this_tti,
-                        u._overflow_this_tti,
-                    )
-                )
+        if self.collect_trace:
+            self._trace(tti, inputs, decision, winner, tx)
 
         if sc.window_tti is not None and (tti + 1 - self.window.start_tti) >= sc.window_tti:
             self._close_window(tti + 1)
         return decision
+
+    def _trace(self, tti: int, inputs: list[UeSchedInput], decision: SchedDecision,
+               winner: UeState | None, tx: int) -> None:
+        """Append one row per UE for this TTI; a UE with nothing queued has priority 0."""
+        channel = self.scenario.channel
+        pfn = PRIORITY_FN[self.policy]
+        input_of = {i.ue_id: i for i in inputs}
+        for u in self.ues:
+            if u.synced_tti <= tti:
+                # slept through this TTI: nothing arrived, expired or overflowed
+                self._catch_up(u, tti + 1)
+                deadline = overflow = 0
+            else:
+                deadline, overflow = u._deadline_this_tti, u._overflow_this_tti
+            ue_id = u.spec.ue_id
+            i = input_of.get(ue_id)
+            if i is None:
+                rate, q, priority = rate_of(u.cqi, channel), u.q_pipe[0], 0.0
+            else:
+                rate, q, priority = i.rate_bps, i.q, pfn(i)
+            self.trace_rows.append((  # output.TRACE_COLUMNS
+                tti, ue_id, u.cqi, rate, u.buffer.occupied_bits, q, priority,
+                1 if decision.selected_ue == ue_id else None, tx if u is winner else 0,
+                deadline, overflow,
+            ))
 
     def _wake_tti(self, u: UeState, tti: int) -> int:
         """First TTI from ``tti`` on whose arrivals are not known to be empty.

@@ -44,12 +44,6 @@ class QoeState:
         q_max = self.q_max
         return q_max if q_max < raw else raw
 
-    def satisfaction(self) -> float | None:
-        """QoE satisfaction ratio y / y_req; None when nothing arrived."""
-        if self.y_req_bits == 0:
-            return None
-        return self.y_bits / self.y_req_bits
-
     def reset_window(self) -> None:
         self.y_bits = 0
         self.y_req_bits = 0

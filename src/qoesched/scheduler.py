@@ -8,8 +8,9 @@ Policies:
 * RR    — least recently served non-empty UE
 
 The QoS weight is -ln(alpha) / beta_s: stricter loss targets and tighter
-delay bounds raise priority. Exactly one UE is granted the full slot per
-TTI; an idle decision is returned when every buffer is empty.
+delay bounds raise priority. The priority functions take UEs with queued
+bits; ``select`` skips empty inputs. Exactly one UE is granted the full slot
+per TTI; an idle decision is returned when every buffer is empty.
 """
 from __future__ import annotations
 
@@ -17,11 +18,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-# The TTI is fixed at 1 ms. beta_ms, frame_interval_ms, duration_tti,
-# window_tti and the CLI's --duration-ms all count TTIs, and traffic rates
-# are converted per TTI with a literal 1000, so this value alone does not
-# change the TTI length.
-TTI_SECONDS = 0.001
+# The TTI is fixed at 1 ms: beta_ms, frame_interval_ms, duration_tti,
+# window_tti and the CLI's --duration-ms all count TTIs, so these constants
+# name the TTI length and do not set it.
+TTIS_PER_SECOND = 1000
+TTI_SECONDS = 1 / TTIS_PER_SECOND
 AVG_RATE_TC = 1000       # EMA time constant, in TTIs
 AVG_RATE_FLOOR = 1.0     # bps, keeps rate ratios finite
 # One TTI of the served-rate EMA: avg' = max(EMA_DECAY * avg +
@@ -60,28 +61,20 @@ def qos_weight(alpha: float, beta_s: float) -> float:
 
 
 def bcqq_priority(u: UeSchedInput) -> float:
-    if u.buffer_bits == 0:
-        return 0.0
     occupancy = u.buffer_bits / u.buffersize_bits
     return occupancy * u.qos_weight * u.q * u.rate_bps
 
 
 def mlwdf_priority(u: UeSchedInput) -> float:
-    if u.buffer_bits == 0:
-        return 0.0
     return u.qos_weight * u.hol_delay_s * u.rate_bps / u.avg_rate_bps
 
 
 def pf_priority(u: UeSchedInput) -> float:
-    if u.buffer_bits == 0:
-        return 0.0
     return u.rate_bps / u.avg_rate_bps
 
 
 def rr_priority(u: UeSchedInput) -> float:
     # Argmax over -last_served picks the least recently served UE.
-    if u.buffer_bits == 0:
-        return 0.0
     return -float(u.last_served_tti)
 
 

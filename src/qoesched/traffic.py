@@ -20,6 +20,8 @@ from enum import Enum
 
 import numpy as np
 
+from .scheduler import TTIS_PER_SECOND
+
 # Source-rate adaptation never reduces a flow below this fraction of its
 # original offered load, so adjusted flows stay alive.
 MIN_LOAD_FRACTION = 0.1
@@ -82,7 +84,7 @@ def exp_bits(us: list[float], mean_bits: float) -> list[int]:
 
 def ftp_lam(spec: FlowSpec) -> float:
     """Mean FTP packet arrivals per TTI."""
-    return spec.offered_load_bps / (spec.mean_packet_bits * 1000.0)
+    return spec.offered_load_bps / (spec.mean_packet_bits * TTIS_PER_SECOND)
 
 
 def ftp_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
@@ -101,7 +103,7 @@ def video_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[i
         raise ValueError("video_arrivals requires a video flow spec")
     if tti % spec.frame_interval_ms != 0:
         return []
-    mean_bits = spec.offered_load_bps * spec.frame_interval_ms / 1000.0
+    mean_bits = spec.offered_load_bps * spec.frame_interval_ms / TTIS_PER_SECOND
     return [min(exp_bits([rng.random()], mean_bits)[0], spec.max_packet_bits)]
 
 

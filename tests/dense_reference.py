@@ -60,7 +60,8 @@ class DenseSimulation(Simulation):
         collect = self.collect_trace
 
         # Steps 1-5 per UE. Only UEs with queued bits become scheduling
-        # inputs, unless the trace needs a priority for every UE.
+        # inputs, unless the trace needs a row for every UE; an empty UE's
+        # row shows priority 0.
         inputs: list[UeSchedInput] = []
         for u in self.ues:
             spec = u.spec
@@ -142,7 +143,7 @@ class DenseSimulation(Simulation):
                         i.rate_bps,
                         u.buffer.occupied_bits,
                         i.q,
-                        pfn(i),
+                        pfn(i) if i.buffer_bits else 0.0,
                         1 if decision.selected_ue == i.ue_id else None,
                         tx if u is winner else 0,
                         u._deadline_this_tti,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dense_reference import DenseSimulation, update_avg_rate
+from qoesched import engine
 from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
 from qoesched.scheduler import Policy
@@ -286,9 +287,24 @@ class TestScenarioValidation:
 
     def test_initial_cqis_shortened_after_construction_fail_loudly(self):
         sc = make_scenario([ftp_flow(0), ftp_flow(1)], cqis=[9, 12])
-        sc.channel.initial_cqi_per_ue = (9,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.channel.initial_cqi_per_ue = (9,)
+        # forced past the frozen dataclass, the CQI count is still caught
+        object.__setattr__(sc.channel, "initial_cqi_per_ue", (9,))
         with pytest.raises(ValueError):
             Simulation(sc)
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_scenario([ftp_flow(0)]),
+        lambda: AdjustmentParams(),
+        lambda: ChannelParams(peak_rate_bps=6e9),
+    ], ids=["Scenario", "AdjustmentParams", "ChannelParams"])
+    def test_fields_cannot_be_assigned(self, build):
+        # an assignment would skip the __post_init__ invariants
+        obj = build()
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
 
     def test_report_totals_reconcile(self):
         sc = make_scenario([ftp_flow(0), video_flow(1)], duration=2000, walk=0.1, cqis=[9, 12])
@@ -302,7 +318,7 @@ class TestScenarioValidation:
             )
 
 
-def _light_cell_flows(n):
+def light_cell(n=80):
     """n UEs, mostly light FTP (about one packet per 200 TTIs) plus video."""
     flows = []
     for ue in range(n):
@@ -313,7 +329,48 @@ def _light_cell_flows(n):
         else:
             flows.append(ftp_flow(ue, load=2e5 + 4e3 * ue, mean=50_000 + 1_000 * ue,
                                   beta=150 + ue))
-    return flows
+    return make_scenario(flows, duration=700, peak=2e9, walk=0.1,
+                         cqis=[3 + i % 13 for i in range(n)], buffersize_bits=2_000_000,
+                         window_tti=100, qoe_feedback_delay_tti=3)
+
+
+class TestTraceObserves:
+    """Switching the trace on changes what is written, not what is run."""
+
+    def test_trace_makes_the_same_arrivals_and_select_calls(self, monkeypatch):
+        sc = light_cell()
+        calls = []
+        arrivals, select = engine.arrivals, engine.select
+
+        def spy_arrivals(spec, tti, rng):
+            calls.append(("arrivals", spec.ue_id, tti))
+            return arrivals(spec, tti, rng)
+
+        def spy_select(inputs, policy):
+            calls.append(("select", list(inputs), policy))
+            return select(inputs, policy)
+
+        monkeypatch.setattr(engine, "arrivals", spy_arrivals)
+        monkeypatch.setattr(engine, "select", spy_select)
+        seen = []
+        for trace in (False, True):
+            calls.clear()
+            run(sc, policy=Policy.MLWDF, seed=17, collect_trace=trace)
+            seen.append(list(calls))
+        assert seen[0] == seen[1]
+        # idle TTIs and sleepers stay out of both runs
+        selects = sum(1 for c in seen[0] if c[0] == "select")
+        assert 0 < selects < 700
+        assert sum(1 for c in seen[0] if c[0] == "arrivals") < 80 * 700
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_ue_with_nothing_queued_has_priority_zero(self, policy):
+        # Expiry precedes selection, so a row that sent nothing and ends
+        # empty is a UE with nothing queued at selection.
+        report = run(light_cell(), policy=policy, seed=17, collect_trace=True)
+        empty = [row for row in report.trace_rows if row[8] == 0 and row[4] == 0]
+        assert len(empty) > len(report.trace_rows) // 2
+        assert all(row[6] == 0.0 for row in empty)
 
 
 class TestScalarStreamReference:
@@ -407,14 +464,16 @@ class TestScalarStreamReference:
         report = self.both(build)
         assert report.per_ue[0].dropped_deadline_bits > 0
 
-    @pytest.mark.parametrize("policy", list(Policy))
-    def test_light_cell_sleeps_across_windows(self, monkeypatch, policy):
+    @pytest.mark.parametrize(
+        "policy, trace",
+        [(p, False) for p in Policy] + [(p, True) for p in Policy],
+        ids=[p.value for p in Policy] + [f"{p.value}-traced" for p in Policy],
+    )
+    def test_light_cell_sleeps_across_windows(self, monkeypatch, policy, trace):
         # 80 UEs, about one arrival per UE per 200 TTIs, 100-TTI windows and
         # delayed q: UEs sleep for longer than a stream block and through
         # window closes, and PF and MLWDF read the decayed served rates.
-        sc = make_scenario(_light_cell_flows(80), duration=700, peak=2e9, walk=0.1,
-                           cqis=[3 + i % 13 for i in range(80)], buffersize_bits=2_000_000,
-                           window_tti=100, qoe_feedback_delay_tti=3)
+        sc = light_cell()
         spans = []
         catch_up = Simulation._catch_up
 
@@ -423,12 +482,17 @@ class TestScalarStreamReference:
             catch_up(sim, u, until)
 
         monkeypatch.setattr(Simulation, "_catch_up", record)
-        report = self.both(lambda cls: cls(sc, policy=policy, seed=17))
+        report = self.both(lambda cls: cls(sc, policy=policy, seed=17, collect_trace=trace))
+        assert sum(u.sched_count for u in report.per_ue) < 700
+        if trace:
+            # the trace catches each sleeper up through every TTI it writes
+            assert spans and all(until == start + 1 for _, start, until in spans)
+            assert len(report.trace_rows) == 80 * 700
+            return
         assert max(until - start for _, start, until in spans) > BLOCK
         # a window close catches a sleeper up, and it sleeps on past the close
         assert any((ue, end, later) in spans for ue, _, end in spans if end % 100 == 0
                    for later in range(end + 2, 700))
-        assert sum(u.sched_count for u in report.per_ue) < 700
 
     def test_adjustment_rearms_a_pending_wake(self, monkeypatch):
         # UE 1 (lam = 0.04) gets a big packet about every 25 TTIs and starves
@@ -459,7 +523,7 @@ class TestScalarStreamReference:
         assert all(e.old_load_bps / 400_000_000 < 10.0 for e in events)
         assert any(wake > pending > now + 1 for now, pending, wake in rearms)
 
-    def test_packet_enqueued_into_a_sleeping_ue(self):
+    def test_packet_enqueued_into_a_sleeping_ue(self, trace=False):
         sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=5e5),
                             video_flow(2, load=4e6)],
                            duration=600, peak=1e9, walk=0.2, cqis=[4, 9, 12],
@@ -475,6 +539,10 @@ class TestScalarStreamReference:
                 woken.append(tti)
             u.buffer.enqueue([300_000], tti, tti + 50)
 
-        report = self.both(lambda cls: cls(sc, policy=Policy.PF, seed=5), enqueue)
+        report = self.both(lambda cls: cls(sc, policy=Policy.PF, seed=5, collect_trace=trace),
+                           enqueue)
         assert len(woken) >= 10
         assert report.per_ue[0].delivered_bits >= 300_000 * len(woken)
+
+    def test_packet_enqueued_into_a_sleeping_ue_traced(self):
+        self.test_packet_enqueued_into_a_sleeping_ue(trace=True)

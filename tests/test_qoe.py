@@ -69,10 +69,3 @@ class TestQ:
         st.reset_window()
         assert st.y_bits == 0 and st.y_req_bits == 0
         assert st.q_of() == 1.0
-
-    def test_satisfaction_ratio(self):
-        st = QoeState(ue_id=0)
-        assert st.satisfaction() is None
-        st.update_requirement(1000)
-        st.record_delivered(250)
-        assert st.satisfaction() == 0.25

@@ -96,9 +96,6 @@ class TestMlwdfPriority:
     def test_fresh_queue_zero(self):
         assert mlwdf_priority(ue(hol_delay_s=0.0)) == 0.0
 
-    def test_empty_buffer_zero(self):
-        assert mlwdf_priority(ue(buffer_bits=0, hol_delay_s=1.0)) == 0.0
-
 
 class TestPfPriority:
     def test_equal_rates_unity(self):
@@ -108,9 +105,6 @@ class TestPfPriority:
         u = ue(rate_bps=1e8)
         u2 = ue(rate_bps=2e8)
         assert pf_priority(u2) == 2 * pf_priority(u)
-
-    def test_empty_buffer_zero(self):
-        assert pf_priority(ue(buffer_bits=0)) == 0.0
 
 
 class TestSelect:
