@@ -100,7 +100,7 @@ class UeBuffer:
             self.dropped_deadline_bits += dropped
         return dropped
 
-    def drain(self, budget_bits: int, now_tti: int = 0) -> tuple[int, list[int]]:
+    def drain(self, budget_bits: int, now_tti: int) -> tuple[int, list[int]]:
         """Transmit up to budget_bits FIFO from the head, splitting packets.
 
         A packet counts as delivered at the TTI its last bit leaves; the

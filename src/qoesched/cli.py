@@ -68,8 +68,8 @@ def cmd_run(args) -> int:
         print(
             f"{r.policy} seed={r.seed}: throughput "
             f"{r.total_throughput_bps / 1e6:.3f} Mbps, "
-            f"jfi={output.fmt_value(r.jfi) or '-'}, "
-            f"qoe_fi={output.fmt_value(r.qoe_fi) or '-'}"
+            f"jfi={output.fmt_real(r.jfi) or '-'}, "
+            f"qoe_fi={output.fmt_real(r.qoe_fi) or '-'}"
         )
     for p in written:
         print(f"wrote {p}")

@@ -39,7 +39,8 @@ fed into the feedback pipe once per TTI, and one served-rate decay per TTI,
 multiplied out in order because ``decay**k`` is not the same float.
 ``synced_tti`` marks the first TTI not yet applied. The window close catches
 every UE up before the reset changes q. The trace, written after the step,
-catches each sleeper up through every TTI, so it changes no decision.
+catches each sleeper up through every TTI, so it changes no decision. Its
+drop columns are the changes in the buffer's drop totals since the UE's last row.
 
 Two invariants keep the skipping exact:
 
@@ -74,7 +75,7 @@ import numpy as np
 
 from .buffering import UeBuffer
 from .channel import ChannelParams, cqi_step, cqi_walk, rate_of
-from .metrics import MetricsWindow, WindowRecord, jfi, qoe_fi
+from .metrics import MetricsWindow, WindowRecord, figures
 from .qoe import QoeState
 from .scheduler import (
     AVG_RATE_FLOOR,
@@ -178,9 +179,9 @@ class UeState:
     synced_tti: int = 0
     delays_tti: list[int] = field(default_factory=list)
     sched_count: int = 0
-    # drops in the last TTI the UE was due, read by the trace
-    _overflow_this_tti: int = 0
-    _deadline_this_tti: int = 0
+    # the buffer's drop totals at the UE's last trace row, kept by _trace
+    traced_deadline_bits: int = 0
+    traced_overflow_bits: int = 0
 
 
 @dataclass
@@ -295,24 +296,19 @@ class Simulation:
             buf = u.buffer
 
             # 1. arrivals; a TTI without any re-arms the wake TTI
-            overflow = 0
             if tti >= u.next_arrival_tti:
                 sizes = arrivals(spec, tti, u.traffic_rng)
                 if not sizes:
                     u.next_arrival_tti = self._wake_tti(u, tti + 1)
                 else:
-                    arrived = sum(sizes)
-                    overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
-                    u.qoe.update_requirement(arrived)
-            u._overflow_this_tti = overflow
+                    buf.enqueue(sizes, tti, tti + spec.beta_ms)
+                    u.qoe.update_requirement(sum(sizes))
 
             # 2. deadline expiry; nothing expires from a deadline-ordered
             # queue whose head is still live
-            expired = 0
             queue = buf.queue
             if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
-                expired = buf.expire(tti)
-            u._deadline_this_tti = expired
+                buf.expire(tti)
 
             # 3. channel
             cqi = u.cqi = cqi_step(u.cqi, channel, u.cqi_rng)
@@ -375,17 +371,21 @@ class Simulation:
 
     def _trace(self, tti: int, inputs: list[UeSchedInput], decision: SchedDecision,
                winner: UeState | None, tx: int) -> None:
-        """Append one row per UE for this TTI; a UE with nothing queued has priority 0."""
+        """Append one row per UE for this TTI; a UE with nothing queued has priority 0.
+
+        Drop columns are the changes in the buffer's drop totals since the
+        UE's last row: a drop between steps shows in the next row."""
         channel = self.scenario.channel
         pfn = PRIORITY_FN[self.policy]
         input_of = {i.ue_id: i for i in inputs}
         for u in self.ues:
             if u.synced_tti <= tti:
-                # slept through this TTI: nothing arrived, expired or overflowed
                 self._catch_up(u, tti + 1)
-                deadline = overflow = 0
-            else:
-                deadline, overflow = u._deadline_this_tti, u._overflow_this_tti
+            buf = u.buffer
+            deadline = buf.dropped_deadline_bits - u.traced_deadline_bits
+            overflow = buf.dropped_overflow_bits - u.traced_overflow_bits
+            u.traced_deadline_bits = buf.dropped_deadline_bits
+            u.traced_overflow_bits = buf.dropped_overflow_bits
             ue_id = u.spec.ue_id
             i = input_of.get(ue_id)
             if i is None:
@@ -393,7 +393,7 @@ class Simulation:
             else:
                 rate, q, priority = i.rate_bps, i.q, pfn(i)
             self.trace_rows.append((  # output.TRACE_COLUMNS
-                tti, ue_id, u.cqi, rate, u.buffer.occupied_bits, q, priority,
+                tti, ue_id, u.cqi, rate, buf.occupied_bits, q, priority,
                 1 if decision.selected_ue == ue_id else None, tx if u is winner else 0,
                 deadline, overflow,
             ))
@@ -502,21 +502,17 @@ class Simulation:
                     loss_rate=(dropped / b.arrived_bits) if b.arrived_bits else None,
                 )
             )
-        delivered = [r.delivered_bits for r in per_ue]
         arrived = [r.arrived_bits for r in per_ue]
-        jfi_val = jfi([float(d) for d in delivered]) if any(delivered) else None
-        pairs = [
-            (float(d), float(a)) for d, a in zip(delivered, arrived) if a > 0
-        ]
-        fi_val = qoe_fi(pairs) if len(pairs) >= 2 else None
+        tx, throughput, jfi_val, fi_val = figures(
+            [r.delivered_bits for r in per_ue], arrived, self.scenario.duration_tti)
         return SimReport(
             policy=self.policy.value,
             seed=self.seed,
             duration_tti=self.scenario.duration_tti,
             per_ue=per_ue,
             total_arrived_bits=sum(arrived),
-            total_delivered_bits=sum(delivered),
-            total_throughput_bps=sum(delivered) / duration_s,
+            total_delivered_bits=tx,
+            total_throughput_bps=throughput,
             jfi=jfi_val,
             qoe_fi=fi_val,
             windows=self.window_records,

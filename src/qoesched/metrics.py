@@ -8,8 +8,9 @@ Two fairness measures are reported per window:
   fairer; 0 means every user got the same fraction of its demand. The sum
   is kept unnormalized (each unordered pair counts twice).
 
-The window volumes y and Y are the UEs' ``QoeState`` accounts: a window
-close reads them and resets them.
+``figures`` is the one account of these indices and of the throughput:
+a window close applies it to the UEs' ``QoeState`` window volumes y and Y
+(and resets them), and the run report to the buffers' run totals.
 """
 from __future__ import annotations
 
@@ -51,6 +52,21 @@ def qoe_fi(pairs: list[tuple[float, float]]) -> float:
     return total
 
 
+def figures(ys: list[int], y_reqs: list[int],
+            span_tti: int) -> tuple[int, float, float | None, float | None]:
+    """(tx_bits, throughput_bps, jfi, qoe_fi) of per-UE delivered bits ``ys``
+    and required bits ``y_reqs`` over ``span_tti`` TTIs.
+
+    Jain's index is None when nothing was delivered; the QoE index, over the
+    UEs with a positive requirement, is None when fewer than two have one.
+    """
+    tx = sum(ys)
+    pairs = [(float(y), float(r)) for y, r in zip(ys, y_reqs, strict=True) if r > 0]
+    return (tx, tx / (span_tti * TTI_SECONDS),
+            jfi([float(y) for y in ys]) if tx > 0 else None,
+            qoe_fi(pairs) if len(pairs) >= 2 else None)
+
+
 @dataclass
 class WindowRecord:
     index: int
@@ -76,17 +92,8 @@ class MetricsWindow:
         """Emit this window's record and reset the UEs' window volumes."""
         ys = {q.ue_id: q.y_bits for q in self.qoes}
         y_reqs = {q.ue_id: q.y_req_bits for q in self.qoes}
-        tx = sum(ys.values())
-        span_tti = max(end_tti - self.start_tti, 1)
-        throughput = tx / (span_tti * TTI_SECONDS)
-
-        jfi_val = None
-        if any(y > 0 for y in ys.values()):
-            jfi_val = jfi([float(y) for y in ys.values()])
-
-        active = [(float(ys[u]), float(y_reqs[u])) for u in ys if y_reqs[u] > 0]
-        fi_val = qoe_fi(active) if len(active) >= 2 else None
-
+        tx, throughput, jfi_val, fi_val = figures(
+            list(ys.values()), list(y_reqs.values()), max(end_tti - self.start_tti, 1))
         rec = WindowRecord(
             index=self.index,
             start_tti=self.start_tti,

@@ -7,13 +7,13 @@ reals with 9 significant digits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Any
 
-from .engine import SimReport
+from .engine import Scenario, SimReport
+from .metrics import WindowRecord
 from .scenario import scenario_to_dict
-from .engine import Scenario
 
 TRACE_COLUMNS = (
     "tti,ue,cqi,rate_bps,buffer_bits,q,priority,selected,"
@@ -22,27 +22,32 @@ TRACE_COLUMNS = (
 METRICS_COLUMNS = "policy,seed,window,start_tti,end_tti,tx_bits,throughput_bps,jfi,qoe_fi"
 
 
-def fmt_real(x: float) -> str:
-    """Reals with 9 significant digits; lossless to reparse at this width."""
-    return f"{x:.9g}"
+def fmt_real(x: float | None) -> str:
+    """Reals with 9 significant digits, lossless to reparse at this width; None is ""."""
+    return "" if x is None else f"{x:.9g}"
 
 
-def fmt_value(v: Any) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return fmt_real(v)
-    return str(v)
+def _trace_line(row: tuple) -> str:
+    """One trace.csv row. rate_bps, q and priority are floats, written in
+    ``fmt_real``'s format; ``selected`` is 1 or None."""
+    tti, ue, cqi, rate, buffer_bits, q, priority, selected, tx, deadline, overflow = row
+    return (f"{tti},{ue},{cqi},{rate:.9g},{buffer_bits},{q:.9g},{priority:.9g},"
+            f"{selected or ''},{tx},{deadline},{overflow}")
+
+
+def _metrics_line(policy: str, seed: int, w: WindowRecord) -> str:
+    """One metrics.csv row."""
+    return (f"{policy},{seed},{w.index},{w.start_tti},{w.end_tti},{w.tx_bits},"
+            f"{fmt_real(w.throughput_bps)},{fmt_real(w.jfi)},{fmt_real(w.qoe_fi)}")
 
 
 def _round_reals(obj: Any) -> Any:
-    """Recursively round floats to 9 significant digits for stable JSON."""
+    """Recursively round floats to 9 significant digits for stable JSON;
+    dataclass instances become dicts of their fields."""
     if isinstance(obj, float):
         return float(fmt_real(obj))
+    if is_dataclass(obj):
+        obj = vars(obj)
     if isinstance(obj, dict):
         return {k: _round_reals(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -55,18 +60,9 @@ def _dump_json(obj: Any, path: Path) -> None:
 
 
 def run_to_dict(report: SimReport) -> dict:
-    return {
-        "policy": report.policy,
-        "seed": report.seed,
-        "duration_tti": report.duration_tti,
-        "total_arrived_bits": report.total_arrived_bits,
-        "total_delivered_bits": report.total_delivered_bits,
-        "total_throughput_bps": report.total_throughput_bps,
-        "jfi": report.jfi,
-        "qoe_fi": report.qoe_fi,
-        "per_ue": [asdict(r) for r in report.per_ue],
-        "adjustment_events": [asdict(e) for e in report.adjustment_events],
-    }
+    """A run's summary.json entry: every report field but the windows, which
+    metrics.csv holds, and the trace."""
+    return {k: v for k, v in vars(report).items() if k not in ("windows", "trace_rows")}
 
 
 def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,
@@ -89,17 +85,7 @@ def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,
     written.append(summary_path)
 
     lines = [METRICS_COLUMNS]
-    for r in reports:
-        for w in r.windows:
-            lines.append(
-                ",".join(
-                    fmt_value(v)
-                    for v in (
-                        r.policy, r.seed, w.index, w.start_tti, w.end_tti,
-                        w.tx_bits, w.throughput_bps, w.jfi, w.qoe_fi,
-                    )
-                )
-            )
+    lines.extend(_metrics_line(r.policy, r.seed, w) for r in reports for w in r.windows)
     metrics_path = out / "metrics.csv"
     metrics_path.write_text("\n".join(lines) + "\n")
     written.append(metrics_path)
@@ -109,7 +95,7 @@ def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,
         for r in traced:
             name = "trace.csv" if len(traced) == 1 else f"trace_{r.policy}_{r.seed}.csv"
             rows = [TRACE_COLUMNS]
-            rows.extend(",".join(fmt_value(v) for v in row) for row in r.trace_rows)
+            rows.extend(map(_trace_line, r.trace_rows))
             p = out / name
             p.write_text("\n".join(rows) + "\n")
             written.append(p)
@@ -216,8 +202,8 @@ def comparison_table(result: dict) -> str:
     ]
     for p, st in sorted(result["policies"].items()):
         tput = st["mean_total_throughput_bps"] / 1e6
-        jfi_s = fmt_real(st["mean_jfi"]) if st["mean_jfi"] is not None else "-"
-        fi_s = fmt_real(st["mean_qoe_fi"]) if st["mean_qoe_fi"] is not None else "-"
+        jfi_s = fmt_real(st["mean_jfi"]) or "-"
+        fi_s = fmt_real(st["mean_qoe_fi"]) or "-"
         lines.append(f"{p:<8} {tput:>18.3f} {jfi_s:>10} {fi_s:>12}")
     ratios = result.get("mean_throughput_ratio_vs_mlwdf")
     if ratios:

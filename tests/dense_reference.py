@@ -63,6 +63,7 @@ class DenseSimulation(Simulation):
         # inputs, unless the trace needs a row for every UE; an empty UE's
         # row shows priority 0.
         inputs: list[UeSchedInput] = []
+        drops: dict[int, tuple[int, int]] = {}  # ue_id -> (expired, overflow) this TTI
         for u in self.ues:
             spec = u.spec
             ue_id = spec.ue_id
@@ -75,7 +76,6 @@ class DenseSimulation(Simulation):
                 arrived = sum(sizes)
                 overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
                 u.qoe.update_requirement(arrived)
-            u._overflow_this_tti = overflow
 
             # 2. deadline expiry; nothing expires from a deadline-ordered
             # queue whose head is still live
@@ -83,7 +83,7 @@ class DenseSimulation(Simulation):
             queue = buf.queue
             if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
                 expired = buf.expire(tti)
-            u._deadline_this_tti = expired
+            drops[ue_id] = (expired, overflow)
 
             # 3. channel
             cqi = u.cqi = cqi_step(u.cqi, channel, u.cqi_rng)
@@ -146,8 +146,7 @@ class DenseSimulation(Simulation):
                         pfn(i) if i.buffer_bits else 0.0,
                         1 if decision.selected_ue == i.ue_id else None,
                         tx if u is winner else 0,
-                        u._deadline_this_tti,
-                        u._overflow_this_tti,
+                        *drops[i.ue_id],
                     )
                 )
 

@@ -105,14 +105,14 @@ class TestDrain:
     def test_zero_budget(self):
         buf = UeBuffer(10_000)
         enq(buf, 100)
-        tx, delays = buf.drain(0)
+        tx, delays = buf.drain(0, now_tti=0)
         assert tx == 0 and delays == []
         assert buf.occupied_bits == 100
 
     def test_full_drain(self):
         buf = UeBuffer(10_000_000)
         enq(buf, 3_000_000)
-        tx, _ = buf.drain(6_000_000)
+        tx, _ = buf.drain(6_000_000, now_tti=0)
         assert tx == 3_000_000
         assert buf.occupied_bits == 0
 
@@ -134,12 +134,12 @@ class TestDrain:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            UeBuffer(100).drain(-1)
+            UeBuffer(100).drain(-1, now_tti=0)
 
     def test_empty_queue(self):
         buf = UeBuffer(100)
         assert buf.drain(50, now_tti=3) == (0, [])
-        assert buf.drain(0) == (0, [])
+        assert buf.drain(0, now_tti=3) == (0, [])
         assert buf.occupied_bits == buf.delivered_bits == 0
 
     def test_budget_equal_to_head_remaining(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dense_reference import DenseSimulation, update_avg_rate
 from qoesched import engine
 from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
+from qoesched.scenario import parse_scenario
 from qoesched.scheduler import Policy
 from qoesched.streams import BLOCK, BufferedStream
 from qoesched.traffic import FlowSpec, TrafficClass
@@ -371,6 +373,65 @@ class TestTraceObserves:
         empty = [row for row in report.trace_rows if row[8] == 0 and row[4] == 0]
         assert len(empty) > len(report.trace_rows) // 2
         assert all(row[6] == 0.0 for row in empty)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_drop_columns_sum_to_the_report_totals(self, policy):
+        # small buffers and tight deadlines: both kinds of drop happen
+        sc = make_scenario(
+            [ftp_flow(0, load=1.5e9, mean=50_000, beta=3), ftp_flow(1, load=2e9, mean=200_000),
+             video_flow(2, load=8e8, beta=20), ftp_flow(3, load=TINY_LOAD)],
+            duration=800, peak=2e9, walk=0.3, cqis=[12, 5, 9, 14], buffersize_bits=1_500_000,
+        )
+        report = run(sc, policy=policy, seed=9, collect_trace=True)
+        for u in report.per_ue:
+            rows = [row for row in report.trace_rows if row[1] == u.ue_id]
+            assert len(rows) == 800
+            assert sum(row[9] for row in rows) == u.dropped_deadline_bits
+            assert sum(row[10] for row in rows) == u.dropped_overflow_bits
+        assert all(sum(getattr(u, f"dropped_{kind}_bits") for u in report.per_ue)
+                   for kind in ("deadline", "overflow"))
+
+    def test_overflow_of_an_outside_enqueue_shows_in_the_next_row(self):
+        # UE 0 has no arrivals of its own; a packet offered to its full
+        # buffer between steps 40 and 41 is tail-dropped whole
+        sc = make_scenario([ftp_flow(0, load=TINY_LOAD), ftp_flow(1, load=1e8)],
+                           duration=100, peak=1e6, cqis=[15, 15], buffersize_bits=100_000)
+        sim = Simulation(sc, collect_trace=True)
+        buf = sim.ues[0].buffer
+        for tti in range(sc.duration_tti):
+            if tti == 41:
+                buf.enqueue([buf.capacity_bits - buf.occupied_bits], tti, tti + 500)
+                assert buf.enqueue([3_000], tti, tti + 500) == 0
+            sim.step(tti)
+        overflow = {row[0]: row[10] for row in sim.trace_rows if row[1] == 0}
+        assert overflow[41] == 3_000
+        assert sum(overflow.values()) == buf.dropped_overflow_bits == 3_000
+
+
+class TestReportFigures:
+    """The run report's cell figures are the figures of one run-long window."""
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("cell", ["table1", "one_idle_ue", "idle"])
+    def test_report_equals_its_one_window(self, policy, cell):
+        if cell == "table1":
+            text = resources.files("qoesched").joinpath("scenarios/table1.json").read_text()
+            sc = dataclasses.replace(parse_scenario(text), duration_tti=2000)
+        elif cell == "one_idle_ue":
+            sc = make_scenario([ftp_flow(0, load=3e9), video_flow(1, load=8e8),
+                                ftp_flow(2, load=TINY_LOAD)],
+                               duration=1500, walk=0.2, cqis=[9, 12, 6])
+        else:
+            sc = make_scenario([ftp_flow(0, load=TINY_LOAD)], duration=300, cqis=[9])
+        assert sc.window_tti is None
+        report = run(sc, policy=policy, seed=3)
+        (window,) = report.windows
+        assert (window.tx_bits, window.throughput_bps, window.jfi, window.qoe_fi) == (
+            report.total_delivered_bits, report.total_throughput_bps, report.jfi, report.qoe_fi)
+        if cell == "idle":
+            assert report.jfi is None and report.qoe_fi is None
+        else:
+            assert report.jfi is not None and report.qoe_fi is not None
 
 
 class TestScalarStreamReference:

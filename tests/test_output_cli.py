@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qoesched import cli, output
 from qoesched.channel import ChannelParams
 from qoesched.engine import Scenario, run
+from qoesched.metrics import WindowRecord
 from qoesched.scenario import scenario_to_dict
 from qoesched.scheduler import Policy
 from qoesched.traffic import FlowSpec, TrafficClass
@@ -83,6 +86,43 @@ class TestEmit:
                     if cell == "" or not any(ch in cell for ch in ".e"):
                         continue
                     assert output.fmt_real(float(cell)) == cell
+
+
+def fmt_value(v):
+    """The per-cell formatter the CSV rows were joined from before their f-strings."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return f"{v:.9g}"
+    return str(v)
+
+
+ints = st.integers(min_value=-(2**70), max_value=2**70)
+reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.integers(min_value=-(10**17), max_value=10**17).map(float),
+)
+optional_reals = st.none() | reals
+
+
+class TestRowFormats:
+    @given(st.tuples(ints, ints, ints, reals, ints, reals, reals, st.sampled_from([1, None]),
+                     ints, ints, ints))
+    def test_trace_line_equals_the_cell_join(self, row):
+        assert output._trace_line(row) == ",".join(fmt_value(v) for v in row)
+
+    @given(st.sampled_from(["BCQQ", "MLWDF", "PF", "RR"]), ints, ints, ints, ints, ints, reals,
+           optional_reals, optional_reals)
+    def test_metrics_line_equals_the_cell_join(self, policy, seed, index, start, end, tx,
+                                               throughput, jfi_v, fi_v):
+        w = WindowRecord(index, start, end, tx, throughput, {}, {}, jfi_v, fi_v)
+        assert output._metrics_line(policy, seed, w) == ",".join(
+            fmt_value(v) for v in (policy, seed, index, start, end, tx, throughput, jfi_v, fi_v))
 
 
 def synthetic_summary(policy, seed, tput_mbps, jfi_v=0.7, qoe_v=1.0, scenario=None):
