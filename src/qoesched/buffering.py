@@ -1,6 +1,7 @@
 """Per-UE downlink queue: tail-drop on overflow, deadline expiry, FIFO drain.
 
-All quantities are integer bits so the conservation identity
+``UeBuffer`` is the one account of a UE's bits, queue order and delivery
+delays. All quantities are integer bits so the conservation identity
 
     arrived = delivered + dropped_overflow + dropped_deadline + occupied
 
@@ -8,7 +9,8 @@ holds exactly after every operation.
 
 ``enqueue(sizes, arrival_tti, deadline_tti)`` takes one TTI's packets of one
 flow in one call: they share the arrival TTI and the deadline. It validates
-the batch once (``deadline_tti > arrival_tti`` and every size at least 1,
+the batch once (a deadline after ``arrival_tti`` and not before the queue
+tail's, so ``expire`` pops from the head only, and every size at least 1,
 else ``ValueError``), tail-drops each packet whole, in order, and queues a
 ``Packet`` only for the packets that fit. It returns the bits accepted.
 """
@@ -38,11 +40,8 @@ class UeBuffer:
         self.delivered_bits = 0
         self.dropped_overflow_bits = 0
         self.dropped_deadline_bits = 0
-        # Deadlines are monotone along the queue for a single flow (FIFO
-        # arrivals, fixed delay bound), letting expire() pop from the head
-        # only, and callers skip expire() while the head is live.
-        # Mixed-deadline enqueues clear the flag and force full scans.
-        self.deadlines_monotone = True
+        # delivery delay in TTIs -> packets completed with it
+        self.delay_counts: dict[int, int] = {}
 
     def enqueue(self, sizes: list[int], arrival_tti: int, deadline_tti: int) -> int:
         """Queue one TTI's packets, tail-dropping each whole if it won't fit.
@@ -51,14 +50,13 @@ class UeBuffer:
         """
         if deadline_tti <= arrival_tti:
             raise ValueError("deadline_tti must exceed arrival_tti")
+        queue = self.queue
+        if queue and deadline_tti < queue[-1].deadline_tti:
+            raise ValueError("deadline_tti must not precede the queue tail's")
         if min(sizes, default=1) < 1:
             raise ValueError("packet sizes must be positive")
         arrived = sum(sizes)
         self.arrived_bits += arrived
-        queue = self.queue
-        # The batch shares one deadline, so one look at the tail decides
-        # whether its first accepted packet, and so the batch, breaks order.
-        behind = bool(queue) and deadline_tti < queue[-1].deadline_tti
         free = self.capacity_bits - self.occupied_bits
         accepted = 0
         for size in sizes:
@@ -66,8 +64,6 @@ class UeBuffer:
                 free -= size
                 accepted += size
                 queue.append(Packet(size, arrival_tti, deadline_tti))
-        if accepted and behind:
-            self.deadlines_monotone = False
         self.occupied_bits += accepted
         self.dropped_overflow_bits += arrived - accepted
         return accepted
@@ -83,34 +79,22 @@ class UeBuffer:
         queue = self.queue
         while queue and queue[0].deadline_tti <= now_tti:
             dropped += queue.popleft().remaining_bits
-        if not self.deadlines_monotone and queue:
-            survivors = deque()
-            for qp in queue:
-                if qp.deadline_tti <= now_tti:
-                    dropped += qp.remaining_bits
-                else:
-                    survivors.append(qp)
-            self.queue = survivors
-            self.deadlines_monotone = all(
-                a.deadline_tti <= b.deadline_tti
-                for a, b in zip(survivors, list(survivors)[1:])
-            )
-        if dropped:
-            self.occupied_bits -= dropped
-            self.dropped_deadline_bits += dropped
+        self.occupied_bits -= dropped
+        self.dropped_deadline_bits += dropped
         return dropped
 
-    def drain(self, budget_bits: int, now_tti: int) -> tuple[int, list[int]]:
+    def drain(self, budget_bits: int, now_tti: int) -> tuple[int, int]:
         """Transmit up to budget_bits FIFO from the head, splitting packets.
 
-        A packet counts as delivered at the TTI its last bit leaves; the
-        returned list holds the delivery delay (now - arrival, in TTIs) of
-        each packet completed by this call.
+        A packet counts as delivered at the TTI its last bit leaves, and its
+        delay (now - arrival, in TTIs) in ``delay_counts``. Returns the bits
+        sent and the packets completed by this call.
         """
         if budget_bits < 0:
             raise ValueError("budget_bits must be non-negative")
         queue = self.queue
-        delays: list[int] = []
+        counts = self.delay_counts
+        queued = len(queue)
         remaining = budget_bits
         while queue:
             head = queue[0]
@@ -121,12 +105,27 @@ class UeBuffer:
                 remaining = 0
                 break
             remaining -= bits
-            delays.append(now_tti - head.arrival_tti)
+            delay = now_tti - head.arrival_tti
+            counts[delay] = counts.get(delay, 0) + 1
             queue.popleft()
         tx = budget_bits - remaining
         self.occupied_bits -= tx
         self.delivered_bits += tx
-        return tx, delays
+        return tx, queued - len(queue)
+
+    def delay_mean_p99(self) -> tuple[float, int] | None:
+        """Mean and p99 delivery delay in TTIs, None before any: the exact
+        sum over n, and the delay of rank min(n - 1, int(0.99 * n)) in order."""
+        counts = self.delay_counts
+        n = sum(counts.values())
+        if not n:
+            return None
+        rank = min(n - 1, int(0.99 * n))
+        for p99 in sorted(counts):
+            rank -= counts[p99]
+            if rank < 0:
+                break
+        return sum(d * c for d, c in counts.items()) / n, p99
 
     def hol_delay_tti(self, now_tti: int) -> int:
         """Waiting time of the oldest queued packet, 0 if empty."""

@@ -18,20 +18,31 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
+def _distinct(flag: str, items: list) -> list:
+    """``items``, unless one repeats: that would run the same run twice."""
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ScenarioValidationError(
+                f"--{flag}: {getattr(item, 'value', item)} is listed more than once")
+    return items
+
+
 def _parse_policies(text: str) -> list[Policy]:
     try:
-        return [Policy(p.strip()) for p in text.split(",") if p.strip()]
+        policies = [Policy(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError as e:
         raise ScenarioValidationError(
             f"policy: {e}; valid values are {[p.value for p in Policy]}"
         ) from None
+    return _distinct("policy", policies)
 
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise ScenarioValidationError("seed: must be a comma-separated integer list") from None
+    return _distinct("seed", seeds)
 
 
 def cmd_run(args) -> int:

@@ -16,9 +16,9 @@ stream equivalence test in ``tests/test_streams.py``.
 Per-TTI event order is fixed:
   1. generate arrivals and enqueue them in one call: the TTI's packet sizes
      share its arrival TTI and the deadline ``tti + beta_ms``
-  2. expire past-deadline packets
+  2. expire past-deadline packets from the queue head
   3. step CQI
-  4. update QoE demand and q (honoring the feedback delay)
+  4. read q off the buffer and feed it back (honoring the feedback delay)
   5. compute priorities and select one UE
   6. drain the winner with budget rate * TTI
   7. update served-rate EMAs
@@ -33,14 +33,15 @@ Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
 ``next_arrival_tti`` has come or when it has queued bits. In a TTI it sleeps
 through, a UE has no arrival, no queued bits and no grant, so what remains
 depends only on its own substreams and state, and is caught up exactly and
-lazily when the UE is next processed, at each window close and at the end
-of ``run``: one CQI walk step per TTI from its CQI stream, its unchanged q
-fed into the feedback pipe once per TTI, and one served-rate decay per TTI,
-multiplied out in order because ``decay**k`` is not the same float.
-``synced_tti`` marks the first TTI not yet applied. The window close catches
-every UE up before the reset changes q. The trace, written after the step,
-catches each sleeper up through every TTI, so it changes no decision. Its
-drop columns are the changes in the buffer's drop totals since the UE's last row.
+lazily when the UE is next processed, at each window close and at the end of
+``run``: one CQI walk step per TTI from its CQI stream, its last q
+(``sleep_q``) fed into the feedback pipe once per TTI, and one served-rate
+decay per TTI, multiplied out in order because ``decay**k`` is not the same
+float. ``synced_tti`` marks the first TTI not yet applied. The window close
+catches every UE up, then sets ``sleep_q`` anew. The trace, written after
+the step, catches each sleeper up through every TTI, so it changes no
+decision. Its drop columns are the changes in the buffer's drop totals since
+its last row.
 
 Two invariants keep the skipping exact:
 
@@ -59,8 +60,10 @@ Two invariants keep the skipping exact:
   with the new ``lam``.
 
 ``step(tti)`` therefore takes ``tti = 0, 1, 2, ...`` in order, as ``run``
-does, and raises on any other. A packet enqueued from outside wakes its UE
-through the queued-bits check.
+does, and raises on any other. Bits enqueued from outside between steps
+count in q from the next TTI on: queued bits wake their UE, whose slept TTIs
+keep ``sleep_q``. An outside change that leaves the queue empty wakes no UE
+and reaches a sleeper's q when it next runs.
 """
 from __future__ import annotations
 
@@ -177,7 +180,8 @@ class UeState:
     next_arrival_tti: int = 0
     # first TTI whose CQI step, q feedback and EMA decay are not yet applied
     synced_tti: int = 0
-    delays_tti: list[int] = field(default_factory=list)
+    # q at the end of the last processed TTI or window close; a sleeper keeps it
+    sleep_q: float = 1.0
     sched_count: int = 0
     # the buffer's drop totals at the UE's last trace row, kept by _trace
     traced_deadline_bits: int = 0
@@ -254,9 +258,9 @@ class Simulation:
         self.ues = [
             UeState(
                 spec=flow,
-                buffer=UeBuffer(scenario.buffersize_bits),
+                buffer=(buf := UeBuffer(scenario.buffersize_bits)),
                 cqi=cqi0,
-                qoe=QoeState(ue_id=flow.ue_id, q_max=scenario.q_max),
+                qoe=QoeState(ue_id=flow.ue_id, buffer=buf, q_max=scenario.q_max),
                 traffic_rng=_substream(self.seed, flow.ue_id, _PURPOSE_TRAFFIC),
                 cqi_rng=_substream(self.seed, flow.ue_id, _PURPOSE_CQI),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
@@ -302,12 +306,9 @@ class Simulation:
                     u.next_arrival_tti = self._wake_tti(u, tti + 1)
                 else:
                     buf.enqueue(sizes, tti, tti + spec.beta_ms)
-                    u.qoe.update_requirement(sum(sizes))
 
-            # 2. deadline expiry; nothing expires from a deadline-ordered
-            # queue whose head is still live
-            queue = buf.queue
-            if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
+            # 2. deadline expiry, due once the head's deadline has come
+            if buf.queue and buf.queue[0].deadline_tti <= tti:
                 buf.expire(tti)
 
             # 3. channel
@@ -315,7 +316,8 @@ class Simulation:
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
-            pipe.append(u.qoe.q_of())
+            u.sleep_q = q = u.qoe.q_of()
+            pipe.append(q)
 
             # 5a. scheduling input, built positionally: keyword arguments
             # cost several times more per call
@@ -342,9 +344,8 @@ class Simulation:
         tx = 0
         if decision.selected_ue is not None:
             winner = self._ue_by_id[decision.selected_ue]
-            tx, delays = winner.buffer.drain(decision.budget_bits, tti)
-            winner.qoe.record_delivered(tx)
-            winner.delays_tti.extend(delays)
+            tx = winner.buffer.drain(decision.budget_bits, tti)[0]
+            winner.sleep_q = winner.qoe.q_of()
             winner.sched_count += 1
             winner.last_served_tti = tti
 
@@ -413,14 +414,13 @@ class Simulation:
     def _catch_up(self, u: UeState, until: int) -> None:
         """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept.
 
-        A sleeping UE has no arrivals, no queued bits and no grant, and its q
-        stays as it is until the next window close.
+        A sleeper has no arrivals, no queued bits and no grant; its q is ``sleep_q``.
         """
         k = until - u.synced_tti
         u.synced_tti = until
         u.cqi = cqi_walk(u.cqi, self.scenario.channel, u.cqi_rng.random(k))
         pipe = u.q_pipe
-        pipe.extend([u.qoe.q_of()] * min(k, pipe.maxlen))
+        pipe.extend([u.sleep_q] * min(k, pipe.maxlen))
         # k decays, multiplied out in order: decay**k differs in the last
         # bits. The rate only falls, so it ends below the floor exactly when
         # the floored rate would have reached the floor, which it keeps.
@@ -460,13 +460,13 @@ class Simulation:
             )
 
     def _close_window(self, end_tti: int) -> None:
-        # Sleepers feed their q into the pipe at catch-up, and the close
-        # resets the window volumes, which changes q: bring every UE up to
-        # the window end first.
+        # The close moves the window marks, which changes q: sleepers keep
+        # their old q up to the window end, and every UE its new q after it.
+        self.window_records.append(self.window.close(end_tti))
         for u in self.ues:
             if end_tti > u.synced_tti:
                 self._catch_up(u, end_tti)
-        self.window_records.append(self.window.close(end_tti))
+            u.sleep_q = u.qoe.q_of()
 
     def run(self) -> SimReport:
         # The last window closes at the end of the run, in the last step or
@@ -482,9 +482,7 @@ class Simulation:
         per_ue = []
         for u in self.ues:
             b = u.buffer
-            delays = sorted(u.delays_tti)
-            mean_delay = (sum(delays) / len(delays)) if delays else None
-            p99 = delays[min(len(delays) - 1, int(0.99 * len(delays)))] if delays else None
+            delay = b.delay_mean_p99()
             dropped = b.dropped_overflow_bits + b.dropped_deadline_bits
             per_ue.append(
                 UeReport(
@@ -497,8 +495,8 @@ class Simulation:
                     buffered_bits=b.occupied_bits,
                     throughput_bps=b.delivered_bits / duration_s,
                     sched_count=u.sched_count,
-                    mean_delay_ms=mean_delay,
-                    p99_delay_ms=float(p99) if p99 is not None else None,
+                    mean_delay_ms=delay[0] if delay else None,
+                    p99_delay_ms=float(delay[1]) if delay else None,
                     loss_rate=(dropped / b.arrived_bits) if b.arrived_bits else None,
                 )
             )

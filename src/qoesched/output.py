@@ -118,7 +118,8 @@ def compare(summaries: list[dict]) -> dict:
 
     Emits per-seed and mean-over-seeds throughput ratios and fairness
     indices, plus flags for BCQQ beating MLWDF on throughput and on the
-    QoE fairness index (lower is better).
+    QoE fairness index (lower is better). A throughput ratio is left out
+    where MLWDF's throughput is 0.
     """
     base = summaries[0]["scenario"]
     for s in summaries[1:]:
@@ -181,9 +182,10 @@ def compare(summaries: list[dict]) -> dict:
     }
     if "MLWDF" in by_policy:
         ref = policy_stats["MLWDF"]["mean_total_throughput_bps"]
-        result["mean_throughput_ratio_vs_mlwdf"] = {
-            p: policy_stats[p]["mean_total_throughput_bps"] / ref for p in policies
-        }
+        if ref:
+            result["mean_throughput_ratio_vs_mlwdf"] = {
+                p: policy_stats[p]["mean_total_throughput_bps"] / ref for p in policies
+            }
     flags = {"bcqq_throughput_exceeds_mlwdf": False, "bcqq_qoefi_below_mlwdf": False}
     if "BCQQ" in by_policy and "MLWDF" in by_policy:
         b, m = policy_stats["BCQQ"], policy_stats["MLWDF"]

@@ -7,10 +7,11 @@ with scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window``
 and ``run`` are the engine's loop as it stood before idle UEs could sleep,
 changed since only where the buffer, window, channel and scheduler
 interfaces changed (one ``enqueue`` call per TTI's packets, window volumes
-read from ``QoeState``, an ``int`` CQI, a per-flow QoS weight); only set-up
-and the report are shared with ``Simulation``. Its served-rate EMA is
-``update_avg_rate``, written from ``AVG_RATE_TC`` and not from the
-``EMA_DECAY`` and ``EMA_GAIN`` the engine uses, so a wrong coefficient shows.
+and delivery delays kept by the buffer, an ``int`` CQI, a per-flow QoS
+weight); only set-up and the report are shared with ``Simulation``. Its
+served-rate EMA is ``update_avg_rate``, written from ``AVG_RATE_TC`` and not
+from the ``EMA_DECAY`` and ``EMA_GAIN`` the engine uses, so a wrong
+coefficient shows.
 Tests compare the two engines' reports field by field.
 """
 from __future__ import annotations
@@ -75,13 +76,12 @@ class DenseSimulation(Simulation):
             if sizes:
                 arrived = sum(sizes)
                 overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
-                u.qoe.update_requirement(arrived)
 
-            # 2. deadline expiry; nothing expires from a deadline-ordered
-            # queue whose head is still live
+            # 2. deadline expiry; deadlines never fall along the queue, so
+            # nothing expires while the head is live
             expired = 0
             queue = buf.queue
-            if queue and (queue[0].deadline_tti <= tti or not buf.deadlines_monotone):
+            if queue and queue[0].deadline_tti <= tti:
                 expired = buf.expire(tti)
             drops[ue_id] = (expired, overflow)
 
@@ -117,9 +117,7 @@ class DenseSimulation(Simulation):
         tx = 0
         if decision.selected_ue is not None:
             winner = self._ue_by_id[decision.selected_ue]
-            tx, delays = winner.buffer.drain(decision.budget_bits, tti)
-            winner.qoe.record_delivered(tx)
-            winner.delays_tti.extend(delays)
+            tx = winner.buffer.drain(decision.budget_bits, tti)[0]
             winner.sched_count += 1
             winner.last_served_tti = tti
 

@@ -52,13 +52,31 @@ class TestEnqueue:
         assert buf.dropped_overflow_bits == 802
         assert buf.conservation_holds()
 
-    def test_earlier_deadline_batch_clears_order_only_if_accepted(self):
+    def test_earlier_deadline_batch_rejected_before_accounting(self):
         buf = UeBuffer(1_000)
         buf.enqueue([600], 0, 50)
-        buf.enqueue([700], 1, 10)   # dropped whole: order unchanged
-        assert buf.deadlines_monotone
-        buf.enqueue([700, 400], 1, 10)
-        assert not buf.deadlines_monotone
+        buf.drain(100, now_tti=1)
+        buf.enqueue([900], 1, 50)  # tail-dropped whole
+        before = _state(buf), buf.delivered_bits, buf.dropped_deadline_bits
+        for sizes in ([700], [300, 100], [2_000], []):
+            with pytest.raises(ValueError, match="tail"):
+                buf.enqueue(sizes, 2, 49)
+        assert (_state(buf), buf.delivered_bits, buf.dropped_deadline_bits) == before
+        assert buf.conservation_holds()
+
+    def test_earlier_deadline_batch_clears_order_only_if_accepted(self):
+        # the bar is the live tail's deadline: an equal deadline keeps the
+        # order, and an earlier one is accepted only once the queue is empty
+        buf = UeBuffer(1_000)
+        buf.enqueue([600], 0, 50)
+        assert buf.enqueue([300], 1, 50) == 300
+        assert buf.drain(600, now_tti=2) == (600, 1)
+        with pytest.raises(ValueError, match="tail"):
+            buf.enqueue([100], 2, 10)  # the tail is still queued
+        assert buf.drain(300, now_tti=3) == (300, 1)
+        assert buf.enqueue([100], 3, 10) == 100
+        assert [p.deadline_tti for p in buf.queue] == [10]
+        assert buf.conservation_holds()
 
 
 class TestExpire:
@@ -90,14 +108,18 @@ class TestExpire:
         assert buf.occupied_bits == 0
 
     def test_non_monotone_deadlines_still_expire(self):
-        # direct API use can interleave deadlines; the scan fallback must
-        # still remove the interior expired packet
+        # an interleaved deadline is refused, so the head-only scan still
+        # removes every expired packet of the queue that stays
         buf = UeBuffer(10_000)
         enq(buf, 100, arrival=0, deadline=50)
-        enq(buf, 200, arrival=0, deadline=10)
+        with pytest.raises(ValueError, match="tail"):
+            enq(buf, 200, arrival=0, deadline=10)
         enq(buf, 300, arrival=0, deadline=60)
-        assert buf.expire(10) == 200
-        assert buf.occupied_bits == 400
+        assert buf.expire(10) == 0
+        assert buf.expire(50) == 100
+        assert [p.deadline_tti for p in buf.queue] == [60]
+        assert buf.expire(60) == 300
+        assert buf.occupied_bits == 0 and buf.dropped_deadline_bits == 400
         assert buf.conservation_holds()
 
 
@@ -105,9 +127,8 @@ class TestDrain:
     def test_zero_budget(self):
         buf = UeBuffer(10_000)
         enq(buf, 100)
-        tx, delays = buf.drain(0, now_tti=0)
-        assert tx == 0 and delays == []
-        assert buf.occupied_bits == 100
+        assert buf.drain(0, now_tti=0) == (0, 0)
+        assert buf.occupied_bits == 100 and buf.delay_counts == {}
 
     def test_full_drain(self):
         buf = UeBuffer(10_000_000)
@@ -120,17 +141,16 @@ class TestDrain:
         buf = UeBuffer(10_000_000)
         enq(buf, 2_000_000, arrival=0)
         enq(buf, 2_000_000, arrival=0)
-        tx, delays = buf.drain(3_000_000, now_tti=4)
-        assert tx == 3_000_000
-        assert delays == [4]  # only the first packet completed
+        assert buf.drain(3_000_000, now_tti=4) == (3_000_000, 1)
+        assert buf.delay_counts == {4: 1}  # only the first packet completed
         assert buf.queue[0].remaining_bits == 1_000_000
 
     def test_delivery_delay_at_last_bit(self):
         buf = UeBuffer(10_000_000)
         enq(buf, 1_000_000, arrival=2)
-        buf.drain(400_000, now_tti=3)
-        tx, delays = buf.drain(600_000, now_tti=9)
-        assert delays == [7]
+        assert buf.drain(400_000, now_tti=3) == (400_000, 0)
+        assert buf.drain(600_000, now_tti=9) == (600_000, 1)
+        assert buf.delay_counts == {7: 1}
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -138,23 +158,25 @@ class TestDrain:
 
     def test_empty_queue(self):
         buf = UeBuffer(100)
-        assert buf.drain(50, now_tti=3) == (0, [])
-        assert buf.drain(0, now_tti=3) == (0, [])
+        assert buf.drain(50, now_tti=3) == (0, 0)
+        assert buf.drain(0, now_tti=3) == (0, 0)
         assert buf.occupied_bits == buf.delivered_bits == 0
 
     def test_budget_equal_to_head_remaining(self):
         buf = UeBuffer(10_000)
         buf.enqueue([300, 200], 1, 50)
-        assert buf.drain(300, now_tti=5) == (300, [4])
+        assert buf.drain(300, now_tti=5) == (300, 1)
+        assert buf.delay_counts == {4: 1}
         assert [p.remaining_bits for p in buf.queue] == [200]
         assert buf.occupied_bits == 200
 
     def test_split_head_then_complete(self):
         buf = UeBuffer(10_000)
         buf.enqueue([300], 0, 50)
-        assert buf.drain(120, now_tti=1) == (120, [])
+        assert buf.drain(120, now_tti=1) == (120, 0)
         assert buf.queue[0].remaining_bits == 180
-        assert buf.drain(180, now_tti=2) == (180, [2])
+        assert buf.drain(180, now_tti=2) == (180, 1)
+        assert buf.delay_counts == {2: 1}
         assert not buf.queue and buf.delivered_bits == 300
 
     def test_several_completed_in_one_call(self):
@@ -162,10 +184,11 @@ class TestDrain:
         buf.enqueue([100], 0, 50)
         buf.enqueue([200, 50], 2, 52)
         buf.enqueue([300], 3, 53)
-        tx, delays = buf.drain(500, now_tti=7)
-        assert (tx, delays) == (500, [7, 5, 5])
+        assert buf.drain(500, now_tti=7) == (500, 3)
+        assert buf.delay_counts == {7: 1, 5: 2}
         assert [p.remaining_bits for p in buf.queue] == [150]
-        assert buf.drain(1_000, now_tti=8) == (150, [5])
+        assert buf.drain(1_000, now_tti=8) == (150, 1)
+        assert buf.delay_counts == {7: 1, 5: 3}
         assert buf.occupied_bits == 0 and buf.delivered_bits == 650
         assert buf.conservation_holds()
 
@@ -177,13 +200,15 @@ class TestConservationReplay:
         rng = np.random.default_rng(2024)
         buf = UeBuffer(5_000_000)
         arrived = delivered = over = dead = 0
-        now = 0
+        now = deadline = 0
         for _ in range(10_000):
             op = rng.integers(0, 3)
             if op == 0:
                 size = int(rng.integers(1, 2_000_000))
                 fits = buf.occupied_bits + size <= buf.capacity_bits
-                buf.enqueue([size], now, now + int(rng.integers(1, 50)))
+                # deadlines never fall along the queue
+                deadline = max(deadline, now + int(rng.integers(1, 50)))
+                buf.enqueue([size], now, deadline)
                 arrived += size
                 if not fits:
                     over += size
@@ -213,10 +238,11 @@ class TestConservationReplay:
 )
 def test_property_occupancy_and_conservation(ops):
     buf = UeBuffer(2_000)
-    now = 0
+    now = deadline = 0
     for op, amount, dt in ops:
         if op == 0:
-            enq(buf, amount, arrival=now, deadline=now + dt + 1)
+            deadline = max(deadline, now + dt + 1)
+            enq(buf, amount, arrival=now, deadline=deadline)
         elif op == 1:
             buf.drain(amount, now)
         else:
@@ -232,10 +258,12 @@ def test_fifo_order_preserved():
         enq(buf, 100, arrival=k, deadline=k + 1000)
     seen = []
     for _ in range(10):
-        _, delays = buf.drain(100, now_tti=1000 - 1)
-        seen.extend(delays)
+        before = dict(buf.delay_counts)
+        assert buf.drain(100, now_tti=1000 - 1) == (100, 1)
+        (delay,) = buf.delay_counts.keys() - before.keys()
+        seen.append(delay)
     # earlier arrivals finish first: delays strictly decreasing
-    assert seen == sorted(seen, reverse=True)
+    assert seen == sorted(seen, reverse=True) == list(range(999, 989, -1))
 
 
 def enqueue_per_packet(buf, sizes, arrival_tti, deadline_tti):
@@ -247,8 +275,6 @@ def enqueue_per_packet(buf, sizes, arrival_tti, deadline_tti):
         if buf.occupied_bits + size > buf.capacity_bits:
             buf.dropped_overflow_bits += size
             continue
-        if buf.queue and deadline_tti < buf.queue[-1].deadline_tti:
-            buf.deadlines_monotone = False
         buf.queue.append(Packet(size, arrival_tti, deadline_tti))
         buf.occupied_bits += size
         accepted += size
@@ -257,13 +283,13 @@ def enqueue_per_packet(buf, sizes, arrival_tti, deadline_tti):
 
 def _state(buf):
     return (list(buf.queue), buf.occupied_bits, buf.arrived_bits,
-            buf.dropped_overflow_bits, buf.deadlines_monotone)
+            buf.dropped_overflow_bits, buf.delay_counts)
 
 
 _batch = st.tuples(
     st.lists(st.integers(1, 1_200), max_size=8),  # sizes
     st.integers(0, 50),                            # arrival
-    st.integers(1, 60),                            # deadline - arrival
+    st.integers(1, 60),                            # deadline - arrival, at least
     st.integers(0, 900),                           # drain budget before it
 )
 
@@ -272,14 +298,46 @@ _batch = st.tuples(
 @given(st.integers(1, 3_000), st.lists(_batch, max_size=12))
 @example(1_000, [([1_200, 5], 0, 10, 0)])               # small fits after a large drop
 @example(1_000, [([1_000], 0, 10, 0), ([3, 1], 1, 5, 0)])  # nothing fits
-@example(2_000, [([500], 0, 50, 0), ([400, 300], 1, 5, 0)])  # earlier deadline behind
+@example(2_000, [([500], 0, 50, 0), ([400, 300], 1, 5, 0)])  # equal deadline behind
 def test_batched_enqueue_equals_per_packet_tail_drop(capacity, batches):
     batched, reference = UeBuffer(capacity), UeBuffer(capacity)
+    deadline = 0
     for sizes, arrival, delay, budget in batches:
         # drains leave partly sent heads and free room at random points
         assert batched.drain(budget, arrival) == reference.drain(budget, arrival)
-        deadline = arrival + delay
+        # deadlines never fall along the queue
+        deadline = max(deadline, arrival + delay)
         expected = enqueue_per_packet(reference, sizes, arrival, deadline)
         assert batched.enqueue(sizes, arrival, deadline) == expected
         assert _state(batched) == _state(reference)
         assert batched.conservation_holds()
+
+
+def sorted_list_delay_figures(delays):
+    """Mean and p99 of the delays as the report once took them from a sorted list."""
+    delays = sorted(delays)
+    return sum(delays) / len(delays), delays[min(len(delays) - 1, int(0.99 * len(delays)))]
+
+
+_delays = st.integers(0, 100_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_delays, min_size=1, max_size=3),
+                 st.lists(_delays, min_size=100, max_size=101),
+                 st.lists(st.integers(0, 40), min_size=1, max_size=400)))
+@example([7])
+@example(list(range(100)))
+@example(list(range(101)))
+@example([3] * 99 + [10**9])
+def test_delay_histogram_equals_sorted_list(delays):
+    buf = UeBuffer(10**6)
+    assert buf.delay_mean_p99() is None
+    for d in delays:
+        buf.enqueue([1], 0, 10**10)
+        assert buf.drain(1, now_tti=d) == (1, 1)
+    mean, p99 = buf.delay_mean_p99()
+    # the same floats, bit for bit
+    assert (mean, p99) == sorted_list_delay_figures(delays)
+    assert type(mean) is float and type(p99) is int
+    assert sum(buf.delay_counts.values()) == len(delays)

@@ -1,10 +1,12 @@
 import dataclasses
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import dense_reference
 from dense_reference import DenseSimulation, update_avg_rate
 from qoesched import engine
 from qoesched.channel import ChannelParams
@@ -94,19 +96,22 @@ class TestStep:
         sim.ues[1].buffer.enqueue([9_000_000], 0, 500)   # ratio 0.9
         assert sim.step(0).selected_ue == 1
 
-
     def test_expiry_behind_a_live_head(self):
-        # 1 bit per TTI of service: the queue outlives its second deadline
+        # 1 bit per TTI of service: the partly sent head and the packet
+        # behind it expire together at their shared deadline; a packet with
+        # an earlier deadline cannot be queued behind the head
         sc = make_scenario([ftp_flow(0, load=TINY_LOAD)], peak=1e3, cqis=[15])
         sim = Simulation(sc)
         buf = sim.ues[0].buffer
-        buf.enqueue([1_000], 0, 50)
+        buf.enqueue([1_000], 0, 3)
+        with pytest.raises(ValueError, match="tail"):
+            buf.enqueue([700], 0, 2)
         buf.enqueue([700], 0, 3)
         for tti in range(3):
             sim.step(tti)
-        assert buf.dropped_deadline_bits == 0
+        assert buf.dropped_deadline_bits == 0 and buf.delivered_bits == 3
         sim.step(3)
-        assert buf.dropped_deadline_bits == 700
+        assert buf.dropped_deadline_bits == 1_697 and not buf.queue
         assert buf.conservation_holds()
 
     def test_served_rate_ema_matches_update_avg_rate(self):
@@ -208,6 +213,21 @@ class TestRun:
         for u in sim.ues:
             assert w.per_ue_y_req_bits[u.spec.ue_id] == u.buffer.arrived_bits
             assert w.per_ue_y_bits[u.spec.ue_id] == u.buffer.delivered_bits
+
+    def test_outside_enqueue_counts_in_its_window(self):
+        # the window volumes are read off the buffer, so bits enqueued
+        # between steps count in the window they arrive in, accepted or not
+        sc = make_scenario([ftp_flow(0, load=TINY_LOAD), ftp_flow(1, load=1e8)],
+                           duration=300, peak=1e6, cqis=[15, 15],
+                           buffersize_bits=100_000, window_tti=100)
+        sim = Simulation(sc)
+        for tti in range(sc.duration_tti):
+            if tti == 150:
+                assert sim.ues[0].buffer.enqueue([60_000, 70_000], tti, tti + 500) == 60_000
+            sim.step(tti)
+        buf = sim.ues[0].buffer
+        assert [w.per_ue_y_req_bits[0] for w in sim.window_records] == [0, 130_000, 0]
+        assert sum(w.per_ue_y_bits[0] for w in sim.window_records) == buf.delivered_bits > 0
 
 
 class TestFeedbackDelay:
@@ -512,14 +532,18 @@ class TestScalarStreamReference:
             assert lams[-1][1] < 5.0
 
     def test_non_monotone_deadlines(self):
+        # outside enqueues keep the deadline order that the engine's own
+        # arrivals at tti + beta keep; both engines expire the early ones alike
         sc = make_scenario([ftp_flow(0, load=2e8, beta=40), ftp_flow(1, load=2e8, beta=60)],
                            duration=400, peak=3e8, walk=0.2, cqis=[7, 11])
 
         def build(cls):
             sim = cls(sc, policy=Policy.MLWDF, seed=8, collect_trace=True)
-            for deadline in (90, 12, 55, 3, 30):
-                sim.ues[0].buffer.enqueue([200_000], 0, deadline)
-            assert not sim.ues[0].buffer.deadlines_monotone
+            buf = sim.ues[0].buffer
+            for deadline in (3, 12, 30, 40):
+                buf.enqueue([200_000], 0, deadline)
+            with pytest.raises(ValueError, match="tail"):
+                buf.enqueue([200_000], 0, 39)
             return sim
 
         report = self.both(build)
@@ -607,3 +631,48 @@ class TestScalarStreamReference:
 
     def test_packet_enqueued_into_a_sleeping_ue_traced(self):
         self.test_packet_enqueued_into_a_sleeping_ue(trace=True)
+
+    @pytest.mark.parametrize("delay", [0, 2, 5])
+    def test_outside_bits_reach_q_as_in_the_dense_loop(self, monkeypatch, delay):
+        # Bits enqueued between steps raise the UE's q from the next TTI on;
+        # a sleeper they wake is caught up with the q it slept with. BCQQ
+        # reads q, and the scheduler sees the dense loop's q on every TTI.
+        sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=5e5),
+                            video_flow(2, load=4e6)],
+                           duration=600, peak=1e9, walk=0.2, cqis=[4, 9, 12],
+                           window_tti=100, qoe_feedback_delay_tti=delay)
+        seen = {engine: [], dense_reference: []}
+        for mod, log in seen.items():
+            def record(inputs, policy, log=log, select=mod.select):
+                log.append([(i.ue_id, i.q) for i in inputs])
+                return select(inputs, policy)
+            monkeypatch.setattr(mod, "select", record)
+
+        def enqueue(sim, tti):
+            if tti % 37 == 5:
+                sim.ues[0].buffer.enqueue([300_000], tti, tti + 50)
+
+        self.both(lambda cls: cls(sc, policy=Policy.BCQQ, seed=5), enqueue)
+        assert len(seen[engine]) > 50
+        assert seen[engine] == seen[dense_reference]
+        assert any(q > 1.0 for inputs in seen[engine] for ue, q in inputs if ue == 0)
+
+
+class TestMemory:
+    @staticmethod
+    def peak_bytes(duration_tti):
+        text = resources.files("qoesched").joinpath("scenarios/table1.json").read_text()
+        sc = dataclasses.replace(parse_scenario(text), duration_tti=duration_tti)
+        tracemalloc.start()
+        try:
+            run(sc, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_untraced_run_memory_is_bounded_in_run_length(self):
+        # the delay record is a histogram, so an untraced run retains what
+        # grows with windows and adjustment events only (table1 has neither)
+        self.peak_bytes(100)  # first-use allocations of numpy and the package
+        short, long = self.peak_bytes(1_000), self.peak_bytes(10_000)
+        assert long < 2 * short, (short, long)

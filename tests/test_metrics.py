@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qoesched.buffering import UeBuffer
 from qoesched.metrics import MetricsWindow, jfi, qoe_fi
 from qoesched.qoe import QoeState
 
@@ -20,8 +21,14 @@ def qoe_fi_index_loop(pairs):
 
 
 def window_over(n):
-    qoes = [QoeState(ue_id=u) for u in range(n)]
+    qoes = [QoeState(ue_id=u, buffer=UeBuffer(10**12)) for u in range(n)]
     return MetricsWindow(qoes), qoes
+
+
+def feed(qoe, y_req, y):
+    """Put y_req bits through the UE's buffer and send y of them."""
+    qoe.buffer.enqueue([y_req], 0, 10**9)
+    qoe.buffer.drain(y, now_tti=1)
 
 
 class TestJfi:
@@ -108,8 +115,7 @@ class TestWindowClose:
 
     def test_single_active_ue_qoefi_absent(self):
         w, qoes = window_over(2)
-        qoes[0].update_requirement(1000)
-        qoes[0].record_delivered(500)
+        feed(qoes[0], 1000, 500)
         rec = w.close(100)
         assert rec.qoe_fi is None
         assert rec.jfi is not None
@@ -118,8 +124,7 @@ class TestWindowClose:
         w, qoes = window_over(3)
         ys = {0: 4_000_000, 1: 2_000_000, 2: 1_000_000}
         for u, y in ys.items():
-            qoes[u].update_requirement(4_000_000)
-            qoes[u].record_delivered(y)
+            feed(qoes[u], 4_000_000, y)
         rec = w.close(1000)
         # ratios {1.0, 0.5, 0.25} -> qoe_fi 3.0
         assert rec.qoe_fi == pytest.approx(3.0, abs=1e-12)
@@ -130,8 +135,7 @@ class TestWindowClose:
 
     def test_reset_after_close(self):
         w, qoes = window_over(1)
-        qoes[0].update_requirement(400)
-        qoes[0].record_delivered(100)
+        feed(qoes[0], 400, 100)
         assert qoes[0].q_of() == 4.0
         first = w.close(10)
         assert first.per_ue_y_bits[0] == 100

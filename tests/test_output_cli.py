@@ -251,6 +251,33 @@ class TestCli:
         )
         assert rc == cli.EXIT_IO
 
+    def test_compare_with_zero_mlwdf_throughput(self, tmp_path, capsys):
+        # one TTI of a nearly idle cell: nothing is sent under any policy
+        path = tmp_path / "idle.json"
+        raw = scenario_to_dict(idle_scenario())
+        raw["flows"].append(dict(raw["flows"][0], ue_id=1))
+        raw["channel"]["initial_cqi"] = [9, 9]
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(path), "--policy", "BCQQ,MLWDF",
+                         "--duration-ms", "1", "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["compare", "--in", str(out)]) == cli.EXIT_OK
+        result = json.loads((out / "comparison.json").read_text())
+        assert result["policies"]["MLWDF"]["mean_total_throughput_bps"] == 0
+        assert "mean_throughput_ratio_vs_mlwdf" not in result
+        assert "throughput_ratio_vs_mlwdf" not in result["per_seed"][0]
+        assert "ratio vs MLWDF" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [("--policy", "BCQQ,MLWDF,BCQQ"),
+                                             ("--seed", "1,2,1"), ("--seed", "3,03")])
+    def test_duplicate_policy_or_seed_rejected(self, tmp_path, capsys, flag, value):
+        scenario = self.write_scenario(tmp_path)
+        rc = cli.main(["run", "--scenario", str(scenario), "--duration-ms", "10",
+                       flag, value, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"{flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_compare_single_policy_fails(self, tmp_path):
         scenario = self.write_scenario(tmp_path)
         out = tmp_path / "out"
