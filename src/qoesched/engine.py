@@ -57,10 +57,12 @@ Two invariants keep the skipping exact:
 * Loads never rise under service adjustment (``factor <= 1``). A lower
   ``lam`` raises ``exp(-lam)``, so TTIs skipped under the old load stay
   arrival-free, and an adjusted UE's scan resumes from its pending wake TTI
-  with the new ``lam``.
+  with the new ``lam``. ``BufferedStream`` relies on the rule too: a
+  traffic stream that went to blocks at ``lam < 10`` raises if its ``lam``
+  rises back to 10 while buffered doubles are pending.
 
-``step(tti)`` therefore takes ``tti = 0, 1, 2, ...`` in order, as ``run``
-does, and raises on any other. Bits enqueued from outside between steps
+``step(tti)`` therefore takes ``tti = 0, 1, 2, ..., duration_tti - 1`` in
+order, as ``run`` does, and raises on any other. Bits enqueued from outside between steps
 count in q from the next TTI on: queued bits wake their UE, whose slept TTIs
 keep ``sleep_q``. An outside change that leaves the queue empty wakes no UE
 and reaches a sleeper's q when it next runs.
@@ -242,10 +244,11 @@ _PURPOSE_CQI = 1
 class Simulation:
     """Mutable state for one run; step() executes one TTI."""
 
-    def __init__(self, scenario: Scenario, policy: Policy | None = None,
+    def __init__(self, scenario: Scenario, policy: Policy | str | None = None,
                  seed: int | None = None, collect_trace: bool = False):
         self.scenario = scenario
-        self.policy = policy if policy is not None else scenario.policy
+        # a policy's name is taken too; an unknown one fails before the run
+        self.policy = Policy(policy if policy is not None else scenario.policy)
         self.seed = seed if seed is not None else scenario.seed
         self.collect_trace = collect_trace
 
@@ -254,7 +257,9 @@ class Simulation:
             for i in range(len(scenario.flows))
         )
 
-        delay = scenario.qoe_feedback_delay_tti
+        # The scheduler reads the pipe's head: q from ``delay`` TTIs back, or
+        # 1.0 before then, so a delay past the run length shows 1.0 throughout.
+        delay = min(scenario.qoe_feedback_delay_tti, scenario.duration_tti)
         self.ues = [
             UeState(
                 spec=flow,
@@ -278,11 +283,12 @@ class Simulation:
 
     def step(self, tti: int) -> SchedDecision:
         # Sleepers are caught up by TTI count, so no TTI may be skipped or
-        # repeated.
-        if tti != self._next_tti:
-            raise ValueError(f"step({tti}): TTIs run in order, the next is {self._next_tti}")
-        self._next_tti = tti + 1
+        # repeated; the wake scan and the feedback pipe end with the run.
         sc = self.scenario
+        if tti != self._next_tti or tti >= sc.duration_tti:
+            raise ValueError(f"step({tti}): TTIs run in order from 0 to "
+                             f"{sc.duration_tti - 1}, the next is {self._next_tti}")
+        self._next_tti = tti + 1
         channel = sc.channel
 
         # Steps 1-5 per due UE; only UEs with queued bits become inputs.
@@ -519,7 +525,7 @@ class Simulation:
         )
 
 
-def run(scenario: Scenario, policy: Policy | None = None, seed: int | None = None,
+def run(scenario: Scenario, policy: Policy | str | None = None, seed: int | None = None,
         collect_trace: bool = False) -> SimReport:
     """Execute one deterministic run of the scenario."""
     return Simulation(scenario, policy=policy, seed=seed, collect_trace=collect_trace).run()

@@ -13,17 +13,23 @@ buffer:
   sampler on the buffered doubles: multiply uniforms into a product while it
   stays above ``exp(-lam)``; the count of factors kept is the sample.
 * ``poisson(0)`` returns 0 and consumes nothing, as numpy does.
-* Every other ``lam`` (``>= 10``, negative, NaN) goes to ``gen.poisson``
-  directly, after the generator is put back right behind the last double
-  the stream handed out: the bit-generator state saved before the first
-  buffered block is restored and the doubles served since are drawn again.
-  numpy then samples, or raises, exactly as it would have. The stream stays
-  direct until the next ``lam < 10`` call, so a flow whose ``lam`` is always
-  at least 10 pays for one hand-back at most.
+* Every other ``lam`` (``>= 10``, negative, NaN) goes to ``gen.poisson``,
+  which raises for an invalid one. numpy samples ``lam >= 10`` by
+  rejection, which uses no fixed number of doubles, so it cannot be
+  replayed from a buffer. The stream then serves every call from the
+  generator until its next ``0 < lam < 10`` call switches it to blocks.
+
+The generator stands right behind the last double served only while the
+stream holds no pending buffered doubles. So ``poisson`` raises
+``ValueError`` for a ``lam`` outside ``[0, 10)`` that arrives while doubles
+are pending; it does not re-synchronise the generator. The simulator never
+makes that call: a flow's ``lam`` never rises (see ``engine``), so a traffic
+stream that went to blocks at ``lam < 10`` stays there, and a CQI stream
+draws only ``random``.
 
 The Poisson replay depends on numpy's sampler for small ``lam``;
-``tests/test_streams.py`` checks the whole call mix against a plain
-``Generator`` and fails if a numpy release changes it.
+``tests/test_streams.py`` checks the call mix against a plain ``Generator``
+and fails if a numpy release changes it.
 """
 from __future__ import annotations
 
@@ -40,48 +46,28 @@ _MULT_LAM_MAX = 10.0
 
 
 class BufferedStream:
-    """Drop-in for the ``random`` and ``poisson`` calls of a ``Generator``."""
+    """The ``random`` and ``poisson`` calls of a ``Generator``, served from blocks.
 
-    __slots__ = ("_gen", "_buf", "_pos", "_end", "_saved", "_drawn", "_direct",
-                 "_lam", "_exp_neg_lam")
+    Exact for the call mixes the module docstring names; ``poisson`` raises
+    ``ValueError`` for a ``lam`` outside ``[0, 10)`` while buffered doubles
+    are pending.
+    """
+
+    __slots__ = ("_gen", "_buf", "_pos", "_end", "_direct", "_lam", "_exp_neg_lam")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
         self._buf: list[float] = []
         self._pos = 0
         self._end = 0
-        # Bit-generator state before the first block since construction or
-        # the last hand-back, and the doubles drawn since. Reading the state
-        # costs more than drawing a block, so it is read once per run of
-        # blocks, not once per block.
-        self._saved = None
-        self._drawn = 0
         self._direct = False    # serving from the generator, buffer empty
         self._lam = None
         self._exp_neg_lam = 0.0
 
     def _refill(self) -> None:
-        gen = self._gen
-        if self._saved is None:
-            self._saved = gen.bit_generator.state
-        self._buf = gen.random(BLOCK).tolist()
-        self._drawn += BLOCK
+        self._buf = self._gen.random(BLOCK).tolist()
         self._pos = 0
         self._end = BLOCK
-
-    def _hand_back(self) -> None:
-        """Leave the generator right after the last double served; go direct."""
-        if self._pos < self._end:
-            gen = self._gen
-            gen.bit_generator.state = self._saved
-            served = self._drawn - (self._end - self._pos)
-            if served:
-                gen.random(served)
-        self._buf = []
-        self._pos = self._end = 0
-        self._saved = None
-        self._drawn = 0
-        self._direct = True
 
     def random(self, size: int | None = None):
         pos = self._pos
@@ -155,8 +141,11 @@ class BufferedStream:
         if not 0.0 < lam < _MULT_LAM_MAX:
             if lam == 0.0:
                 return 0
-            if not self._direct:
-                self._hand_back()
+            if self._pos < self._end:
+                raise ValueError(
+                    f"poisson({lam}) after buffered draws: a stream's lam may fall "
+                    "below 10 but not rise back to 10 or leave [0, 10)")
+            self._direct = True
             return self._gen.poisson(lam)
         self._direct = False
         if lam != self._lam:

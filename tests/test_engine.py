@@ -67,12 +67,16 @@ class TestStep:
 
     def test_steps_run_in_order(self):
         # a skipped or repeated TTI would break the sleepers' catch-up
-        sim = Simulation(make_scenario([ftp_flow(0, load=TINY_LOAD)], cqis=[15]))
+        sim = Simulation(make_scenario([ftp_flow(0, load=TINY_LOAD)], duration=3, cqis=[15]))
         sim.step(0)
         for tti in (2, 0):
             with pytest.raises(ValueError, match="in order"):
                 sim.step(tti)
         sim.step(1)
+        sim.step(2)
+        # past the run the wake scan stops and the feedback pipe is too short
+        with pytest.raises(ValueError, match="from 0 to 2"):
+            sim.step(3)
 
     def test_full_packet_drained_in_one_tti_at_peak(self):
         # budget at CQI 15 is 6e9 * 0.001 = 6e6 bits
@@ -150,6 +154,12 @@ class TestRun:
             assert r.policy == policy.value
             assert r.total_delivered_bits > 0
             assert r.jfi is not None
+
+    def test_policy_given_by_name(self):
+        sc = make_scenario([ftp_flow(0), video_flow(1)], duration=200, walk=0.2, cqis=[9, 12])
+        assert run(sc, policy="PF", seed=1) == run(sc, policy=Policy.PF, seed=1)
+        with pytest.raises(ValueError, match="'XX' is not a valid Policy"):
+            Simulation(sc, policy="XX")
 
     def test_rng_stream_separation(self):
         # changing flow 1's parameters must not perturb flow 0's arrivals
@@ -242,6 +252,18 @@ class TestFeedbackDelay:
         r0 = run(immediate, seed=1, collect_trace=True)
         q0 = {row[0]: row[5] for row in r0.trace_rows}
         assert q0[0] > 1.0  # demand arrived at TTI 0 and is visible at once
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_delay_at_or_past_the_run_length_shows_q_of_one(self, policy):
+        flows = [ftp_flow(0, load=2e9), video_flow(1), ftp_flow(2, load=TINY_LOAD)]
+        reports = [
+            run(make_scenario(flows, duration=300, walk=0.2, cqis=[1, 9, 12], window_tti=70,
+                              qoe_feedback_delay_tti=delay),
+                policy=policy, seed=2, collect_trace=True)
+            for delay in (300, 301, 10**6)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert {row[5] for row in reports[0].trace_rows} == {1.0}
 
 
 class TestAdjustment:
@@ -660,9 +682,10 @@ class TestScalarStreamReference:
 
 class TestMemory:
     @staticmethod
-    def peak_bytes(duration_tti):
+    def peak_bytes(duration_tti, delay=0):
         text = resources.files("qoesched").joinpath("scenarios/table1.json").read_text()
-        sc = dataclasses.replace(parse_scenario(text), duration_tti=duration_tti)
+        sc = dataclasses.replace(parse_scenario(text), duration_tti=duration_tti,
+                                 qoe_feedback_delay_tti=delay)
         tracemalloc.start()
         try:
             run(sc, seed=1)
@@ -676,3 +699,8 @@ class TestMemory:
         self.peak_bytes(100)  # first-use allocations of numpy and the package
         short, long = self.peak_bytes(1_000), self.peak_bytes(10_000)
         assert long < 2 * short, (short, long)
+
+    def test_feedback_pipe_is_bounded_by_the_run_length(self):
+        # a delay past the run shows q = 1 throughout, however long it is
+        self.peak_bytes(100)  # first-use allocations of numpy and the package
+        assert self.peak_bytes(100, delay=10**6) < 2 * self.peak_bytes(100)

@@ -16,6 +16,7 @@ from qoesched import cli
 from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario
 from qoesched.scenario import (
+    REQUIRED,
     SCHEMA,
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -344,6 +345,41 @@ class TestInvariants:
         expected = {f.name for cls in classes for f in dataclasses.fields(cls)}
         # qoe is a section with no dataclass; original_load_bps is set by FlowSpec
         assert set(fields) - {"qoe"} == expected - {"original_load_bps"}
+
+    def test_json_defaults_equal_the_dataclass_defaults(self):
+        # SCHEMA writes each default a second time: a key left out must parse
+        # to its dataclass field's own default, a qoe key to Scenario's
+        minimal = {
+            "duration_tti": 10, "buffersize_bits": 1_000, "channel": {"peak_rate_bps": 1e6},
+            "flows": [
+                {"ue_id": 0, "class": "ftp_download", "alpha": 0.1, "beta_ms": 5,
+                 "offered_load_bps": 1e5, "mean_packet_bits": 100},
+                {"ue_id": 1, "class": "live_hd_video", "alpha": 0.1, "beta_ms": 5,
+                 "offered_load_bps": 1e5, "max_packet_bits": 100},
+            ],
+        }
+        sc = parse_scenario(json.dumps(minimal))
+        parsed = {"scenario": [(sc, minimal)], "qoe": [(sc, {})],
+                  "channel": [(sc.channel, minimal["channel"])],
+                  "adjustment": [(sc.adjustment, {})],
+                  "flows": list(zip(sc.flows, minimal["flows"]))}
+        checked, json_only = set(), set()
+        for section, keys in SCHEMA.items():
+            # qoe is a section with no dataclass field
+            for k in (k for k in keys if k.default is not REQUIRED and k.name != "qoe"):
+                for obj, given in parsed[section]:
+                    if k.name in given:
+                        continue
+                    f = {f.name: f for f in dataclasses.fields(obj)}[k.field or k.name]
+                    if f.default is not dataclasses.MISSING:
+                        assert getattr(obj, f.name) == f.default, (section, k.name)
+                    elif f.default_factory is not dataclasses.MISSING:
+                        assert getattr(obj, f.name) == f.default_factory(), (section, k.name)
+                    else:
+                        json_only.add(k.name)
+                    checked.add(k.name)
+        assert json_only == {"name"}
+        assert len(checked) == 18
 
     def test_dump_writes_only_the_keys_of_each_class(self):
         flows = scenario_to_dict(parse_scenario(table1_text()))["flows"]

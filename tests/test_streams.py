@@ -2,7 +2,9 @@
 
 The stream replays numpy's Poisson multiplication sampler on buffered
 doubles. If a numpy release changes that sampler, or the way a block of
-doubles relates to scalar draws, these tests fail.
+doubles relates to scalar draws, these tests fail. The one call the stream
+does not serve, a Poisson ``lam`` outside ``[0, 10)`` while buffered doubles
+are pending, must raise the stream's own ``ValueError``.
 """
 import math
 
@@ -35,6 +37,25 @@ def call(rng, op):
         return ("ValueError", str(e))
 
 
+def replay(stream, gen, plain, sequence) -> bool:
+    """Apply each operation to ``stream``, which draws from ``gen``, and to ``plain``.
+
+    Every call must match, except a Poisson ``lam`` outside ``[0, 10)``
+    while the stream holds pending buffered doubles, that is while ``gen``
+    is ahead of ``plain``: that one must raise the stream's ValueError, which
+    ends the sequence. Returns whether the whole sequence was applied.
+    """
+    for op in sequence:
+        kind, arg = op
+        if (kind == "poisson" and not 0.0 <= arg < 10.0
+                and repr(gen.bit_generator.state) != repr(plain.bit_generator.state)):
+            with pytest.raises(ValueError, match="after buffered draws"):
+                stream.poisson(arg)
+            return False
+        assert call(stream, op) == call(plain, op), op
+    return True
+
+
 lams = st.one_of(
     st.floats(min_value=0.0, max_value=10.0, exclude_min=True, exclude_max=True),
     st.floats(min_value=9.0, max_value=11.0),
@@ -52,18 +73,21 @@ ops = st.one_of(
     st.tuples(st.just("poisson"), lams),
 )
 
-# Crossings of lam = 10 in both directions, mid-block and at block edges.
+# Downward crossings of lam = 10: mid-block, after direct draws, and at a
+# block edge, after exactly BLOCK buffered draws.
 CROSSINGS = [
-    ("poisson", 3.5), ("poisson", 12.0), ("random", None), ("poisson", 0.7),
-    ("random_n", 50), ("poisson", 10.0), ("poisson", 9.999999), ("poisson", 40.0),
-    ("random_n", BLOCK), ("poisson", 2.0), ("random_n", BLOCK - 1), ("poisson", 11.0),
+    ("poisson", 12.0), ("random_n", 5), ("poisson", 10.0), ("random", None),
+    ("poisson", 9.999999), ("random_n", 50), ("poisson", 0.7), ("random_n", BLOCK),
+    ("poisson", 2.0),
 ]
+EDGE_CROSSING = [("random_n", BLOCK), ("poisson", 40.0), ("random_n", 3), ("poisson", 11.0),
+                 ("poisson", 3.5), ("random_n", BLOCK - 1), ("poisson", 2.0)]
 OUT_OF_DOMAIN = [
-    ("random", None), ("poisson", -1.0), ("random", None), ("poisson", math.nan),
-    ("poisson", 5.0), ("poisson", 1e19), ("poisson", 5.0), ("poisson", math.inf),
+    ("poisson", -1.0), ("random", None), ("poisson", math.nan), ("poisson", 1e19),
+    ("poisson", 5.0), ("random", None), ("poisson", math.inf),
 ]
-ZERO_LAM = [("poisson", 0.0), ("random", None), ("poisson", 0.0), ("poisson", 4.0),
-            ("poisson", 0.0), ("poisson", 20.0), ("poisson", 0.0), ("random", None)]
+ZERO_LAM = [("poisson", 0.0), ("poisson", 20.0), ("poisson", 0.0), ("random", None),
+            ("poisson", 0.0), ("poisson", 4.0), ("poisson", 0.0), ("random", None)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -72,24 +96,39 @@ ZERO_LAM = [("poisson", 0.0), ("random", None), ("poisson", 0.0), ("poisson", 4.
 @example(seed=1, sequence=CROSSINGS)
 @example(seed=2, sequence=OUT_OF_DOMAIN)
 @example(seed=3, sequence=ZERO_LAM)
-@example(seed=4, sequence=[("random", None)] * (BLOCK + 1) + [("poisson", 15.0)])
 @example(seed=5, sequence=[("random_n", 2 * BLOCK + 7), ("poisson", 0.5)] * 3)
+@example(seed=6, sequence=EDGE_CROSSING)
 def test_buffered_stream_matches_generator(seed, sequence):
-    plain = generator(seed)
-    buffered = BufferedStream(generator(seed))
-    for op in sequence + [("random_n", 2 * BLOCK + 3)]:
-        assert call(buffered, op) == call(plain, op), op
+    gen = generator(seed)
+    replay(BufferedStream(gen), gen, generator(seed), sequence + [("random_n", 2 * BLOCK + 3)])
+
+
+@pytest.mark.parametrize("prefix, raises", [
+    ([("random", None)] * BLOCK, False),
+    ([("random", None)] * (BLOCK + 1), True),
+    ([("poisson", 3.5)], True),
+    ([("poisson", 15.0), ("random_n", BLOCK + 1)], False),
+], ids=["buffer-used-up", "draws-pending", "after-small-lam", "direct"])
+def test_lam_from_ten_on_raises_only_while_draws_are_pending(prefix, raises):
+    # A flow whose lam stays at 10 or more draws its packet sizes straight
+    # from the generator too, so its next lam finds nothing pending.
+    gen = generator(14)
+    assert replay(BufferedStream(gen), gen, generator(14), prefix + [("poisson", 15.0)]) != raises
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, 1e19, math.inf])
 def test_out_of_domain_lam_raises_like_numpy(lam):
+    # On a fresh stream numpy raises its own error; after a buffered draw the
+    # stream raises before numpy sees the lam.
     with pytest.raises(ValueError) as expected:
         generator(0).poisson(lam)
+    with pytest.raises(ValueError) as got:
+        BufferedStream(generator(0)).poisson(lam)
+    assert str(got.value) == str(expected.value)
     stream = BufferedStream(generator(0))
     stream.random()
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(ValueError, match="after buffered draws"):
         stream.poisson(lam)
-    assert str(got.value) == str(expected.value)
 
 
 def test_zero_lam_consumes_no_draw():
@@ -138,16 +177,17 @@ FOLLOW_UP = [("random", None), ("random_n", BLOCK + 3), ("random", None)]
        max_k=st.integers(min_value=0, max_value=4 * BLOCK))
 @example(seed=6, prefix=[("random_n", BLOCK - 1)], lam=0.01, max_k=4 * BLOCK)
 @example(seed=7, prefix=[("random_n", BLOCK)], lam=0.01, max_k=BLOCK)
-@example(seed=8, prefix=[("random", None), ("poisson", 15.0)], lam=0.02, max_k=200)
+@example(seed=8, prefix=[("poisson", 15.0), ("random", None)], lam=0.02, max_k=200)
 @example(seed=9, prefix=[("poisson", 25.0)], lam=0.3, max_k=50)
 @example(seed=10, prefix=[("random", None)], lam=0.01, max_k=0)
 @example(seed=11, prefix=[("poisson", 15.0)], lam=0.01, max_k=0)
 @example(seed=12, prefix=[], lam=0.0, max_k=9)
 def test_skip_zeros_matches_leading_zero_draws(seed, prefix, lam, max_k):
+    gen = generator(seed)
     plain = generator(seed)
-    buffered = BufferedStream(generator(seed))
-    for op in prefix:
-        assert call(buffered, op) == call(plain, op), op
+    buffered = BufferedStream(gen)
+    if not replay(buffered, gen, plain, prefix):
+        return
     assert buffered.skip_zeros(lam, max_k) == leading_zeros(plain, lam, max_k)
     for op in [("poisson", lam)] + FOLLOW_UP + [("poisson", lam)] + FOLLOW_UP:
         assert call(buffered, op) == call(plain, op), op
