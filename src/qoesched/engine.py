@@ -34,14 +34,14 @@ Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
 through, a UE has no arrival, no queued bits and no grant, so what remains
 depends only on its own substreams and state, and is caught up exactly and
 lazily when the UE is next processed, at each window close and at the end of
-``run``: one CQI walk step per TTI from its CQI stream, its last q
-(``sleep_q``) fed into the feedback pipe once per TTI, and one served-rate
-decay per TTI, multiplied out in order because ``decay**k`` is not the same
-float. ``synced_tti`` marks the first TTI not yet applied. The window close
-catches every UE up, then sets ``sleep_q`` anew. The trace, written after
-the step, catches each sleeper up through every TTI, so it changes no
-decision. Its drop columns are the changes in the buffer's drop totals since
-its last row.
+``run``: one CQI walk step per TTI from its CQI stream, its q fed into the
+feedback pipe once per TTI, and one served-rate decay per TTI, multiplied
+out in order because ``decay**k`` is not the same float. ``synced_tti`` marks
+the first TTI not yet applied. A sleeper's q does not move, so the catch-up
+reads it live, and the window close, which moves q's marks, catches every UE
+up first. The trace, written after the step, catches each sleeper up through
+every TTI, so it changes no decision. Its drop columns are the changes in the
+buffer's drop totals since its last row.
 
 Two invariants keep the skipping exact:
 
@@ -62,10 +62,10 @@ Two invariants keep the skipping exact:
   rises back to 10 while buffered doubles are pending.
 
 ``step(tti)`` therefore takes ``tti = 0, 1, 2, ..., duration_tti - 1`` in
-order, as ``run`` does, and raises on any other. Bits enqueued from outside between steps
-count in q from the next TTI on: queued bits wake their UE, whose slept TTIs
-keep ``sleep_q``. An outside change that leaves the queue empty wakes no UE
-and reaches a sleeper's q when it next runs.
+order, as ``run`` does, and raises on any other. Between steps, a buffer
+changes only through ``Simulation.buffer(ue_id)``, which first catches the UE
+up through the last stepped TTI. Any change, a batch tail-dropped whole too,
+then counts in q from the next TTI on, and queued bits wake their UE.
 """
 from __future__ import annotations
 
@@ -182,8 +182,6 @@ class UeState:
     next_arrival_tti: int = 0
     # first TTI whose CQI step, q feedback and EMA decay are not yet applied
     synced_tti: int = 0
-    # q at the end of the last processed TTI or window close; a sleeper keeps it
-    sleep_q: float = 1.0
     sched_count: int = 0
     # the buffer's drop totals at the UE's last trace row, kept by _trace
     traced_deadline_bits: int = 0
@@ -322,8 +320,7 @@ class Simulation:
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
-            u.sleep_q = q = u.qoe.q_of()
-            pipe.append(q)
+            pipe.append(u.qoe.q_of())
 
             # 5a. scheduling input, built positionally: keyword arguments
             # cost several times more per call
@@ -351,7 +348,6 @@ class Simulation:
         if decision.selected_ue is not None:
             winner = self._ue_by_id[decision.selected_ue]
             tx = winner.buffer.drain(decision.budget_bits, tti)[0]
-            winner.sleep_q = winner.qoe.q_of()
             winner.sched_count += 1
             winner.last_served_tti = tti
 
@@ -405,6 +401,14 @@ class Simulation:
                 deadline, overflow,
             ))
 
+    def buffer(self, ue_id: int) -> UeBuffer:
+        """UE ``ue_id``'s buffer, the one door for changing it between steps:
+        the UE is caught up first, so its slept TTIs keep their q."""
+        u = self._ue_by_id[ue_id]
+        if self._next_tti > u.synced_tti:
+            self._catch_up(u, self._next_tti)
+        return u.buffer
+
     def _wake_tti(self, u: UeState, tti: int) -> int:
         """First TTI from ``tti`` on whose arrivals are not known to be empty.
 
@@ -418,15 +422,12 @@ class Simulation:
         return -(-tti // interval) * interval
 
     def _catch_up(self, u: UeState, until: int) -> None:
-        """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept.
-
-        A sleeper has no arrivals, no queued bits and no grant; its q is ``sleep_q``.
-        """
+        """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept, at its q now."""
         k = until - u.synced_tti
         u.synced_tti = until
         u.cqi = cqi_walk(u.cqi, self.scenario.channel, u.cqi_rng.random(k))
         pipe = u.q_pipe
-        pipe.extend([u.sleep_q] * min(k, pipe.maxlen))
+        pipe.extend([u.qoe.q_of()] * min(k, pipe.maxlen))
         # k decays, multiplied out in order: decay**k differs in the last
         # bits. The rate only falls, so it ends below the floor exactly when
         # the floored rate would have reached the floor, which it keeps.
@@ -466,13 +467,11 @@ class Simulation:
             )
 
     def _close_window(self, end_tti: int) -> None:
-        # The close moves the window marks, which changes q: sleepers keep
-        # their old q up to the window end, and every UE its new q after it.
-        self.window_records.append(self.window.close(end_tti))
+        # the close moves the marks q reads, so sleepers catch up first
         for u in self.ues:
             if end_tti > u.synced_tti:
                 self._catch_up(u, end_tti)
-            u.sleep_q = u.qoe.q_of()
+        self.window_records.append(self.window.close(end_tti))
 
     def run(self) -> SimReport:
         # The last window closes at the end of the run, in the last step or

@@ -5,14 +5,16 @@ steps the CQI, feeds q into the feedback pipe and decays the served-rate
 EMA for each UE in each TTI, and draws from plain ``Generator`` substreams
 with scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window``
 and ``run`` are the engine's loop as it stood before idle UEs could sleep,
-changed since only where the buffer, window, channel and scheduler
+changed since only where the buffer, window, channel, scheduler and trace
 interfaces changed (one ``enqueue`` call per TTI's packets, window volumes
 and delivery delays kept by the buffer, an ``int`` CQI, a per-flow QoS
-weight); only set-up and the report are shared with ``Simulation``. Its
-served-rate EMA is ``update_avg_rate``, written from ``AVG_RATE_TC`` and not
-from the ``EMA_DECAY`` and ``EMA_GAIN`` the engine uses, so a wrong
-coefficient shows.
-Tests compare the two engines' reports field by field.
+weight, trace drop columns as changes in the drop totals); only set-up and
+the report are shared with ``Simulation``. Its ``buffer(ue_id)``, the door
+for outside changes, is a plain lookup: no UE sleeps, so there is nothing to
+catch up. Its served-rate EMA is ``update_avg_rate``, written from
+``AVG_RATE_TC`` and not from the ``EMA_DECAY`` and ``EMA_GAIN`` the engine
+uses, so a wrong coefficient shows. Tests compare the two engines' reports
+and scheduling inputs field by field.
 """
 from __future__ import annotations
 
@@ -64,26 +66,21 @@ class DenseSimulation(Simulation):
         # inputs, unless the trace needs a row for every UE; an empty UE's
         # row shows priority 0.
         inputs: list[UeSchedInput] = []
-        drops: dict[int, tuple[int, int]] = {}  # ue_id -> (expired, overflow) this TTI
         for u in self.ues:
             spec = u.spec
             ue_id = spec.ue_id
             buf = u.buffer
 
             # 1. arrivals
-            overflow = 0
             sizes = arrivals(spec, tti, u.traffic_rng)
             if sizes:
-                arrived = sum(sizes)
-                overflow = arrived - buf.enqueue(sizes, tti, tti + spec.beta_ms)
+                buf.enqueue(sizes, tti, tti + spec.beta_ms)
 
             # 2. deadline expiry; deadlines never fall along the queue, so
             # nothing expires while the head is live
-            expired = 0
             queue = buf.queue
             if queue and queue[0].deadline_tti <= tti:
-                expired = buf.expire(tti)
-            drops[ue_id] = (expired, overflow)
+                buf.expire(tti)
 
             # 3. channel
             cqi = u.cqi = cqi_step(u.cqi, channel, u.cqi_rng)
@@ -130,9 +127,16 @@ class DenseSimulation(Simulation):
             self._adjustment_check(tti)
 
         if collect:
-            # inputs holds every UE, in the order of self.ues
+            # inputs holds every UE, in the order of self.ues; the drop
+            # columns are the changes in the drop totals since the UE's last
+            # row, so a drop between steps shows in the next row
             pfn = PRIORITY_FN[self.policy]
             for u, i in zip(self.ues, inputs):
+                buf = u.buffer
+                drops = (buf.dropped_deadline_bits - u.traced_deadline_bits,
+                         buf.dropped_overflow_bits - u.traced_overflow_bits)
+                u.traced_deadline_bits = buf.dropped_deadline_bits
+                u.traced_overflow_bits = buf.dropped_overflow_bits
                 self.trace_rows.append(
                     (
                         tti,
@@ -144,13 +148,16 @@ class DenseSimulation(Simulation):
                         pfn(i) if i.buffer_bits else 0.0,
                         1 if decision.selected_ue == i.ue_id else None,
                         tx if u is winner else 0,
-                        *drops[i.ue_id],
+                        *drops,
                     )
                 )
 
         if sc.window_tti is not None and (tti + 1 - self.window.start_tti) >= sc.window_tti:
             self._close_window(tti + 1)
         return decision
+
+    def buffer(self, ue_id: int):
+        return self._ue_by_id[ue_id].buffer
 
     def _adjustment_check(self, tti: int) -> None:
         adj = self.scenario.adjustment

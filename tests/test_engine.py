@@ -1,10 +1,14 @@
 import dataclasses
+import math
 import sys
 import tracemalloc
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference
 from dense_reference import DenseSimulation, update_avg_rate
@@ -12,7 +16,7 @@ from qoesched import engine
 from qoesched.channel import ChannelParams
 from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
 from qoesched.scenario import parse_scenario
-from qoesched.scheduler import Policy
+from qoesched.scheduler import TTIS_PER_SECOND, Policy
 from qoesched.streams import BLOCK, BufferedStream
 from qoesched.traffic import FlowSpec, TrafficClass
 
@@ -233,7 +237,7 @@ class TestRun:
         sim = Simulation(sc)
         for tti in range(sc.duration_tti):
             if tti == 150:
-                assert sim.ues[0].buffer.enqueue([60_000, 70_000], tti, tti + 500) == 60_000
+                assert sim.buffer(0).enqueue([60_000, 70_000], tti, tti + 500) == 60_000
             sim.step(tti)
         buf = sim.ues[0].buffer
         assert [w.per_ue_y_req_bits[0] for w in sim.window_records] == [0, 130_000, 0]
@@ -378,6 +382,87 @@ def light_cell(n=80):
                          window_tti=100, qoe_feedback_delay_tti=3)
 
 
+def decades(lo, hi):
+    """Floats spread evenly over the decades from 10**lo to 10**hi."""
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def fuzz_flows(draw, ue_id):
+    beta, alpha, adaptive = draw(st.integers(1, 400)), draw(decades(-6, -0.5)), draw(st.booleans())
+    bits = round(draw(decades(3, 6.3)))  # mean packet or frame size
+    if draw(st.booleans()):
+        lam = draw(decades(-3, 1.6))  # packets per TTI, on both sides of 10
+        return FlowSpec(ue_id, TrafficClass.FTP_DOWNLOAD, alpha, beta,
+                        lam * bits * TTIS_PER_SECOND, adaptive, mean_packet_bits=bits)
+    interval = draw(st.integers(1, 40))
+    return FlowSpec(ue_id, TrafficClass.LIVE_HD_VIDEO, alpha, beta,
+                    bits * TTIS_PER_SECOND / interval, adaptive,
+                    max_packet_bits=round(draw(decades(3, 6.5))), frame_interval_ms=interval)
+
+
+@st.composite
+def fuzz_cells(draw):
+    """1-8 FTP or video UEs for up to 400 TTIs, with any windows, feedback
+    delay, channel, buffer and service adjustment."""
+    ids = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=8, unique=True))
+    cqis = draw(st.one_of(st.just(()), st.tuples(*[st.integers(1, 15)] * len(ids))))
+    return Scenario(
+        name="fuzz",
+        duration_tti=draw(st.integers(1, 400)),
+        flows=[draw(fuzz_flows(ue)) for ue in ids],
+        channel=ChannelParams(peak_rate_bps=draw(decades(6, 10)),
+                              walk_prob=draw(st.floats(0.0, 1.0)), initial_cqi_per_ue=cqis),
+        buffersize_bits=round(draw(decades(4, 7.5))),
+        qoe_feedback_delay_tti=draw(st.integers(0, 12)),
+        q_max=draw(st.floats(1.0, 200.0)),
+        window_tti=draw(st.none() | st.integers(1, 150)),
+        adjustment=AdjustmentParams(
+            enabled=draw(st.booleans()),
+            occupancy_threshold=draw(st.floats(0.05, 0.95)),
+            starvation_tti=draw(st.integers(1, 200)),
+            factor=draw(st.floats(0.05, 1.0)),
+        ),
+    )
+
+
+@st.composite
+def outside_changes(draw, args, change):
+    """A ``between(sim, tti)`` that calls ``change(sim, tti, pick, *args)``
+    every few TTIs, cycling through a few drawn (pick, args) pairs; ``pick``
+    chooses the UE."""
+    every = draw(st.integers(1, 40))
+    plan = draw(st.lists(st.tuples(st.integers(0, 7), args), min_size=1, max_size=6))
+
+    def between(sim, tti):
+        if tti % every == every - 1:
+            pick, a = plan[tti // every % len(plan)]
+            change(sim, tti, pick, *a)
+    return between
+
+
+FUZZ = settings(max_examples=80, derandomize=True, database=None, deadline=None)
+RUNS = dict(cell=fuzz_cells(), policy=st.sampled_from(Policy), trace=st.booleans(),
+            seed=st.integers(0, 2 ** 32))
+
+
+def outside_enqueue(sim, tti, pick, sizes, beta_share):
+    # a deadline within the flow's beta and not before its queue's tail,
+    # as the engine's own arrivals at tti + beta keep them
+    flow = sim.scenario.flows[pick % len(sim.scenario.flows)]
+    buf = sim.buffer(flow.ue_id)
+    tail = buf.queue[-1].deadline_tti if buf.queue else 0
+    buf.enqueue(sizes, tti, max(tail, tti + math.ceil(beta_share * flow.beta_ms)))
+
+
+def outside_drain(sim, tti, pick, budget_share):
+    # one of the UEs with queued bits
+    backlogged = [u.spec.ue_id for u in sim.ues if u.buffer.occupied_bits]
+    if backlogged:
+        buf = sim.buffer(backlogged[pick % len(backlogged)])
+        buf.drain(round(budget_share * buf.occupied_bits), tti)
+
+
 class TestTraceObserves:
     """Switching the trace on changes what is written, not what is run."""
 
@@ -439,9 +524,9 @@ class TestTraceObserves:
         sc = make_scenario([ftp_flow(0, load=TINY_LOAD), ftp_flow(1, load=1e8)],
                            duration=100, peak=1e6, cqis=[15, 15], buffersize_bits=100_000)
         sim = Simulation(sc, collect_trace=True)
-        buf = sim.ues[0].buffer
         for tti in range(sc.duration_tti):
             if tti == 41:
+                buf = sim.buffer(0)
                 buf.enqueue([buf.capacity_bits - buf.occupied_bits], tti, tti + 500)
                 assert buf.enqueue([3_000], tti, tti + 500) == 0
             sim.step(tti)
@@ -484,20 +569,26 @@ class TestScalarStreamReference:
     """
 
     def both(self, build, between=None):
-        """Run ``build(cls)`` under both engines; compare every report field.
+        """Run ``build(cls)`` under both engines; compare every report field
+        and every scheduling input, whichever policy reads it.
 
         ``between(sim, tti)``, if given, runs before each ``step(tti)``.
         """
-        sims, reports = [], []
-        for cls in (Simulation, DenseSimulation):
+        sims, reports, inputs = [], [], []
+        for cls, mod in ((Simulation, engine), (DenseSimulation, dense_reference)):
             sim = build(cls)
             if between is not None:
                 def step(tti, sim=sim, step=sim.step):
                     between(sim, tti)
                     return step(tti)
                 sim.step = step
-            reports.append(sim.run())
+            with mock.patch.object(mod, "select", wraps=mod.select) as select:
+                reports.append(sim.run())
+            # the traced dense loop also offers UEs with nothing queued
+            inputs.append([c for c in ([i for i in call.args[0] if i.buffer_bits]
+                                       for call in select.call_args_list) if c])
             sims.append(sim)
+        assert inputs[0] == inputs[1]
         sparse, dense = sims
         assert isinstance(sparse.ues[0].traffic_rng, BufferedStream)
         assert isinstance(dense.ues[0].traffic_rng, np.random.Generator)
@@ -644,7 +735,7 @@ class TestScalarStreamReference:
             if not isinstance(sim, DenseSimulation):
                 assert tti < u.next_arrival_tti and not u.buffer.queue
                 woken.append(tti)
-            u.buffer.enqueue([300_000], tti, tti + 50)
+            sim.buffer(0).enqueue([300_000], tti, tti + 50)
 
         report = self.both(lambda cls: cls(sc, policy=Policy.PF, seed=5, collect_trace=trace),
                            enqueue)
@@ -654,12 +745,18 @@ class TestScalarStreamReference:
     def test_packet_enqueued_into_a_sleeping_ue_traced(self):
         self.test_packet_enqueued_into_a_sleeping_ue(trace=True)
 
-    @pytest.mark.parametrize("delay", [0, 2, 5])
-    def test_outside_bits_reach_q_as_in_the_dense_loop(self, monkeypatch, delay):
-        # Bits enqueued between steps raise the UE's q from the next TTI on;
-        # a sleeper they wake is caught up with the q it slept with. BCQQ
-        # reads q, and the scheduler sees the dense loop's q on every TTI.
-        sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=5e5),
+    @pytest.mark.parametrize("change, delay", [
+        *(pytest.param("enqueue", d, id=str(d)) for d in (0, 2, 5)),
+        *(pytest.param("drain", d, id=f"drain-{d}") for d in (3, 5, 11)),
+    ])
+    def test_outside_bits_reach_q_as_in_the_dense_loop(self, monkeypatch, change, delay):
+        # Bits enqueued or drained between steps through the door move the
+        # UE's q from the next TTI on; the TTIs a sleeper slept before the
+        # change keep the q of before it, and a UE drained empty sleeps on
+        # with its new q. BCQQ reads q, and the scheduler sees the dense
+        # loop's q on every TTI.
+        load = 5e7 if change == "drain" else 5e5
+        sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=load),
                             video_flow(2, load=4e6)],
                            duration=600, peak=1e9, walk=0.2, cqis=[4, 9, 12],
                            window_tti=100, qoe_feedback_delay_tti=delay)
@@ -672,12 +769,55 @@ class TestScalarStreamReference:
 
         def enqueue(sim, tti):
             if tti % 37 == 5:
-                sim.ues[0].buffer.enqueue([300_000], tti, tti + 50)
+                sim.buffer(0).enqueue([300_000], tti, tti + 50)
 
-        self.both(lambda cls: cls(sc, policy=Policy.BCQQ, seed=5), enqueue)
+        asleep = []
+
+        def drain(sim, tti):
+            # empty the fullest UE; one whose wake TTI lies ahead sleeps
+            if tti % 11 == 5:
+                u = max(sim.ues, key=lambda u: u.buffer.occupied_bits)
+                buf = sim.buffer(u.spec.ue_id)
+                buf.drain(buf.occupied_bits, tti)
+                if not isinstance(sim, DenseSimulation) and tti < u.next_arrival_tti:
+                    asleep.append(tti)
+
+        self.both(lambda cls: cls(sc, policy=Policy.BCQQ, seed=5),
+                  enqueue if change == "enqueue" else drain)
         assert len(seen[engine]) > 50
         assert seen[engine] == seen[dense_reference]
-        assert any(q > 1.0 for inputs in seen[engine] for ue, q in inputs if ue == 0)
+        if change == "enqueue":
+            assert any(q > 1.0 for inputs in seen[engine] for ue, q in inputs if ue == 0)
+        else:
+            assert len(asleep) >= 3
+
+
+class TestDifferentialFuzz:
+    """Random cells give the dense loop's report under the sparse engine,
+    alone and with outside changes through the door between steps."""
+
+    both = TestScalarStreamReference.both
+
+    @FUZZ
+    @given(**RUNS)
+    def test_plain_cells(self, cell, policy, trace, seed):
+        self.both(lambda cls: cls(cell, policy=policy, seed=seed, collect_trace=trace))
+
+    @FUZZ
+    @given(data=st.data(), **RUNS)
+    def test_outside_enqueues(self, data, cell, policy, trace, seed):
+        # batches up to twice the buffer, so some are tail-dropped whole
+        sizes = st.lists(st.integers(1, 2 * cell.buffersize_bits), min_size=1, max_size=4)
+        args = st.tuples(sizes, st.floats(0.0, 1.0, exclude_min=True))
+        between = data.draw(outside_changes(args, outside_enqueue))
+        self.both(lambda cls: cls(cell, policy=policy, seed=seed, collect_trace=trace), between)
+
+    @FUZZ
+    @given(data=st.data(), **RUNS)
+    def test_outside_drains(self, data, cell, policy, trace, seed):
+        args = st.tuples(st.just(1.0) | st.floats(0.0, 1.0))
+        between = data.draw(outside_changes(args, outside_drain))
+        self.both(lambda cls: cls(cell, policy=policy, seed=seed, collect_trace=trace), between)
 
 
 class TestMemory:
