@@ -8,7 +8,6 @@ from .buffering import Packet
 from .channel import ChannelParams, cqi_step, rate_of
 from .engine import AdjustmentParams, Scenario, SimReport, Simulation, run
 from .metrics import jfi, qoe_fi
-from .qoe import QoeState
 from .scenario import parse_scenario, scenario_to_dict
 from .scheduler import Policy, SchedDecision, UeSchedInput, select
 from .traffic import FlowSpec, TrafficClass, apply_adjustment
@@ -21,7 +20,6 @@ __all__ = [
     "FlowSpec",
     "Packet",
     "Policy",
-    "QoeState",
     "Scenario",
     "SchedDecision",
     "SimReport",

@@ -13,6 +13,11 @@ the batch once (a deadline after ``arrival_tti`` and not before the queue
 tail's, so ``expire`` pops from the head only, and every size at least 1,
 else ``ValueError``), tail-drops each packet whole, in order, and queues a
 ``Packet`` only for the packets that fit. It returns the bits accepted.
+
+The buffer also keeps its window marks, ``arrived_mark`` and
+``delivered_mark``: its totals when the metrics window opened. The window's
+volumes are the totals less the marks; ``metrics.q_of`` reads q off them and
+``metrics.MetricsWindow.close`` moves them.
 """
 from __future__ import annotations
 
@@ -42,6 +47,10 @@ class UeBuffer:
         self.dropped_deadline_bits = 0
         # delivery delay in TTIs -> packets completed with it
         self.delay_counts: dict[int, int] = {}
+        # arrived and delivered totals when the metrics window opened: the
+        # window's demand Y and delivered volume y are the totals less these
+        self.arrived_mark = 0
+        self.delivered_mark = 0
 
     def enqueue(self, sizes: list[int], arrival_tti: int, deadline_tti: int) -> int:
         """Queue one TTI's packets, tail-dropping each whole if it won't fit.

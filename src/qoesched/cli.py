@@ -45,6 +45,15 @@ def _parse_seeds(text: str) -> list[int]:
     return _distinct("seed", seeds)
 
 
+def _override(scenario: engine.Scenario, flag: str, **change) -> engine.Scenario:
+    """``scenario`` with a field set from ``--flag``: the Scenario invariants
+    check the value, and a refusal names the flag."""
+    try:
+        return dataclasses.replace(scenario, **change)
+    except ValueError as e:
+        raise ScenarioValidationError(f"{e} (from --{flag})") from None
+
+
 def cmd_run(args) -> int:
     try:
         text = Path(args.scenario).read_text()
@@ -53,18 +62,17 @@ def cmd_run(args) -> int:
         return EXIT_IO
     scenario = parse_scenario(text)
 
-    # the overrides and each seed go through the Scenario invariants
     if args.duration_ms is not None:
-        scenario = dataclasses.replace(scenario, duration_tti=args.duration_ms)
+        scenario = _override(scenario, "duration-ms", duration_tti=args.duration_ms)
     if args.window_ms is not None:
-        scenario = dataclasses.replace(scenario, window_tti=args.window_ms)
+        scenario = _override(scenario, "window-ms", window_tti=args.window_ms)
 
     policies = _parse_policies(args.policy) if args.policy else [scenario.policy]
     seeds = _parse_seeds(args.seed) if args.seed else [scenario.seed]
     if not policies or not seeds:
         raise ScenarioValidationError("need at least one policy and one seed")
 
-    seeded = [dataclasses.replace(scenario, seed=s) for s in seeds]
+    seeded = [_override(scenario, "seed", seed=s) for s in seeds]
     reports = [
         engine.run(sc, policy=p, collect_trace=args.trace)
         for p in policies

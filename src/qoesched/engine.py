@@ -38,10 +38,10 @@ lazily when the UE is next processed, at each window close and at the end of
 feedback pipe once per TTI, and one served-rate decay per TTI, multiplied
 out in order because ``decay**k`` is not the same float. ``synced_tti`` marks
 the first TTI not yet applied. A sleeper's q does not move, so the catch-up
-reads it live, and the window close, which moves q's marks, catches every UE
-up first. The trace, written after the step, catches each sleeper up through
-every TTI, so it changes no decision. Its drop columns are the changes in the
-buffer's drop totals since its last row.
+reads it live, and the window close, which moves the buffer marks q reads,
+catches every UE up first. The trace, written after the step, catches each
+sleeper up through every TTI, so it changes no decision. Its drop columns are
+the changes in the buffer's drop totals since its last row.
 
 Two invariants keep the skipping exact:
 
@@ -80,8 +80,7 @@ import numpy as np
 
 from .buffering import UeBuffer
 from .channel import ChannelParams, cqi_step, cqi_walk, rate_of
-from .metrics import MetricsWindow, WindowRecord, figures
-from .qoe import QoeState
+from .metrics import MetricsWindow, WindowRecord, figures, q_of
 from .scheduler import (
     AVG_RATE_FLOOR,
     EMA_DECAY,
@@ -166,7 +165,6 @@ class UeState:
     spec: FlowSpec
     buffer: UeBuffer
     cqi: int
-    qoe: QoeState
     traffic_rng: BufferedStream
     cqi_rng: BufferedStream
     # q feedback pipeline: index 0 is the value the scheduler sees now.
@@ -261,9 +259,8 @@ class Simulation:
         self.ues = [
             UeState(
                 spec=flow,
-                buffer=(buf := UeBuffer(scenario.buffersize_bits)),
+                buffer=UeBuffer(scenario.buffersize_bits),
                 cqi=cqi0,
-                qoe=QoeState(ue_id=flow.ue_id, buffer=buf, q_max=scenario.q_max),
                 traffic_rng=_substream(self.seed, flow.ue_id, _PURPOSE_TRAFFIC),
                 cqi_rng=_substream(self.seed, flow.ue_id, _PURPOSE_CQI),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
@@ -273,7 +270,7 @@ class Simulation:
         ]
         self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
 
-        self.window = MetricsWindow([u.qoe for u in self.ues])
+        self.window = MetricsWindow({u.spec.ue_id: u.buffer for u in self.ues})
         self.window_records: list[WindowRecord] = []
         self.adjustment_events: list[AdjustmentEvent] = []
         self.trace_rows: list[tuple] = []
@@ -288,6 +285,7 @@ class Simulation:
                              f"{sc.duration_tti - 1}, the next is {self._next_tti}")
         self._next_tti = tti + 1
         channel = sc.channel
+        q_max = sc.q_max
 
         # Steps 1-5 per due UE; only UEs with queued bits become inputs.
         due: list[UeState] = []
@@ -320,7 +318,7 @@ class Simulation:
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
-            pipe.append(u.qoe.q_of())
+            pipe.append(q_of(buf, q_max))
 
             # 5a. scheduling input, built positionally: keyword arguments
             # cost several times more per call
@@ -427,7 +425,7 @@ class Simulation:
         u.synced_tti = until
         u.cqi = cqi_walk(u.cqi, self.scenario.channel, u.cqi_rng.random(k))
         pipe = u.q_pipe
-        pipe.extend([u.qoe.q_of()] * min(k, pipe.maxlen))
+        pipe.extend([q_of(u.buffer, self.scenario.q_max)] * min(k, pipe.maxlen))
         # k decays, multiplied out in order: decay**k differs in the last
         # bits. The rate only falls, so it ends below the floor exactly when
         # the floored rate would have reached the floor, which it keeps.

@@ -1,4 +1,9 @@
-"""Fairness indices and the window close that reports them.
+"""BCQQ's multiplier q, the fairness indices and the window close.
+
+Within a metrics window each UE has a delivered volume y and a demand
+volume Y (the bits that arrived), each read off its ``UeBuffer`` as the
+total less the buffer's window mark. ``q_of`` is the one account of q, the
+unmet demand Y / y clamped to [1, q_max].
 
 Two fairness measures are reported per window:
 
@@ -9,15 +14,28 @@ Two fairness measures are reported per window:
   is kept unnormalized (each unordered pair counts twice).
 
 ``figures`` is the one account of these indices and of the throughput:
-a window close applies it to the UEs' ``QoeState`` window volumes y and Y
-(and resets them), and the run report to the buffers' run totals.
+a window close applies it to the window volumes y and Y (and moves the
+buffers' marks), and the run report to the buffers' run totals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qoe import QoeState
+from .buffering import UeBuffer
 from .scheduler import TTI_SECONDS
+
+
+def q_of(buf: UeBuffer, q_max: float) -> float:
+    """Scheduler multiplier: clamp(Y / max(y, 1), 1, q_max) over the window.
+
+    Spelled with comparisons, which return what ``min(max(raw, 1.0),
+    q_max)`` returns at a fraction of the cost of the two calls.
+    """
+    y = buf.delivered_bits - buf.delivered_mark
+    raw = (buf.arrived_bits - buf.arrived_mark) / (y if y > 1 else 1)
+    if raw < 1.0:
+        raw = 1.0
+    return q_max if q_max < raw else raw
 
 
 def jfi(xs: list[float]) -> float:
@@ -81,17 +99,17 @@ class WindowRecord:
 
 
 class MetricsWindow:
-    """Closes windows over the UEs' ``QoeState`` volume accounts."""
+    """Closes windows over the UEs' buffers, keyed by UE id."""
 
-    def __init__(self, qoes: list[QoeState]):
-        self.qoes = list(qoes)
+    def __init__(self, buffers: dict[int, UeBuffer]):
+        self.buffers = buffers
         self.start_tti = 0
         self.index = 0
 
     def close(self, end_tti: int) -> WindowRecord:
-        """Emit this window's record and reset the UEs' window volumes."""
-        ys = {q.ue_id: q.y_bits for q in self.qoes}
-        y_reqs = {q.ue_id: q.y_req_bits for q in self.qoes}
+        """Emit this window's record and move the buffers' window marks."""
+        ys = {ue: b.delivered_bits - b.delivered_mark for ue, b in self.buffers.items()}
+        y_reqs = {ue: b.arrived_bits - b.arrived_mark for ue, b in self.buffers.items()}
         tx, throughput, jfi_val, fi_val = figures(
             list(ys.values()), list(y_reqs.values()), max(end_tti - self.start_tti, 1))
         rec = WindowRecord(
@@ -105,8 +123,9 @@ class MetricsWindow:
             jfi=jfi_val,
             qoe_fi=fi_val,
         )
-        for q in self.qoes:
-            q.reset_window()
+        for b in self.buffers.values():
+            b.arrived_mark = b.arrived_bits
+            b.delivered_mark = b.delivered_bits
         self.start_tti = end_tti
         self.index += 1
         return rec

@@ -106,11 +106,45 @@ class CompareError(ValueError):
     pass
 
 
+# the keys ``compare`` reads from each run: the types it needs, and their name
+_REAL = ((int, float, type(None)), "a number or null")
+_RUN_KEYS = {"policy": ((str,), "a string"), "seed": ((int,), "an integer"),
+             "total_throughput_bps": ((int, float), "a number"), "jfi": _REAL, "qoe_fi": _REAL}
+
+
+def _non_finite(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _load_summary(path: Path) -> dict:
+    """One summary.json, with the keys ``compare`` reads checked: a malformed
+    file raises ``CompareError`` naming the path and the key."""
+    try:
+        summary = json.loads(path.read_text(), parse_constant=_non_finite)
+    except ValueError as e:
+        raise CompareError(f"{path}: not a strict JSON file: {e}") from None
+    if not isinstance(summary, dict):
+        raise CompareError(f"{path}: must be a JSON object")
+    if not isinstance(summary.get("scenario"), dict):
+        raise CompareError(f"{path}: key 'scenario' must be an object")
+    if not isinstance(summary.get("runs"), list):
+        raise CompareError(f"{path}: key 'runs' must be a list")
+    for i, run in enumerate(summary["runs"]):
+        if not isinstance(run, dict):
+            raise CompareError(f"{path}: runs[{i}] must be an object")
+        for key, (types, name) in _RUN_KEYS.items():
+            if key not in run:
+                raise CompareError(f"{path}: runs[{i}]: key '{key}' is missing")
+            if isinstance(run[key], bool) or not isinstance(run[key], types):
+                raise CompareError(f"{path}: runs[{i}]: key '{key}' must be {name}")
+    return summary
+
+
 def load_summaries(in_dir: str | Path) -> list[dict]:
     paths = sorted(Path(in_dir).glob("**/summary.json"))
     if not paths:
         raise CompareError(f"no summary.json found under {in_dir}")
-    return [json.loads(p.read_text()) for p in paths]
+    return [_load_summary(p) for p in paths]
 
 
 def compare(summaries: list[dict]) -> dict:

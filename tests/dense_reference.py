@@ -23,6 +23,7 @@ import numpy as np
 from qoesched import engine
 from qoesched.channel import cqi_step, rate_of
 from qoesched.engine import AdjustmentEvent, SimReport, Simulation
+from qoesched.metrics import q_of
 from qoesched.scheduler import (
     AVG_RATE_FLOOR,
     AVG_RATE_TC,
@@ -87,7 +88,7 @@ class DenseSimulation(Simulation):
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
-            pipe.append(u.qoe.q_of())
+            pipe.append(q_of(buf, sc.q_max))
 
             # 5a. scheduling input, built positionally: keyword arguments
             # cost several times more per call

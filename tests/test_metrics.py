@@ -4,8 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qoesched.buffering import UeBuffer
-from qoesched.metrics import MetricsWindow, jfi, qoe_fi
-from qoesched.qoe import QoeState
+from qoesched.metrics import MetricsWindow, jfi, q_of, qoe_fi
 
 
 def qoe_fi_index_loop(pairs):
@@ -21,14 +20,90 @@ def qoe_fi_index_loop(pairs):
 
 
 def window_over(n):
-    qoes = [QoeState(ue_id=u, buffer=UeBuffer(10**12)) for u in range(n)]
-    return MetricsWindow(qoes), qoes
+    bufs = {u: UeBuffer(10**12) for u in range(n)}
+    return MetricsWindow(bufs), bufs
 
 
-def feed(qoe, y_req, y):
+def feed(buf, y_req, y):
     """Put y_req bits through the UE's buffer and send y of them."""
-    qoe.buffer.enqueue([y_req], 0, 10**9)
-    qoe.buffer.drain(y, now_tti=1)
+    buf.enqueue([y_req], 0, 10**9)
+    buf.drain(y, now_tti=1)
+
+
+def filled(y_req=0, y=0):
+    """A fresh buffer that has taken y_req bits and sent y."""
+    buf = UeBuffer(10**12)
+    if y_req:
+        buf.enqueue([y_req], 0, 10**9)
+    buf.drain(y, now_tti=1)
+    return buf
+
+
+def volumes(buf):
+    """The window's (Y, y): the buffer's totals less its window marks."""
+    return buf.arrived_bits - buf.arrived_mark, buf.delivered_bits - buf.delivered_mark
+
+
+class TestRequirement:
+    def test_zero_arrivals_unchanged(self):
+        buf = filled()
+        buf.enqueue([], 0, 1)
+        assert volumes(buf) == (0, 0)
+
+    def test_additivity(self):
+        buf = filled()
+        buf.enqueue([1_000_000], 0, 10)
+        buf.enqueue([2_000_000], 1, 11)
+        assert volumes(buf)[0] == 3_000_000
+
+    def test_negative_rejected(self):
+        # the buffer refuses what would make a volume fall
+        buf = filled(500, 100)
+        with pytest.raises(ValueError):
+            buf.enqueue([-1], 2, 10**9)
+        with pytest.raises(ValueError):
+            buf.drain(-1, now_tti=2)
+        assert volumes(buf) == (500, 100)
+
+
+class TestQ:
+    def test_satisfied_user(self):
+        assert q_of(filled(10_000, 10_000), 100.0) == 1.0
+
+    def test_direct_ratio(self):
+        assert q_of(filled(4_000_000, 1_000_000), 100.0) == 4.0
+
+    def test_cap(self):
+        assert q_of(filled(1_000_000_000), 100.0) == 100.0
+
+    def test_idle_user_q_is_one(self):
+        assert q_of(filled(), 100.0) == 1.0
+
+    def test_monotonicity(self):
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            y_req = int(rng.integers(1, 10**9))
+            y = int(rng.integers(0, y_req + 1))
+            buf = filled(y_req, y)
+            q0 = q_of(buf, 100.0)
+            # more delivered bits never raise q
+            buf.drain(min(int(rng.integers(1, 10**6)), y_req - y), now_tti=2)
+            assert q_of(buf, 100.0) <= q0
+            # more demand never lowers q
+            q1 = q_of(buf, 100.0)
+            buf.enqueue([int(rng.integers(1, 10**6))], 2, 10**9)
+            assert q_of(buf, 100.0) >= q1
+
+    def test_window_reset(self):
+        buf = filled(500, 100)
+        MetricsWindow({0: buf}).close(10)
+        assert volumes(buf) == (0, 0)
+        assert q_of(buf, 100.0) == 1.0
+        # the next window counts from the buffer's totals at the close
+        buf.enqueue([50], 2, 10**9)
+        buf.drain(400, now_tti=3)
+        assert volumes(buf) == (50, 400)
+        assert (buf.arrived_bits, buf.delivered_bits) == (550, 500)
 
 
 class TestJfi:
@@ -114,17 +189,17 @@ class TestWindowClose:
         assert rec.qoe_fi is None
 
     def test_single_active_ue_qoefi_absent(self):
-        w, qoes = window_over(2)
-        feed(qoes[0], 1000, 500)
+        w, bufs = window_over(2)
+        feed(bufs[0], 1000, 500)
         rec = w.close(100)
         assert rec.qoe_fi is None
         assert rec.jfi is not None
 
     def test_synthetic_window_matches_hand_values(self):
-        w, qoes = window_over(3)
+        w, bufs = window_over(3)
         ys = {0: 4_000_000, 1: 2_000_000, 2: 1_000_000}
         for u, y in ys.items():
-            feed(qoes[u], 4_000_000, y)
+            feed(bufs[u], 4_000_000, y)
         rec = w.close(1000)
         # ratios {1.0, 0.5, 0.25} -> qoe_fi 3.0
         assert rec.qoe_fi == pytest.approx(3.0, abs=1e-12)
@@ -134,14 +209,14 @@ class TestWindowClose:
         assert rec.throughput_bps == pytest.approx(7_000_000 / 1.0)
 
     def test_reset_after_close(self):
-        w, qoes = window_over(1)
-        feed(qoes[0], 400, 100)
-        assert qoes[0].q_of() == 4.0
+        w, bufs = window_over(1)
+        feed(bufs[0], 400, 100)
+        assert q_of(bufs[0], 100.0) == 4.0
         first = w.close(10)
         assert first.per_ue_y_bits[0] == 100
         assert first.per_ue_y_req_bits[0] == 400
-        assert (qoes[0].y_bits, qoes[0].y_req_bits) == (0, 0)
-        assert qoes[0].q_of() == 1.0
+        assert volumes(bufs[0]) == (0, 0)
+        assert q_of(bufs[0], 100.0) == 1.0
         second = w.close(20)
         assert second.per_ue_y_bits[0] == 0
         assert second.start_tti == 10

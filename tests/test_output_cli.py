@@ -284,3 +284,30 @@ class TestCli:
         cli.main(["run", "--scenario", str(scenario), "--duration-ms", "50", "--out", str(out)])
         rc = cli.main(["compare", "--in", str(out)])
         assert rc == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text, key", [
+        pytest.param("[]", None, id="list"),
+        pytest.param('{"runs": []}', "'scenario'", id="no_scenario"),
+        pytest.param('{"scenario": {}, "runs": 3}', "'runs'", id="runs_int"),
+        pytest.param('{"scenario": {}, "runs": [7]}', "runs[0]", id="run_int"),
+        pytest.param('{"scenario": {}, "runs": [{}]}', "'policy'", id="no_policy"),
+        pytest.param('{"scenario": {}, "runs": [{"policy": "BCQQ", "seed": true}]}',
+                     "'seed'", id="seed_bool"),
+        pytest.param('{"scenario": {}, "runs": [{"policy": "PF", "seed": 1, '
+                     '"total_throughput_bps": "fast"}]}', "'total_throughput_bps'",
+                     id="throughput_str"),
+        pytest.param('{"scenario": {}, "runs": [{"policy": "PF", "seed": 1, '
+                     '"total_throughput_bps": 1.0, "jfi": NaN, "qoe_fi": null}]}', "NaN",
+                     id="jfi_nan"),
+        pytest.param('{"scenario": ', None, id="truncated"),
+    ])
+    def test_compare_malformed_summary(self, tmp_path, capsys, text, key):
+        path = tmp_path / "in" / "summary.json"
+        path.parent.mkdir()
+        path.write_text(text)
+        rc = cli.main(["compare", "--in", str(path.parent)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert key is None or key in err
+        assert not (path.parent / "comparison.json").exists()

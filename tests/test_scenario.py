@@ -399,6 +399,7 @@ class TestInvariants:
         assert rc == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert f"(from {flag})" in err
         assert not out.exists()
 
 
