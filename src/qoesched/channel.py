@@ -7,6 +7,7 @@ the configured peak.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class ChannelParams:
     initial_cqi_per_ue: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.peak_rate_bps <= 0:
-            raise ValueError("peak_rate_bps must be positive")
+        if not 0.0 < self.peak_rate_bps < math.inf:
+            raise ValueError("peak_rate_bps must be positive and finite")
         if not 0.0 <= self.walk_prob <= 1.0:
             raise ValueError("walk_prob must be in [0, 1]")
         for c in self.initial_cqi_per_ue:

@@ -47,13 +47,10 @@ Two invariants keep the skipping exact:
 
 * The traffic substream has been consumed for exactly the TTIs before the
   wake TTI, and ``arrivals`` is called on every processed TTI from the wake
-  TTI on. An ``arrivals`` call that returns no packets re-arms the wake
-  TTI: an FTP flow with ``lam < 10`` uses one double ``u <= exp(-lam)`` in
-  a TTI without arrivals, so ``BufferedStream.skip_zeros`` consumes those
-  doubles and stops before the next arrival's (capped at the end of the
-  run); a video flow draws nothing until its next frame TTI; an FTP flow
-  with ``lam >= 10`` stays due. A call that returns packets leaves the UE
-  due on the next TTI, so a flow with arrivals in most TTIs never scans.
+  TTI on. An ``arrivals`` call that returns no packets re-arms the wake TTI
+  with ``traffic.next_arrival_tti``, which consumes the draws of the TTIs it
+  skips. A call that returns packets leaves the UE due on the next TTI, so a
+  flow with arrivals in most TTIs never scans.
 * Loads never rise under service adjustment (``factor <= 1``). A lower
   ``lam`` raises ``exp(-lam)``, so TTIs skipped under the old load stay
   arrival-free, and an adjusted UE's scan resumes from its pending wake TTI
@@ -72,7 +69,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Any
 
@@ -95,7 +92,7 @@ from .scheduler import (
     select,
 )
 from .streams import BufferedStream
-from .traffic import FlowSpec, TrafficClass, apply_adjustment, arrivals, ftp_lam
+from .traffic import FlowSpec, apply_adjustment, arrivals, next_arrival_tti
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
 DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
@@ -150,8 +147,8 @@ class Scenario:
             raise ValueError("qoe_feedback_delay_tti must be >= 0")
         if self.window_tti is not None and self.window_tti < 1:
             raise ValueError("window_tti must be >= 1")
-        if not self.q_max >= 1.0:
-            raise ValueError(f"q_max must be >= 1, got {self.q_max}")
+        if not 1.0 <= self.q_max < math.inf:
+            raise ValueError(f"q_max must be >= 1 and finite, got {self.q_max}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         try:
@@ -162,7 +159,8 @@ class Scenario:
 
 @dataclass
 class UeState:
-    spec: FlowSpec
+    flow: FlowSpec  # as the scenario configured it
+    spec: FlowSpec  # the flow as adjusted so far
     buffer: UeBuffer
     cqi: int
     traffic_rng: BufferedStream
@@ -242,11 +240,10 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, policy: Policy | str | None = None,
                  seed: int | None = None, collect_trace: bool = False):
-        self.scenario = scenario
-        # a policy's name is taken too; an unknown one fails before the run
+        # a seed is checked as the scenario's; a policy's name is taken too,
+        # and an unknown one fails before the run
+        self.scenario = scenario if seed is None else replace(scenario, seed=seed)
         self.policy = Policy(policy if policy is not None else scenario.policy)
-        self.seed = seed if seed is not None else scenario.seed
-        self.collect_trace = collect_trace
 
         init_cqis = scenario.channel.initial_cqi_per_ue or tuple(
             DEFAULT_CQI_PATTERN[i % len(DEFAULT_CQI_PATTERN)]
@@ -258,11 +255,11 @@ class Simulation:
         delay = min(scenario.qoe_feedback_delay_tti, scenario.duration_tti)
         self.ues = [
             UeState(
-                spec=flow,
+                flow=flow, spec=flow,
                 buffer=UeBuffer(scenario.buffersize_bits),
                 cqi=cqi0,
-                traffic_rng=_substream(self.seed, flow.ue_id, _PURPOSE_TRAFFIC),
-                cqi_rng=_substream(self.seed, flow.ue_id, _PURPOSE_CQI),
+                traffic_rng=_substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC),
+                cqi_rng=_substream(self.scenario.seed, flow.ue_id, _PURPOSE_CQI),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
                 qos_weight=qos_weight(flow.alpha, flow.beta_ms / TTIS_PER_SECOND),
             )
@@ -271,9 +268,8 @@ class Simulation:
         self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
 
         self.window = MetricsWindow({u.spec.ue_id: u.buffer for u in self.ues})
-        self.window_records: list[WindowRecord] = []
         self.adjustment_events: list[AdjustmentEvent] = []
-        self.trace_rows: list[tuple] = []
+        self.trace_rows: list[tuple] | None = [] if collect_trace else None
         self._next_tti = 0
 
     def step(self, tti: int) -> SchedDecision:
@@ -305,7 +301,8 @@ class Simulation:
             if tti >= u.next_arrival_tti:
                 sizes = arrivals(spec, tti, u.traffic_rng)
                 if not sizes:
-                    u.next_arrival_tti = self._wake_tti(u, tti + 1)
+                    u.next_arrival_tti = next_arrival_tti(spec, tti + 1, u.traffic_rng,
+                                                          sc.duration_tti)
                 else:
                     buf.enqueue(sizes, tti, tti + spec.beta_ms)
 
@@ -363,7 +360,7 @@ class Simulation:
         if sc.adjustment.enabled:
             self._adjustment_check(tti, due)
 
-        if self.collect_trace:
+        if self.trace_rows is not None:
             self._trace(tti, inputs, decision, winner, tx)
 
         if sc.window_tti is not None and (tti + 1 - self.window.start_tti) >= sc.window_tti:
@@ -407,18 +404,6 @@ class Simulation:
             self._catch_up(u, self._next_tti)
         return u.buffer
 
-    def _wake_tti(self, u: UeState, tti: int) -> int:
-        """First TTI from ``tti`` on whose arrivals are not known to be empty.
-
-        The traffic stream is consumed for the TTIs skipped, so it stands at
-        the wake TTI's draw.
-        """
-        spec = u.spec
-        if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
-            return tti + u.traffic_rng.skip_zeros(ftp_lam(spec), self.scenario.duration_tti - tti)
-        interval = spec.frame_interval_ms
-        return -(-tti // interval) * interval
-
     def _catch_up(self, u: UeState, until: int) -> None:
         """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept, at its q now."""
         k = until - u.synced_tti
@@ -448,11 +433,12 @@ class Simulation:
             if u.last_adjust_tti is not None and tti - u.last_adjust_tti < adj.starvation_tti:
                 continue
             old_load = u.spec.offered_load_bps
-            u.spec = apply_adjustment(u.spec, adj.factor)
+            u.spec = apply_adjustment(u.spec, adj.factor, u.flow.offered_load_bps)
             u.last_adjust_tti = tti
             # The load did not rise, so the TTIs already skipped stay
             # arrival-free; scan on from the pending wake TTI with the new lam.
-            u.next_arrival_tti = self._wake_tti(u, max(u.next_arrival_tti, tti + 1))
+            u.next_arrival_tti = next_arrival_tti(u.spec, max(u.next_arrival_tti, tti + 1),
+                                                  u.traffic_rng, self.scenario.duration_tti)
             self.adjustment_events.append(
                 AdjustmentEvent(
                     tti=tti,
@@ -469,7 +455,7 @@ class Simulation:
         for u in self.ues:
             if end_tti > u.synced_tti:
                 self._catch_up(u, end_tti)
-        self.window_records.append(self.window.close(end_tti))
+        self.window.close(end_tti)
 
     def run(self) -> SimReport:
         # The last window closes at the end of the run, in the last step or
@@ -508,7 +494,7 @@ class Simulation:
             [r.delivered_bits for r in per_ue], arrived, self.scenario.duration_tti)
         return SimReport(
             policy=self.policy.value,
-            seed=self.seed,
+            seed=self.scenario.seed,
             duration_tti=self.scenario.duration_tti,
             per_ue=per_ue,
             total_arrived_bits=sum(arrived),
@@ -516,9 +502,9 @@ class Simulation:
             total_throughput_bps=throughput,
             jfi=jfi_val,
             qoe_fi=fi_val,
-            windows=self.window_records,
+            windows=self.window.records,
             adjustment_events=self.adjustment_events,
-            trace_rows=self.trace_rows if self.collect_trace else None,
+            trace_rows=self.trace_rows,
         )
 
 

@@ -99,21 +99,21 @@ class WindowRecord:
 
 
 class MetricsWindow:
-    """Closes windows over the UEs' buffers, keyed by UE id."""
+    """Closes windows over the UEs' buffers, keyed by UE id, and keeps their records."""
 
     def __init__(self, buffers: dict[int, UeBuffer]):
         self.buffers = buffers
         self.start_tti = 0
-        self.index = 0
+        self.records: list[WindowRecord] = []
 
     def close(self, end_tti: int) -> WindowRecord:
-        """Emit this window's record and move the buffers' window marks."""
+        """Record this window, return its record and move the buffers' window marks."""
         ys = {ue: b.delivered_bits - b.delivered_mark for ue, b in self.buffers.items()}
         y_reqs = {ue: b.arrived_bits - b.arrived_mark for ue, b in self.buffers.items()}
         tx, throughput, jfi_val, fi_val = figures(
             list(ys.values()), list(y_reqs.values()), max(end_tti - self.start_tti, 1))
         rec = WindowRecord(
-            index=self.index,
+            index=len(self.records),
             start_tti=self.start_tti,
             end_tti=end_tti,
             tx_bits=tx,
@@ -127,5 +127,5 @@ class MetricsWindow:
             b.arrived_mark = b.arrived_bits
             b.delivered_mark = b.delivered_bits
         self.start_tti = end_tti
-        self.index += 1
+        self.records.append(rec)
         return rec

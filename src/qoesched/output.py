@@ -56,7 +56,8 @@ def _round_reals(obj: Any) -> Any:
 
 
 def _dump_json(obj: Any, path: Path) -> None:
-    path.write_text(json.dumps(_round_reals(obj), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_round_reals(obj), indent=2, sort_keys=True, allow_nan=False)
+                    + "\n")
 
 
 def run_to_dict(report: SimReport) -> dict:

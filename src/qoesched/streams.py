@@ -53,13 +53,12 @@ class BufferedStream:
     are pending.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos", "_end", "_direct", "_lam", "_exp_neg_lam")
+    __slots__ = ("_gen", "_buf", "_pos", "_direct", "_lam", "_exp_neg_lam")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
         self._buf: list[float] = []
-        self._pos = 0
-        self._end = 0
+        self._pos = BLOCK       # nothing pending: the first draw refills
         self._direct = False    # serving from the generator, buffer empty
         self._lam = None
         self._exp_neg_lam = 0.0
@@ -67,12 +66,11 @@ class BufferedStream:
     def _refill(self) -> None:
         self._buf = self._gen.random(BLOCK).tolist()
         self._pos = 0
-        self._end = BLOCK
 
     def random(self, size: int | None = None):
         pos = self._pos
         if size is None:
-            if pos < self._end:
+            if pos < BLOCK:
                 self._pos = pos + 1
                 return self._buf[pos]
             if self._direct:
@@ -84,10 +82,10 @@ class BufferedStream:
             return self._gen.random(size).tolist()
         out: list[float] = []
         while len(out) < size:
-            if pos == self._end:
+            if pos == BLOCK:
                 self._refill()
                 pos = 0
-            take = min(size - len(out), self._end - pos)
+            take = min(size - len(out), BLOCK - pos)
             out += self._buf[pos:pos + take]
             pos += take
         self._pos = pos
@@ -115,12 +113,12 @@ class BufferedStream:
         pos = self._pos
         n = 0
         while n < max_k:
-            if pos == self._end:
+            if pos == BLOCK:
                 self._refill()
                 pos = 0
             stop = pos + max_k - n
-            if stop > self._end:
-                stop = self._end
+            if stop > BLOCK:
+                stop = BLOCK
             run = self._buf[pos:stop]
             # max() settles a run of zeros in one C loop; the run with the
             # first non-zero is walked to find it.
@@ -141,7 +139,7 @@ class BufferedStream:
         if not 0.0 < lam < _MULT_LAM_MAX:
             if lam == 0.0:
                 return 0
-            if self._pos < self._end:
+            if self._pos < BLOCK:
                 raise ValueError(
                     f"poisson({lam}) after buffered draws: a stream's lam may fall "
                     "below 10 but not rise back to 10 or leave [0, 10)")
@@ -152,13 +150,13 @@ class BufferedStream:
             self._lam = lam
             self._exp_neg_lam = math.exp(-lam)
         limit = self._exp_neg_lam
-        buf, pos, end = self._buf, self._pos, self._end
+        buf, pos = self._buf, self._pos
         n = 0
         prod = 1.0
         while True:
-            if pos == end:
+            if pos == BLOCK:
                 self._refill()
-                buf, pos, end = self._buf, 0, BLOCK
+                buf, pos = self._buf, 0
             prod *= buf[pos]
             pos += 1
             if prod <= limit:

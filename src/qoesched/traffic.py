@@ -1,4 +1,4 @@
-"""Packet arrival generators for FTP-download and live-HD-video flows.
+"""Arrivals, wake TTIs and load adjustment of FTP-download and live-HD-video flows.
 
 Two traffic classes are supported:
 
@@ -21,9 +21,10 @@ from enum import Enum
 import numpy as np
 
 from .scheduler import TTIS_PER_SECOND
+from .streams import BufferedStream
 
 # Source-rate adaptation never reduces a flow below this fraction of its
-# original offered load, so adjusted flows stay alive.
+# configured offered load, so adjusted flows stay alive.
 MIN_LOAD_FRACTION = 0.1
 
 
@@ -49,7 +50,6 @@ class FlowSpec:
     mean_packet_bits: int | None = None      # FTP only
     max_packet_bits: int | None = None       # video only
     frame_interval_ms: int = 16              # video only, ~60 fps default
-    original_load_bps: float | None = None   # set on first adjustment
 
     def __post_init__(self):
         if self.ue_id < 0:
@@ -58,8 +58,8 @@ class FlowSpec:
             raise ValueError("alpha must be in (0, 1)")
         if self.beta_ms < 1:
             raise ValueError("beta_ms must be >= 1")
-        if self.offered_load_bps <= 0:
-            raise ValueError("offered_load_bps must be positive")
+        if not 0.0 < self.offered_load_bps < math.inf:
+            raise ValueError("offered_load_bps must be positive and finite")
         if self.traffic_class is TrafficClass.FTP_DOWNLOAD:
             if not self.mean_packet_bits or self.mean_packet_bits <= 0:
                 raise ValueError("mean_packet_bits must be > 0 for ftp_download flows")
@@ -68,8 +68,6 @@ class FlowSpec:
                 raise ValueError("max_packet_bits must be > 0 for live_hd_video flows")
             if self.frame_interval_ms < 1:
                 raise ValueError("frame_interval_ms must be >= 1")
-        if self.original_load_bps is None:
-            object.__setattr__(self, "original_load_bps", self.offered_load_bps)
 
 
 def exp_bits(us: list[float], mean_bits: float) -> list[int]:
@@ -113,16 +111,26 @@ def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
     return video_arrivals(spec, tti, rng)
 
 
-def apply_adjustment(spec: FlowSpec, factor: float) -> FlowSpec:
+def next_arrival_tti(spec: FlowSpec, tti: int, rng: BufferedStream, end_tti: int) -> int:
+    """First TTI from ``tti`` on whose arrivals are not known to be empty, with
+    ``rng`` consumed for the TTIs skipped: FTP at ``lam < 10`` draws one double
+    ``u <= exp(-lam)`` per empty TTI (``rng.skip_zeros``, up to ``end_tti``),
+    FTP at ``lam >= 10`` skips none, video draws nothing until its next frame."""
+    if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
+        return tti + rng.skip_zeros(ftp_lam(spec), end_tti - tti)
+    return -(-tti // spec.frame_interval_ms) * spec.frame_interval_ms
+
+
+def apply_adjustment(spec: FlowSpec, factor: float, configured_load_bps: float) -> FlowSpec:
     """Scale an adaptive flow's offered load down by ``factor``.
 
-    The load is floored at MIN_LOAD_FRACTION of the flow's original load.
-    Non-adaptive flows are returned unchanged.
+    The load is floored at MIN_LOAD_FRACTION of ``configured_load_bps``, the
+    scenario's own load for the flow. Non-adaptive flows are returned unchanged.
     """
     if not 0.0 < factor <= 1.0:
         raise ValueError("adjustment factor must be in (0, 1]")
     if not spec.adaptive:
         return spec
-    floor = MIN_LOAD_FRACTION * spec.original_load_bps
+    floor = MIN_LOAD_FRACTION * configured_load_bps
     new_load = max(spec.offered_load_bps * factor, floor)
     return replace(spec, offered_load_bps=new_load)

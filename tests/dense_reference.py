@@ -54,14 +54,15 @@ class DenseSimulation(Simulation):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        seed = self.scenario.seed
         for u in self.ues:
-            u.traffic_rng = scalar_substream(self.seed, u.spec.ue_id, engine._PURPOSE_TRAFFIC)
-            u.cqi_rng = scalar_substream(self.seed, u.spec.ue_id, engine._PURPOSE_CQI)
+            u.traffic_rng = scalar_substream(seed, u.spec.ue_id, engine._PURPOSE_TRAFFIC)
+            u.cqi_rng = scalar_substream(seed, u.spec.ue_id, engine._PURPOSE_CQI)
 
     def step(self, tti: int) -> SchedDecision:
         sc = self.scenario
         channel = sc.channel
-        collect = self.collect_trace
+        collect = self.trace_rows is not None
 
         # Steps 1-5 per UE. Only UEs with queued bits become scheduling
         # inputs, unless the trace needs a row for every UE; an empty UE's
@@ -172,7 +173,7 @@ class DenseSimulation(Simulation):
             if u.last_adjust_tti is not None and tti - u.last_adjust_tti < adj.starvation_tti:
                 continue
             old_load = u.spec.offered_load_bps
-            u.spec = apply_adjustment(u.spec, adj.factor)
+            u.spec = apply_adjustment(u.spec, adj.factor, u.flow.offered_load_bps)
             u.last_adjust_tti = tti
             self.adjustment_events.append(
                 AdjustmentEvent(
@@ -186,7 +187,7 @@ class DenseSimulation(Simulation):
             )
 
     def _close_window(self, end_tti: int) -> None:
-        self.window_records.append(self.window.close(end_tti))
+        self.window.close(end_tti)
 
     def run(self) -> SimReport:
         for tti in range(self.scenario.duration_tti):

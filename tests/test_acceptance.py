@@ -328,5 +328,5 @@ def test_c10_adjustment_reduces_overflow_and_replays():
         last_event[ev.ue_id] = ev.tti
         flow = next(f for f in adj.flows if f.ue_id == ev.ue_id)
         expected = max(ev.old_load_bps * params.factor,
-                       0.1 * flow.original_load_bps)
+                       0.1 * flow.offered_load_bps)
         assert ev.new_load_bps == pytest.approx(expected, rel=1e-12)

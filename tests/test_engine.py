@@ -159,6 +159,11 @@ class TestRun:
             assert r.total_delivered_bits > 0
             assert r.jfi is not None
 
+    @pytest.mark.parametrize("entry", [run, Simulation])
+    def test_seed_override_checked_as_the_scenarios(self, entry):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            entry(make_scenario([ftp_flow(0)]), seed=-1)
+
     def test_policy_given_by_name(self):
         sc = make_scenario([ftp_flow(0), video_flow(1)], duration=200, walk=0.2, cqis=[9, 12])
         assert run(sc, policy="PF", seed=1) == run(sc, policy=Policy.PF, seed=1)
@@ -240,8 +245,8 @@ class TestRun:
                 assert sim.buffer(0).enqueue([60_000, 70_000], tti, tti + 500) == 60_000
             sim.step(tti)
         buf = sim.ues[0].buffer
-        assert [w.per_ue_y_req_bits[0] for w in sim.window_records] == [0, 130_000, 0]
-        assert sum(w.per_ue_y_bits[0] for w in sim.window_records) == buf.delivered_bits > 0
+        assert [w.per_ue_y_req_bits[0] for w in sim.window.records] == [0, 130_000, 0]
+        assert sum(w.per_ue_y_bits[0] for w in sim.window.records) == buf.delivered_bits > 0
 
 
 class TestFeedbackDelay:
@@ -316,6 +321,15 @@ class TestAdjustment:
         r = run(sc, seed=1)
         assert r.adjustment_events == []
 
+    def test_rescaled_flow_floors_at_a_tenth_of_its_own_load(self):
+        # a flow rescaled with dataclasses.replace floors at a tenth of the
+        # load it now has, not of the load it was built with
+        sc = self.overload_scenario(True)
+        flows = [sc.flows[0], dataclasses.replace(sc.flows[1], offered_load_bps=6e9)]
+        events = run(dataclasses.replace(sc, flows=flows), seed=1).adjustment_events
+        loads = [e.new_load_bps for e in events if e.ue_id == 1]
+        assert min(loads) == loads[-1] == 0.1 * 6e9
+
     def test_adjustment_reduces_overflow(self):
         on = run(self.overload_scenario(True), seed=7)
         off = run(self.overload_scenario(False), seed=7)
@@ -341,6 +355,18 @@ class TestScenarioValidation:
         object.__setattr__(sc.channel, "initial_cqi_per_ue", (9,))
         with pytest.raises(ValueError):
             Simulation(sc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("peak_rate_bps", math.nan), ("peak_rate_bps", math.inf),
+        ("offered_load_bps", math.nan), ("offered_load_bps", math.inf), ("q_max", math.inf),
+    ])
+    def test_non_finite_values_rejected(self, key, value):
+        # each used to be taken and to fail in the run or reach summary.json
+        build = {"peak_rate_bps": lambda: ChannelParams(peak_rate_bps=value),
+                 "offered_load_bps": lambda: ftp_flow(0, load=value),
+                 "q_max": lambda: make_scenario([ftp_flow(0)], q_max=value)}[key]
+        with pytest.raises(ValueError, match=f"^{key} must be (positive|>= 1)"):
+            build()
 
     @pytest.mark.parametrize("build", [
         lambda: make_scenario([ftp_flow(0)]),
@@ -703,16 +729,16 @@ class TestScalarStreamReference:
                                         starvation_tti=20, factor=0.5),
         )
         rearms = []
-        wake_tti = Simulation._wake_tti
+        wake_tti = engine.next_arrival_tti
 
-        def record(sim, u, tti):
-            wake = wake_tti(sim, u, tti)
+        def record(spec, tti, rng, end_tti):
+            wake = wake_tti(spec, tti, rng, end_tti)
             caller = sys._getframe(1)
             if caller.f_code.co_name == "_adjustment_check":
                 rearms.append((caller.f_locals["tti"], tti, wake))
             return wake
 
-        monkeypatch.setattr(Simulation, "_wake_tti", record)
+        monkeypatch.setattr(engine, "next_arrival_tti", record)
         report = self.both(lambda cls: cls(sc, seed=10))
         events = [e for e in report.adjustment_events if e.ue_id == 1]
         assert len(events) == len(rearms) >= 3

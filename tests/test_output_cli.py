@@ -56,6 +56,14 @@ class TestEmit:
             json.dumps(output._round_reals(scenario_to_dict(sc)))
         )
 
+    def test_non_finite_annotation_is_refused(self, tmp_path):
+        # put in after construction, past Scenario's check; strict JSON has no NaN
+        sc = small_scenario(duration=5)
+        sc.annotations["gain"] = float("nan")
+        with pytest.raises(ValueError, match="JSON"):
+            output.emit([run(sc)], sc, tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
     def test_byte_identical_reemission(self, tmp_path):
         sc = small_scenario()
         for d in ("a", "b"):

@@ -187,24 +187,24 @@ class TestReproducibility:
 class TestAdjustment:
     def test_identity_factor(self):
         spec = ftp_spec(adaptive=True)
-        assert apply_adjustment(spec, 1.0) == spec
+        assert apply_adjustment(spec, 1.0, spec.offered_load_bps) == spec
 
     def test_direct_scaling(self):
         spec = ftp_spec(adaptive=True, offered_load_bps=1e9)
-        assert apply_adjustment(spec, 0.5).offered_load_bps == 5e8
+        assert apply_adjustment(spec, 0.5, 1e9).offered_load_bps == 5e8
 
     def test_floor_at_ten_percent(self):
         spec = ftp_spec(adaptive=True, offered_load_bps=1e9)
         for _ in range(11):
-            spec = apply_adjustment(spec, 0.5)
+            spec = apply_adjustment(spec, 0.5, 1e9)
         assert spec.offered_load_bps == 1e8
 
     def test_non_adaptive_unchanged(self):
         spec = ftp_spec(adaptive=False, offered_load_bps=1e9)
-        assert apply_adjustment(spec, 0.5) == spec
+        assert apply_adjustment(spec, 0.5, 1e9) == spec
 
     def test_bad_factor_rejected(self):
         spec = ftp_spec(adaptive=True)
         for f in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                apply_adjustment(spec, f)
+                apply_adjustment(spec, f, spec.offered_load_bps)
