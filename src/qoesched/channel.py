@@ -35,6 +35,8 @@ class ChannelParams:
         if not 0.0 <= self.walk_prob <= 1.0:
             raise ValueError("walk_prob must be in [0, 1]")
         for c in self.initial_cqi_per_ue:
+            if type(c) is not int:
+                raise ValueError(f"initial_cqi_per_ue must be an integer, got {c!r}")
             if not CQI_MIN <= c <= CQI_MAX:
                 raise ValueError(f"initial_cqi_per_ue entry {c} outside [{CQI_MIN}, {CQI_MAX}]")
 

@@ -92,44 +92,34 @@ from .scheduler import (
     select,
 )
 from .streams import BufferedStream
-from .traffic import FlowSpec, apply_adjustment, arrivals, next_arrival_tti
+from .traffic import FlowSpec, apply_adjustment, arrivals, check_integers, next_arrival_tti
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
 DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
 
 
 @dataclass(frozen=True)
-class AdjustmentParams:
-    enabled: bool = False
-    occupancy_threshold: float = 0.8
-    starvation_tti: int = 100
-    factor: float = 0.75
-
-    def __post_init__(self):
-        if not 0.0 < self.occupancy_threshold < 1.0:
-            raise ValueError("occupancy_threshold must be in (0, 1)")
-        if self.starvation_tti < 1:
-            raise ValueError("starvation_tti must be >= 1")
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class Scenario:
-    name: str
     duration_tti: int
     flows: list[FlowSpec]
     channel: ChannelParams
     buffersize_bits: int
+    name: str = "scenario"
     policy: Policy = Policy.BCQQ
     seed: int = 0
     qoe_feedback_delay_tti: int = 0
     q_max: float = 100.0
     window_tti: int | None = None  # None = one window spanning the full run
-    adjustment: AdjustmentParams = field(default_factory=AdjustmentParams)
+    # the service adjustment of step 8, read by _adjustment_check
+    adjustment_enabled: bool = False
+    occupancy_threshold: float = 0.8
+    starvation_tti: int = 100
+    adjustment_factor: float = 0.75
     annotations: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_integers(self, ("duration_tti", "buffersize_bits", "seed", "qoe_feedback_delay_tti",
+                              "starvation_tti"), ("window_tti",))
         if self.duration_tti < 1:
             raise ValueError("duration_tti must be >= 1")
         if not self.flows:
@@ -151,10 +141,18 @@ class Scenario:
             raise ValueError(f"q_max must be >= 1 and finite, got {self.q_max}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.occupancy_threshold < 1.0:
+            raise ValueError("occupancy_threshold must be in (0, 1)")
+        if self.starvation_tti < 1:
+            raise ValueError("starvation_tti must be >= 1")
+        if not 0.0 < self.adjustment_factor <= 1.0:
+            raise ValueError("adjustment_factor must be in (0, 1]")
         try:
             json.dumps(self.annotations, allow_nan=False)
         except ValueError:  # summary.json repeats them and is strict JSON
             raise ValueError("annotations must hold only finite numbers") from None
+        except TypeError as e:
+            raise ValueError(f"annotations must hold only JSON values: {e}") from None
 
 
 @dataclass
@@ -357,7 +355,7 @@ class Simulation:
             u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
         # 8. adjustment trigger
-        if sc.adjustment.enabled:
+        if sc.adjustment_enabled:
             self._adjustment_check(tti, due)
 
         if self.trace_rows is not None:
@@ -375,7 +373,7 @@ class Simulation:
         UE's last row: a drop between steps shows in the next row."""
         channel = self.scenario.channel
         pfn = PRIORITY_FN[self.policy]
-        input_of = {i.ue_id: i for i in inputs}
+        priority_of = {i.ue_id: pfn(i) for i in inputs}
         for u in self.ues:
             if u.synced_tti <= tti:
                 self._catch_up(u, tti + 1)
@@ -385,15 +383,10 @@ class Simulation:
             u.traced_deadline_bits = buf.dropped_deadline_bits
             u.traced_overflow_bits = buf.dropped_overflow_bits
             ue_id = u.spec.ue_id
-            i = input_of.get(ue_id)
-            if i is None:
-                rate, q, priority = rate_of(u.cqi, channel), u.q_pipe[0], 0.0
-            else:
-                rate, q, priority = i.rate_bps, i.q, pfn(i)
             self.trace_rows.append((  # output.TRACE_COLUMNS
-                tti, ue_id, u.cqi, rate, buf.occupied_bits, q, priority,
-                1 if decision.selected_ue == ue_id else None, tx if u is winner else 0,
-                deadline, overflow,
+                tti, ue_id, u.cqi, rate_of(u.cqi, channel), buf.occupied_bits, u.q_pipe[0],
+                priority_of.get(ue_id, 0.0), 1 if decision.selected_ue == ue_id else None,
+                tx if u is winner else 0, deadline, overflow,
             ))
 
     def buffer(self, ue_id: int) -> UeBuffer:
@@ -422,23 +415,23 @@ class Simulation:
     def _adjustment_check(self, tti: int, due: list[UeState]) -> None:
         # A UE that slept this TTI has no queued bits, so its occupancy is at
         # or below any threshold in (0, 1): only due UEs can trigger.
-        adj = self.scenario.adjustment
+        sc = self.scenario
         for u in due:
             if not u.spec.adaptive:
                 continue
-            ratio = u.buffer.occupied_bits / self.scenario.buffersize_bits
+            ratio = u.buffer.occupied_bits / sc.buffersize_bits
             starved = tti - u.last_served_tti
-            if ratio <= adj.occupancy_threshold or starved < adj.starvation_tti:
+            if ratio <= sc.occupancy_threshold or starved < sc.starvation_tti:
                 continue
-            if u.last_adjust_tti is not None and tti - u.last_adjust_tti < adj.starvation_tti:
+            if u.last_adjust_tti is not None and tti - u.last_adjust_tti < sc.starvation_tti:
                 continue
             old_load = u.spec.offered_load_bps
-            u.spec = apply_adjustment(u.spec, adj.factor, u.flow.offered_load_bps)
+            u.spec = apply_adjustment(u.spec, sc.adjustment_factor, u.flow.offered_load_bps)
             u.last_adjust_tti = tti
             # The load did not rise, so the TTIs already skipped stay
             # arrival-free; scan on from the pending wake TTI with the new lam.
             u.next_arrival_tti = next_arrival_tti(u.spec, max(u.next_arrival_tti, tti + 1),
-                                                  u.traffic_rng, self.scenario.duration_tti)
+                                                  u.traffic_rng, sc.duration_tti)
             self.adjustment_events.append(
                 AdjustmentEvent(
                     tti=tti,

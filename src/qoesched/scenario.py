@@ -1,19 +1,20 @@
 """Scenario (de)serialization: strict JSON with named-key diagnostics.
 
-One table, ``SCHEMA``, drives ``parse_scenario`` and ``scenario_to_dict``. The
-parser checks only types; each range invariant lives in one dataclass's
-``__post_init__``, whose message starts with the field name and is reported
-as ``<section>: key '<json key>' ...``.
+``SCHEMA`` spells the JSON of ``parse_scenario`` and ``scenario_to_dict``; each
+setting and its default live on a dataclass field. The parser checks only types;
+each range invariant lives in one ``__post_init__``, whose message starts with
+the field name and is reported as ``<section>: key '<json key>' ...``.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from enum import Enum
 from sys import float_info
 from typing import Any, NamedTuple
 
 from .channel import ChannelParams
-from .engine import AdjustmentParams, Scenario
+from .engine import Scenario
 from .scheduler import Policy
 from .traffic import FlowSpec, TrafficClass
 
@@ -26,18 +27,15 @@ class ScenarioValidationError(ValueError):
     """The scenario JSON violates an invariant; message names the key."""
 
 
-REQUIRED = object()
 INTS = "list of int"
 
 
 class Key(NamedTuple):
-    """A JSON key. kind: int, float, bool, str, dict (an object), list, INTS or
-    an enum. default: a JSON value, REQUIRED, or None to allow null. field: the
-    dataclass field, where it differs. classes: those a flow key applies to."""
+    """A JSON key of ``kind`` (int, float, bool, str, dict, list, INTS or an enum), its
+    dataclass ``field`` where that differs, and the ``classes`` a flow key applies to."""
 
     name: str
     kind: Any
-    default: Any = REQUIRED
     field: str | None = None
     classes: tuple[TrafficClass, ...] | None = None
 
@@ -45,48 +43,52 @@ class Key(NamedTuple):
 # channel, qoe, adjustment and flows are sections; a flow's class precedes class-only keys
 SCHEMA: dict[str, tuple[Key, ...]] = {
     "scenario": (
-        Key("name", str, "scenario"),
+        Key("name", str),
         Key("duration_tti", int),
-        Key("seed", int, 0),
-        Key("policy", Policy, "BCQQ"),
+        Key("seed", int),
+        Key("policy", Policy),
         Key("buffersize_bits", int),
-        Key("window_tti", int, None),
+        Key("window_tti", int),
         Key("channel", dict),
-        Key("qoe", dict, {}),
-        Key("adjustment", dict, {}),
-        Key("annotations", dict, {}),
+        Key("qoe", dict),
+        Key("adjustment", dict),
+        Key("annotations", dict),
         Key("flows", list),
     ),
     "channel": (
         Key("peak_rate_bps", float),
-        Key("walk_prob", float, 0.1),
-        Key("initial_cqi", INTS, [], "initial_cqi_per_ue"),
+        Key("walk_prob", float),
+        Key("initial_cqi", INTS, "initial_cqi_per_ue"),
     ),
     "qoe": (
-        Key("q_max", float, 100.0),
-        Key("feedback_delay_tti", int, 0, "qoe_feedback_delay_tti"),
+        Key("q_max", float),
+        Key("feedback_delay_tti", int, "qoe_feedback_delay_tti"),
     ),
     "adjustment": (
-        Key("enabled", bool, False),
-        Key("occupancy_threshold", float, 0.8),
-        Key("starvation_tti", int, 100),
-        Key("factor", float, 0.75),
+        Key("enabled", bool, "adjustment_enabled"),
+        Key("occupancy_threshold", float),
+        Key("starvation_tti", int),
+        Key("factor", float, "adjustment_factor"),
     ),
     "flows": (
         Key("ue_id", int),
-        Key("class", TrafficClass, field="traffic_class"),
+        Key("class", TrafficClass, "traffic_class"),
         Key("alpha", float),
         Key("beta_ms", int),
         Key("offered_load_bps", float),
-        Key("adaptive", bool, False),
-        Key("mean_packet_bits", int, None, classes=(TrafficClass.FTP_DOWNLOAD,)),
-        Key("max_packet_bits", int, None, classes=(TrafficClass.LIVE_HD_VIDEO,)),
-        Key("frame_interval_ms", int, 16, classes=(TrafficClass.LIVE_HD_VIDEO,)),
+        Key("adaptive", bool),
+        Key("mean_packet_bits", int, classes=(TrafficClass.FTP_DOWNLOAD,)),
+        Key("max_packet_bits", int, classes=(TrafficClass.LIVE_HD_VIDEO,)),
+        Key("frame_interval_ms", int, classes=(TrafficClass.LIVE_HD_VIDEO,)),
     ),
 }
 _NAMES = {section: {k.name for k in keys} for section, keys in SCHEMA.items()}
 # dataclass field -> (section, JSON key); no field name is in two sections
 _KEY_OF_FIELD = {k.field or k.name: (s, k.name) for s, keys in SCHEMA.items() for k in keys}
+# dataclass field -> its default, factory or MISSING: a key left out takes its default,
+# is required if it has none and is no section, and may be null where it is None
+_DEFAULT = {f.name: f.default_factory if f.default is dataclasses.MISSING else f.default
+            for cls in (Scenario, ChannelParams, FlowSpec) for f in dataclasses.fields(cls)}
 # the Python type of a JSON value -> how a message names it
 _SHAPES = {bool: "true or false", str: "a string", dict: "an object", list: "a list"}
 
@@ -102,10 +104,10 @@ def _integer(v, key: str, ctx: str) -> int:
     raise _error(ctx, key, f"must be an integer, got {v!r}")
 
 
-def _value(v, k: Key, ctx: str):
+def _value(v, k: Key, ctx: str, default: Any):
     """``v`` checked against ``k.kind`` and converted to the field's type."""
     kind = k.kind
-    if v is None and k.default is None:
+    if v is None and default is None:
         return None
     if kind is int or kind is float:
         if type(v) is not int and type(v) is not float:  # bool is no number here
@@ -128,7 +130,7 @@ def _value(v, k: Key, ctx: str):
 
 
 def _read(d: Any, section: str, ctx: str | None = None) -> dict:
-    """The fields of one section of the JSON, type-checked, defaults filled in."""
+    """The fields of the keys one section of the JSON gives, type-checked."""
     ctx = ctx or section
     if not isinstance(d, dict):
         raise ScenarioValidationError(f"{ctx}: must be an object")
@@ -137,12 +139,14 @@ def _read(d: Any, section: str, ctx: str | None = None) -> dict:
         raise ScenarioValidationError(f"{ctx}: unknown key(s) {sorted(unknown)}")
     fields = {}
     for k in SCHEMA[section]:
-        name, _, default, field, classes = k
-        if name not in d and default is REQUIRED:
+        name, _, field, classes = k
+        default = _DEFAULT.get(field or name, {})
+        if name in d:
+            fields[field or name] = _value(d[name], k, ctx, default)
+            if classes and fields["traffic_class"] not in classes:
+                raise _error(ctx, name, f"does not apply to {fields['traffic_class'].value} flows")
+        elif default is dataclasses.MISSING:
             raise ScenarioValidationError(f"{ctx}: missing key '{name}'")
-        fields[field or name] = _value(d.get(name, default), k, ctx)
-        if classes and name in d and fields["traffic_class"] not in classes:
-            raise _error(ctx, name, f"does not apply to {fields['traffic_class'].value} flows")
     return fields
 
 
@@ -163,8 +167,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioSyntaxError(f"scenario is not valid JSON: {e}") from None
     fields = _read(raw, "scenario")
     fields["channel"] = _build(ChannelParams, _read(fields["channel"], "channel"))
-    fields.update(_read(fields.pop("qoe"), "qoe"))
-    fields["adjustment"] = _build(AdjustmentParams, _read(fields["adjustment"], "adjustment"))
+    fields.update(_read(fields.pop("qoe", {}), "qoe"))
+    fields.update(_read(fields.pop("adjustment", {}), "adjustment"))
     flows = fields["flows"]
     for i, d in enumerate(flows):
         flows[i] = _build(FlowSpec, _read(d, "flows", f"flows[{i}]"), f"flows[{i}]")
@@ -190,10 +194,10 @@ def scenario_to_dict(sc: Scenario) -> dict:
     d = _dump(sc, "scenario")
     d["channel"] = _dump(sc.channel, "channel")
     d["qoe"] = _dump(sc, "qoe")
-    d["adjustment"] = _dump(sc.adjustment, "adjustment")
+    d["adjustment"] = _dump(sc, "adjustment")
     d["flows"] = [_dump(f, "flows") for f in sc.flows]
     return d
 
 
 def dump_scenario(sc: Scenario) -> str:
-    return json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True, allow_nan=False) + "\n"

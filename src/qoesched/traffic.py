@@ -33,6 +33,15 @@ class TrafficClass(str, Enum):
     LIVE_HD_VIDEO = "live_hd_video"
 
 
+def check_integers(obj, names: tuple[str, ...], nullable: tuple[str, ...] = ()) -> None:
+    """Raise unless each field of ``obj`` in ``names`` holds an int, a bool not
+    included, and each in ``nullable`` an int or None, as parsed JSON does."""
+    for name in names + nullable:
+        v = getattr(obj, name)
+        if type(v) is not int and (v is not None or name in names):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """A UE's traffic class plus QoS targets and generator parameters.
@@ -52,6 +61,8 @@ class FlowSpec:
     frame_interval_ms: int = 16              # video only, ~60 fps default
 
     def __post_init__(self):
+        check_integers(self, ("ue_id", "beta_ms", "frame_interval_ms"),
+                       ("mean_packet_bits", "max_packet_bits"))
         if self.ue_id < 0:
             raise ValueError(f"ue_id must be >= 0, got {self.ue_id}")
         if not 0.0 < self.alpha < 1.0:

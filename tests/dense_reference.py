@@ -125,7 +125,7 @@ class DenseSimulation(Simulation):
             u.avg_rate_bps = update_avg_rate(u.avg_rate_bps, tx if u is winner else 0)
 
         # 8. adjustment trigger
-        if sc.adjustment.enabled:
+        if sc.adjustment_enabled:
             self._adjustment_check(tti)
 
         if collect:
@@ -162,18 +162,18 @@ class DenseSimulation(Simulation):
         return self._ue_by_id[ue_id].buffer
 
     def _adjustment_check(self, tti: int) -> None:
-        adj = self.scenario.adjustment
+        sc = self.scenario
         for u in self.ues:
             if not u.spec.adaptive:
                 continue
-            ratio = u.buffer.occupied_bits / self.scenario.buffersize_bits
+            ratio = u.buffer.occupied_bits / sc.buffersize_bits
             starved = tti - u.last_served_tti
-            if ratio <= adj.occupancy_threshold or starved < adj.starvation_tti:
+            if ratio <= sc.occupancy_threshold or starved < sc.starvation_tti:
                 continue
-            if u.last_adjust_tti is not None and tti - u.last_adjust_tti < adj.starvation_tti:
+            if u.last_adjust_tti is not None and tti - u.last_adjust_tti < sc.starvation_tti:
                 continue
             old_load = u.spec.offered_load_bps
-            u.spec = apply_adjustment(u.spec, adj.factor, u.flow.offered_load_bps)
+            u.spec = apply_adjustment(u.spec, sc.adjustment_factor, u.flow.offered_load_bps)
             u.last_adjust_tti = tti
             self.adjustment_events.append(
                 AdjustmentEvent(

@@ -19,7 +19,7 @@ import pytest
 
 import qoesched.engine as engine_mod
 from qoesched.channel import ChannelParams
-from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
+from qoesched.engine import Scenario, Simulation, run
 from qoesched.metrics import jfi, qoe_fi
 from qoesched.output import emit
 from qoesched.scenario import parse_scenario
@@ -284,8 +284,10 @@ def _adjustment_scenario(enabled: bool) -> Scenario:
         policy=Policy.BCQQ,
         seed=10,
         q_max=1.0,
-        adjustment=AdjustmentParams(enabled=enabled, occupancy_threshold=0.8,
-                                    starvation_tti=100, factor=0.75),
+        adjustment_enabled=enabled,
+        occupancy_threshold=0.8,
+        starvation_tti=100,
+        adjustment_factor=0.75,
     )
 
 
@@ -314,19 +316,18 @@ def test_c10_adjustment_reduces_overflow_and_replays():
             selected_ttis.setdefault(ue, []).append(tti)
 
     last_event: dict[int, int] = {}
-    params = adj.adjustment
     for ev in r_adj.adjustment_events:
         occ = buffer_at[(ev.tti, ev.ue_id)] / adj.buffersize_bits
-        assert occ > params.occupancy_threshold
+        assert occ > adj.occupancy_threshold
         assert ev.occupancy_ratio == pytest.approx(occ, rel=1e-12)
         served = [t for t in selected_ttis.get(ev.ue_id, []) if t <= ev.tti]
         starved = ev.tti - served[-1] if served else ev.tti + 1
-        assert starved >= params.starvation_tti
+        assert starved >= adj.starvation_tti
         assert ev.starved_tti == starved
         if ev.ue_id in last_event:
-            assert ev.tti - last_event[ev.ue_id] >= params.starvation_tti
+            assert ev.tti - last_event[ev.ue_id] >= adj.starvation_tti
         last_event[ev.ue_id] = ev.tti
         flow = next(f for f in adj.flows if f.ue_id == ev.ue_id)
-        expected = max(ev.old_load_bps * params.factor,
+        expected = max(ev.old_load_bps * adj.adjustment_factor,
                        0.1 * flow.offered_load_bps)
         assert ev.new_load_bps == pytest.approx(expected, rel=1e-12)

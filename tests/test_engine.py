@@ -14,7 +14,7 @@ import dense_reference
 from dense_reference import DenseSimulation, update_avg_rate
 from qoesched import engine
 from qoesched.channel import ChannelParams
-from qoesched.engine import AdjustmentParams, Scenario, Simulation, run
+from qoesched.engine import Scenario, Simulation, run
 from qoesched.scenario import parse_scenario
 from qoesched.scheduler import TTIS_PER_SECOND, Policy
 from qoesched.streams import BLOCK, BufferedStream
@@ -285,9 +285,8 @@ class TestAdjustment:
             walk=0.0,
             cqis=[15, 1],
             q_max=1.0,
-            adjustment=AdjustmentParams(
-                enabled=enabled, occupancy_threshold=0.8, starvation_tti=100, factor=0.75
-            ),
+            adjustment_enabled=enabled, occupancy_threshold=0.8, starvation_tti=100,
+            adjustment_factor=0.75,
         )
 
     def test_events_fire_and_respect_trigger_rule(self):
@@ -316,7 +315,7 @@ class TestAdjustment:
             peak=1e8,
             walk=0.0,
             cqis=[15],
-            adjustment=AdjustmentParams(enabled=True),
+            adjustment_enabled=True,
         )
         r = run(sc, seed=1)
         assert r.adjustment_events == []
@@ -370,9 +369,8 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("build", [
         lambda: make_scenario([ftp_flow(0)]),
-        lambda: AdjustmentParams(),
         lambda: ChannelParams(peak_rate_bps=6e9),
-    ], ids=["Scenario", "AdjustmentParams", "ChannelParams"])
+    ], ids=["Scenario", "ChannelParams"])
     def test_fields_cannot_be_assigned(self, build):
         # an assignment would skip the __post_init__ invariants
         obj = build()
@@ -443,12 +441,10 @@ def fuzz_cells(draw):
         qoe_feedback_delay_tti=draw(st.integers(0, 12)),
         q_max=draw(st.floats(1.0, 200.0)),
         window_tti=draw(st.none() | st.integers(1, 150)),
-        adjustment=AdjustmentParams(
-            enabled=draw(st.booleans()),
-            occupancy_threshold=draw(st.floats(0.05, 0.95)),
-            starvation_tti=draw(st.integers(1, 200)),
-            factor=draw(st.floats(0.05, 1.0)),
-        ),
+        adjustment_enabled=draw(st.booleans()),
+        occupancy_threshold=draw(st.floats(0.05, 0.95)),
+        starvation_tti=draw(st.integers(1, 200)),
+        adjustment_factor=draw(st.floats(0.05, 1.0)),
     )
 
 
@@ -660,8 +656,8 @@ class TestScalarStreamReference:
             [ftp_flow(0, load=2e8, mean=20_000, beta=100_000, adaptive=True),
              ftp_flow(1, load=1.5e7, mean=1_000, beta=100_000, adaptive=True)],
             duration=1500, peak=1e8, cqis=[15, 1], buffersize_bits=500_000, q_max=1.0,
-            adjustment=AdjustmentParams(enabled=True, occupancy_threshold=0.8,
-                                        starvation_tti=20, factor=0.75),
+            adjustment_enabled=True, occupancy_threshold=0.8, starvation_tti=20,
+            adjustment_factor=0.75,
         )
         for trace in (True, False):
             report = self.both(lambda cls: cls(sc, seed=10, collect_trace=trace))
@@ -725,8 +721,8 @@ class TestScalarStreamReference:
             [ftp_flow(0, load=2e8, mean=20_000, beta=100_000),
              ftp_flow(1, load=1.6e7, mean=400_000, beta=100_000, adaptive=True)],
             duration=1500, peak=1e8, cqis=[15, 1], buffersize_bits=500_000, q_max=1.0,
-            adjustment=AdjustmentParams(enabled=True, occupancy_threshold=0.5,
-                                        starvation_tti=20, factor=0.5),
+            adjustment_enabled=True, occupancy_threshold=0.5, starvation_tti=20,
+            adjustment_factor=0.5,
         )
         rearms = []
         wake_tti = engine.next_arrival_tti

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import io
 import json
+import math
 import re
 import tempfile
 from importlib import resources
@@ -14,9 +15,8 @@ from hypothesis import strategies as st
 
 from qoesched import cli
 from qoesched.channel import ChannelParams
-from qoesched.engine import AdjustmentParams, Scenario
+from qoesched.engine import Scenario
 from qoesched.scenario import (
-    REQUIRED,
     SCHEMA,
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -206,7 +206,7 @@ class TestTypes:
         raw["flows"][0]["adaptive"] = True
         raw["adjustment"]["enabled"] = True
         sc = parse_scenario(json.dumps(raw))
-        assert sc.flows[0].adaptive is True and sc.adjustment.enabled is True
+        assert sc.flows[0].adaptive is True and sc.adjustment_enabled is True
 
 
 class TestRoundTrip:
@@ -224,6 +224,52 @@ class TestRoundTrip:
                  for f in sc.flows]
         rescaled = dataclasses.replace(sc, flows=flows)
         assert parse_scenario(dump_scenario(rescaled)) == rescaled
+
+
+class TestBuiltInPython:
+    """A scenario built or changed in Python gets no JSON type check, so its
+    dataclasses check what the parser would have refused."""
+
+    # Each value used to be taken: the first three then failed in the run with
+    # a bare TypeError, buffersize_bits=inf failed only in emit, and the rest
+    # ran and wrote their output.
+    @pytest.mark.parametrize("where, field, value", [
+        ("scenario", "qoe_feedback_delay_tti", 1.5),
+        ("scenario", "duration_tti", 20.5),
+        ("channel", "initial_cqi_per_ue", (13.0, 11, 9, 11, 13)),
+        ("scenario", "buffersize_bits", math.inf),
+        ("scenario", "window_tti", 2.5),
+        ("scenario", "seed", 1.5),
+        (0, "beta_ms", 2.5),
+        (3, "frame_interval_ms", 16.5),
+        ("scenario", "starvation_tti", 1.5),
+        (0, "ue_id", True),
+    ])
+    def test_integer_field_rejects_a_non_integer(self, where, field, value):
+        sc = parse_scenario(table1_text())
+        obj = {"scenario": sc, "channel": sc.channel}.get(where) or sc.flows[where]
+        bad = value[0] if isinstance(value, tuple) else value
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {bad!r}$"):
+            dataclasses.replace(obj, **{field: value})
+
+    def test_nullable_integer_fields_take_none(self):
+        sc = parse_scenario(table1_text())
+        assert dataclasses.replace(sc, window_tti=None).window_tti is None
+        assert dataclasses.replace(sc.flows[0], max_packet_bits=None).max_packet_bits is None
+
+    def test_non_json_annotation_names_the_field(self):
+        # used to raise a bare TypeError from json.dumps
+        sc = parse_scenario(table1_text())
+        with pytest.raises(ValueError, match="^annotations must hold only JSON values"):
+            dataclasses.replace(sc, annotations={"tags": {1, 2}})
+
+    def test_dump_is_strict_json(self):
+        # a NaN put into the annotations after construction used to be
+        # dumped as the literal NaN
+        sc = parse_scenario(table1_text())
+        sc.annotations["x"] = math.nan
+        with pytest.raises(ValueError, match="Out of range float"):
+            dump_scenario(sc)
 
 
 # --- one account per key: the table, the invariants and their messages ------
@@ -349,45 +395,32 @@ class TestInvariants:
     def test_every_dataclass_field_has_one_json_key(self):
         fields = [k.field or k.name for keys in SCHEMA.values() for k in keys]
         assert len(fields) == len(set(fields))
-        classes = (Scenario, ChannelParams, AdjustmentParams, FlowSpec)
+        classes = (Scenario, ChannelParams, FlowSpec)
         expected = {f.name for cls in classes for f in dataclasses.fields(cls)}
-        # qoe is a section with no dataclass
-        assert set(fields) - {"qoe"} == expected
+        # qoe and adjustment are sections with no dataclass field
+        assert set(fields) - {"qoe", "adjustment"} == expected
 
-    def test_json_defaults_equal_the_dataclass_defaults(self):
-        # SCHEMA writes each default a second time: a key left out must parse
-        # to its dataclass field's own default, a qoe key to Scenario's
+    def test_required_keys_alone_parse_to_the_dataclass_defaults(self):
+        # a key left out takes its dataclass field's default: the JSON of the
+        # required keys parses to the Scenario built in Python from them
+        common = {"alpha": 0.1, "beta_ms": 5, "offered_load_bps": 1e5}
         minimal = {
             "duration_tti": 10, "buffersize_bits": 1_000, "channel": {"peak_rate_bps": 1e6},
             "flows": [
-                {"ue_id": 0, "class": "ftp_download", "alpha": 0.1, "beta_ms": 5,
-                 "offered_load_bps": 1e5, "mean_packet_bits": 100},
-                {"ue_id": 1, "class": "live_hd_video", "alpha": 0.1, "beta_ms": 5,
-                 "offered_load_bps": 1e5, "max_packet_bits": 100},
+                {"ue_id": 0, "class": "ftp_download", "mean_packet_bits": 100, **common},
+                {"ue_id": 1, "class": "live_hd_video", "max_packet_bits": 100, **common},
             ],
         }
-        sc = parse_scenario(json.dumps(minimal))
-        parsed = {"scenario": [(sc, minimal)], "qoe": [(sc, {})],
-                  "channel": [(sc.channel, minimal["channel"])],
-                  "adjustment": [(sc.adjustment, {})],
-                  "flows": list(zip(sc.flows, minimal["flows"]))}
-        checked, json_only = set(), set()
-        for section, keys in SCHEMA.items():
-            # qoe is a section with no dataclass field
-            for k in (k for k in keys if k.default is not REQUIRED and k.name != "qoe"):
-                for obj, given in parsed[section]:
-                    if k.name in given:
-                        continue
-                    f = {f.name: f for f in dataclasses.fields(obj)}[k.field or k.name]
-                    if f.default is not dataclasses.MISSING:
-                        assert getattr(obj, f.name) == f.default, (section, k.name)
-                    elif f.default_factory is not dataclasses.MISSING:
-                        assert getattr(obj, f.name) == f.default_factory(), (section, k.name)
-                    else:
-                        json_only.add(k.name)
-                    checked.add(k.name)
-        assert json_only == {"name"}
-        assert len(checked) == 18
+        built = Scenario(
+            duration_tti=10, buffersize_bits=1_000, channel=ChannelParams(peak_rate_bps=1e6),
+            flows=[
+                FlowSpec(ue_id=0, traffic_class=TrafficClass.FTP_DOWNLOAD,
+                         mean_packet_bits=100, **common),
+                FlowSpec(ue_id=1, traffic_class=TrafficClass.LIVE_HD_VIDEO,
+                         max_packet_bits=100, **common),
+            ],
+        )
+        assert parse_scenario(json.dumps(minimal)) == built
 
     def test_dump_writes_only_the_keys_of_each_class(self):
         flows = scenario_to_dict(parse_scenario(table1_text()))["flows"]
@@ -549,12 +582,10 @@ def scenarios(draw):
         qoe_feedback_delay_tti=draw(st.integers(0, 1000)),
         q_max=draw(st.floats(1.0, 1e300)),
         window_tti=draw(st.none() | st.integers(1, 10 ** 6)),
-        adjustment=AdjustmentParams(
-            enabled=draw(st.booleans()),
-            occupancy_threshold=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-            starvation_tti=draw(st.integers(1, 10 ** 6)),
-            factor=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        ),
+        adjustment_enabled=draw(st.booleans()),
+        occupancy_threshold=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        starvation_tti=draw(st.integers(1, 10 ** 6)),
+        adjustment_factor=draw(st.floats(0.0, 1.0, exclude_min=True)),
         annotations=draw(st.dictionaries(st.text(max_size=5), json_values, max_size=3)),
     )
 
