@@ -5,7 +5,7 @@ fair, and round-robin baselines, with Jain's fairness index and a
 QoE-oriented fairness index computed over configurable windows.
 """
 from .buffering import Packet
-from .channel import ChannelParams, cqi_step, rate_of
+from .channel import cqi_step, rate_of
 from .engine import Scenario, SimReport, Simulation, run
 from .metrics import jfi, qoe_fi
 from .scenario import parse_scenario, scenario_to_dict
@@ -15,7 +15,6 @@ from .traffic import FlowSpec, TrafficClass, apply_adjustment
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParams",
     "FlowSpec",
     "Packet",
     "Policy",

@@ -17,7 +17,8 @@ Per-TTI event order is fixed:
   1. generate arrivals and enqueue them in one call: the TTI's packet sizes
      share its arrival TTI and the deadline ``tti + beta_ms``
   2. expire past-deadline packets from the queue head
-  3. step CQI
+  3. step CQI by the scenario's ``walk_prob``; a rate is ``rate_of`` the CQI
+     and its ``peak_rate_bps``
   4. read q off the buffer and feed it back (honoring the feedback delay)
   5. compute priorities and select one UE
   6. drain the winner with budget rate * TTI
@@ -76,7 +77,7 @@ from typing import Any
 import numpy as np
 
 from .buffering import UeBuffer
-from .channel import ChannelParams, cqi_step, cqi_walk, rate_of
+from .channel import CQI_MAX, CQI_MIN, cqi_step, cqi_walk, rate_of
 from .metrics import MetricsWindow, WindowRecord, figures, q_of
 from .scheduler import (
     AVG_RATE_FLOOR,
@@ -92,7 +93,7 @@ from .scheduler import (
     select,
 )
 from .streams import BufferedStream
-from .traffic import FlowSpec, apply_adjustment, arrivals, check_integers, next_arrival_tti
+from .traffic import FlowSpec, apply_adjustment, arrivals, check_types, next_arrival_tti
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
 DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
@@ -101,12 +102,15 @@ DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
 @dataclass(frozen=True)
 class Scenario:
     duration_tti: int
-    flows: list[FlowSpec]
-    channel: ChannelParams
+    flows: tuple[FlowSpec, ...]
     buffersize_bits: int
+    peak_rate_bps: float
     name: str = "scenario"
     policy: Policy = Policy.BCQQ
     seed: int = 0
+    # the CQI walk of step 3; no initial CQIs means DEFAULT_CQI_PATTERN
+    walk_prob: float = 0.1
+    initial_cqi_per_ue: tuple[int, ...] = ()
     qoe_feedback_delay_tti: int = 0
     q_max: float = 100.0
     window_tti: int | None = None  # None = one window spanning the full run
@@ -118,8 +122,7 @@ class Scenario:
     annotations: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        check_integers(self, ("duration_tti", "buffersize_bits", "seed", "qoe_feedback_delay_tti",
-                              "starvation_tti"), ("window_tti",))
+        check_types(self)
         if self.duration_tti < 1:
             raise ValueError("duration_tti must be >= 1")
         if not self.flows:
@@ -127,7 +130,16 @@ class Scenario:
         ids = [f.ue_id for f in self.flows]
         if len(set(ids)) != len(ids):
             raise ValueError("flows must have distinct ue_ids")
-        n_cqis = len(self.channel.initial_cqi_per_ue)
+        if not 0.0 < self.peak_rate_bps < math.inf:
+            raise ValueError("peak_rate_bps must be positive and finite")
+        if not 0.0 <= self.walk_prob <= 1.0:
+            raise ValueError("walk_prob must be in [0, 1]")
+        for c in self.initial_cqi_per_ue:
+            if type(c) is not int:
+                raise ValueError(f"initial_cqi_per_ue must be an integer, got {c!r}")
+            if not CQI_MIN <= c <= CQI_MAX:
+                raise ValueError(f"initial_cqi_per_ue entry {c} outside [{CQI_MIN}, {CQI_MAX}]")
+        n_cqis = len(self.initial_cqi_per_ue)
         if n_cqis and n_cqis != len(self.flows):
             raise ValueError(f"initial_cqi_per_ue must give one CQI per flow, "
                              f"got {n_cqis} for {len(self.flows)} flows")
@@ -147,12 +159,17 @@ class Scenario:
             raise ValueError("starvation_tti must be >= 1")
         if not 0.0 < self.adjustment_factor <= 1.0:
             raise ValueError("adjustment_factor must be in (0, 1]")
+        # summary.json repeats the annotations, so they must be strict JSON
+        # that reads back as themselves: string keys, lists and no NaN
         try:
-            json.dumps(self.annotations, allow_nan=False)
-        except ValueError:  # summary.json repeats them and is strict JSON
+            back = json.loads(json.dumps(self.annotations, allow_nan=False))
+        except ValueError:
             raise ValueError("annotations must hold only finite numbers") from None
         except TypeError as e:
             raise ValueError(f"annotations must hold only JSON values: {e}") from None
+        if back != self.annotations:
+            raise ValueError(f"annotations must hold only JSON values: "
+                             f"{self.annotations!r} reads back as {back!r}")
 
 
 @dataclass
@@ -243,7 +260,7 @@ class Simulation:
         self.scenario = scenario if seed is None else replace(scenario, seed=seed)
         self.policy = Policy(policy if policy is not None else scenario.policy)
 
-        init_cqis = scenario.channel.initial_cqi_per_ue or tuple(
+        init_cqis = scenario.initial_cqi_per_ue or tuple(
             DEFAULT_CQI_PATTERN[i % len(DEFAULT_CQI_PATTERN)]
             for i in range(len(scenario.flows))
         )
@@ -278,7 +295,8 @@ class Simulation:
             raise ValueError(f"step({tti}): TTIs run in order from 0 to "
                              f"{sc.duration_tti - 1}, the next is {self._next_tti}")
         self._next_tti = tti + 1
-        channel = sc.channel
+        walk_prob = sc.walk_prob
+        peak = sc.peak_rate_bps
         q_max = sc.q_max
 
         # Steps 1-5 per due UE; only UEs with queued bits become inputs.
@@ -309,7 +327,7 @@ class Simulation:
                 buf.expire(tti)
 
             # 3. channel
-            cqi = u.cqi = cqi_step(u.cqi, channel, u.cqi_rng)
+            cqi = u.cqi = cqi_step(u.cqi, walk_prob, u.cqi_rng)
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
@@ -325,7 +343,7 @@ class Simulation:
                         sc.buffersize_bits,                       # buffersize_bits
                         u.qos_weight,                             # qos_weight
                         pipe[0],                                  # q
-                        rate_of(cqi, channel),                    # rate_bps
+                        rate_of(cqi, peak),                       # rate_bps
                         buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
                         u.avg_rate_bps,                           # avg_rate_bps
                         u.last_served_tti,                        # last_served_tti
@@ -371,7 +389,7 @@ class Simulation:
 
         Drop columns are the changes in the buffer's drop totals since the
         UE's last row: a drop between steps shows in the next row."""
-        channel = self.scenario.channel
+        peak = self.scenario.peak_rate_bps
         pfn = PRIORITY_FN[self.policy]
         priority_of = {i.ue_id: pfn(i) for i in inputs}
         for u in self.ues:
@@ -384,7 +402,7 @@ class Simulation:
             u.traced_overflow_bits = buf.dropped_overflow_bits
             ue_id = u.spec.ue_id
             self.trace_rows.append((  # output.TRACE_COLUMNS
-                tti, ue_id, u.cqi, rate_of(u.cqi, channel), buf.occupied_bits, u.q_pipe[0],
+                tti, ue_id, u.cqi, rate_of(u.cqi, peak), buf.occupied_bits, u.q_pipe[0],
                 priority_of.get(ue_id, 0.0), 1 if decision.selected_ue == ue_id else None,
                 tx if u is winner else 0, deadline, overflow,
             ))
@@ -401,7 +419,7 @@ class Simulation:
         """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept, at its q now."""
         k = until - u.synced_tti
         u.synced_tti = until
-        u.cqi = cqi_walk(u.cqi, self.scenario.channel, u.cqi_rng.random(k))
+        u.cqi = cqi_walk(u.cqi, self.scenario.walk_prob, u.cqi_rng.random(k))
         pipe = u.q_pipe
         pipe.extend([q_of(u.buffer, self.scenario.q_max)] * min(k, pipe.maxlen))
         # k decays, multiplied out in order: decay**k differs in the last

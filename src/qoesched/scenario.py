@@ -1,7 +1,9 @@
 """Scenario (de)serialization: strict JSON with named-key diagnostics.
 
 ``SCHEMA`` spells the JSON of ``parse_scenario`` and ``scenario_to_dict``; each
-setting and its default live on a dataclass field. The parser checks only types;
+setting and its default live on a field of ``Scenario`` or ``FlowSpec``. The
+``channel``, ``qoe`` and ``adjustment`` sections fill ``Scenario``'s own fields,
+and each flow is a ``FlowSpec``. The parser checks only types;
 each range invariant lives in one ``__post_init__``, whose message starts with
 the field name and is reported as ``<section>: key '<json key>' ...``.
 """
@@ -13,7 +15,6 @@ from enum import Enum
 from sys import float_info
 from typing import Any, NamedTuple
 
-from .channel import ChannelParams
 from .engine import Scenario
 from .scheduler import Policy
 from .traffic import FlowSpec, TrafficClass
@@ -82,13 +83,15 @@ SCHEMA: dict[str, tuple[Key, ...]] = {
         Key("frame_interval_ms", int, classes=(TrafficClass.LIVE_HD_VIDEO,)),
     ),
 }
+# the sections whose keys are Scenario fields
+_SECTIONS = ("channel", "qoe", "adjustment")
 _NAMES = {section: {k.name for k in keys} for section, keys in SCHEMA.items()}
 # dataclass field -> (section, JSON key); no field name is in two sections
 _KEY_OF_FIELD = {k.field or k.name: (s, k.name) for s, keys in SCHEMA.items() for k in keys}
 # dataclass field -> its default, factory or MISSING: a key left out takes its default,
 # is required if it has none and is no section, and may be null where it is None
 _DEFAULT = {f.name: f.default_factory if f.default is dataclasses.MISSING else f.default
-            for cls in (Scenario, ChannelParams, FlowSpec) for f in dataclasses.fields(cls)}
+            for cls in (Scenario, FlowSpec) for f in dataclasses.fields(cls)}
 # the Python type of a JSON value -> how a message names it
 _SHAPES = {bool: "true or false", str: "a string", dict: "an object", list: "a list"}
 
@@ -166,12 +169,10 @@ def parse_scenario(text: str) -> Scenario:
     except (ValueError, RecursionError) as e:  # also: too many digits, too deep
         raise ScenarioSyntaxError(f"scenario is not valid JSON: {e}") from None
     fields = _read(raw, "scenario")
-    fields["channel"] = _build(ChannelParams, _read(fields["channel"], "channel"))
-    fields.update(_read(fields.pop("qoe", {}), "qoe"))
-    fields.update(_read(fields.pop("adjustment", {}), "adjustment"))
-    flows = fields["flows"]
-    for i, d in enumerate(flows):
-        flows[i] = _build(FlowSpec, _read(d, "flows", f"flows[{i}]"), f"flows[{i}]")
+    for section in _SECTIONS:
+        fields.update(_read(fields.pop(section, {}), section))
+    fields["flows"] = tuple(_build(FlowSpec, _read(d, "flows", f"flows[{i}]"), f"flows[{i}]")
+                            for i, d in enumerate(fields["flows"]))
     return _build(Scenario, fields)
 
 
@@ -192,9 +193,8 @@ def _dump(obj: Any, section: str) -> dict:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     d = _dump(sc, "scenario")
-    d["channel"] = _dump(sc.channel, "channel")
-    d["qoe"] = _dump(sc, "qoe")
-    d["adjustment"] = _dump(sc, "adjustment")
+    for section in _SECTIONS:
+        d[section] = _dump(sc, section)
     d["flows"] = [_dump(f, "flows") for f in sc.flows]
     return d
 

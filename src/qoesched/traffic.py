@@ -15,8 +15,9 @@ them once when it enqueues the batch (``UeBuffer.enqueue``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -33,13 +34,31 @@ class TrafficClass(str, Enum):
     LIVE_HD_VIDEO = "live_hd_video"
 
 
-def check_integers(obj, names: tuple[str, ...], nullable: tuple[str, ...] = ()) -> None:
-    """Raise unless each field of ``obj`` in ``names`` holds an int, a bool not
-    included, and each in ``nullable`` an int or None, as parsed JSON does."""
-    for name in names + nullable:
-        v = getattr(obj, name)
-        if type(v) is not int and (v is not None or name in names):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
+# a field's annotation, as source text up to any "[" -> how a message names its
+# kind and whether a value is of it, as parsed JSON gives it: a bool is no
+# number, and a float field takes an int. Enum fields are not checked here.
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "int | None": ("an integer", lambda v: type(v) is int or v is None),
+    "float": ("a number", lambda v: type(v) is int or isinstance(v, float)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+    "tuple": ("a tuple", lambda v: type(v) is tuple),
+    "dict": ("a dict", lambda v: type(v) is dict),
+}
+
+
+@cache
+def _checks(cls) -> list:
+    """(name, how a message names its kind, test) of each checked field of ``cls``."""
+    return [(f.name, *_KINDS[k]) for f in fields(cls) if (k := f.type.partition("[")[0]) in _KINDS]
+
+
+def check_types(obj) -> None:
+    """Raise unless each field of the dataclass ``obj`` holds its annotation's kind."""
+    for name, what, ok in _checks(type(obj)):
+        if not ok(v := getattr(obj, name)):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +80,7 @@ class FlowSpec:
     frame_interval_ms: int = 16              # video only, ~60 fps default
 
     def __post_init__(self):
-        check_integers(self, ("ue_id", "beta_ms", "frame_interval_ms"),
-                       ("mean_packet_bits", "max_packet_bits"))
+        check_types(self)
         if self.ue_id < 0:
             raise ValueError(f"ue_id must be >= 0, got {self.ue_id}")
         if not 0.0 < self.alpha < 1.0:

@@ -61,7 +61,6 @@ class DenseSimulation(Simulation):
 
     def step(self, tti: int) -> SchedDecision:
         sc = self.scenario
-        channel = sc.channel
         collect = self.trace_rows is not None
 
         # Steps 1-5 per UE. Only UEs with queued bits become scheduling
@@ -85,7 +84,7 @@ class DenseSimulation(Simulation):
                 buf.expire(tti)
 
             # 3. channel
-            cqi = u.cqi = cqi_step(u.cqi, channel, u.cqi_rng)
+            cqi = u.cqi = cqi_step(u.cqi, sc.walk_prob, u.cqi_rng)
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
@@ -101,7 +100,7 @@ class DenseSimulation(Simulation):
                         sc.buffersize_bits,                       # buffersize_bits
                         u.qos_weight,                             # qos_weight
                         pipe[0],                                  # q
-                        rate_of(cqi, channel),                    # rate_bps
+                        rate_of(cqi, sc.peak_rate_bps),           # rate_bps
                         buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
                         u.avg_rate_bps,                           # avg_rate_bps
                         u.last_served_tti,                        # last_served_tti

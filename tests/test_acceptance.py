@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import qoesched.engine as engine_mod
-from qoesched.channel import ChannelParams
 from qoesched.engine import Scenario, Simulation, run
 from qoesched.metrics import jfi, qoe_fi
 from qoesched.output import emit
@@ -126,10 +125,9 @@ def _conservation_scenario(policy: Policy) -> Scenario:
     return Scenario(
         name="conservation",
         duration_tti=100_000,
-        flows=[ftp(1, 4e8), ftp(2, 4e8), ftp(3, 4e8),
-               video(4, 5e8), video(5, 5e8)],
-        channel=ChannelParams(peak_rate_bps=2e9, walk_prob=0.1,
-                              initial_cqi_per_ue=(13, 11, 9, 11, 13)),
+        flows=(ftp(1, 4e8), ftp(2, 4e8), ftp(3, 4e8),
+               video(4, 5e8), video(5, 5e8)),
+        peak_rate_bps=2e9, walk_prob=0.1, initial_cqi_per_ue=(13, 11, 9, 11, 13),
         buffersize_bits=40_000_000,
         policy=policy,
         seed=404,
@@ -274,12 +272,11 @@ def _adjustment_scenario(enabled: bool) -> Scenario:
     return Scenario(
         name="adjustment",
         duration_tti=5000,
-        flows=[ftp(1, 2e8, beta_ms=100_000, adaptive=True,
+        flows=(ftp(1, 2e8, beta_ms=100_000, adaptive=True,
                    mean_packet_bits=20_000),
                ftp(2, 2e8, beta_ms=100_000, adaptive=True,
-                   mean_packet_bits=100_000)],
-        channel=ChannelParams(peak_rate_bps=1e8, walk_prob=0.0,
-                              initial_cqi_per_ue=(15, 1)),
+                   mean_packet_bits=100_000)),
+        peak_rate_bps=1e8, walk_prob=0.0, initial_cqi_per_ue=(15, 1),
         buffersize_bits=1_000_000,
         policy=Policy.BCQQ,
         seed=10,

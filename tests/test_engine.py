@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import dense_reference
 from dense_reference import DenseSimulation, update_avg_rate
 from qoesched import engine
-from qoesched.channel import ChannelParams
 from qoesched.engine import Scenario, Simulation, run
 from qoesched.scenario import parse_scenario
 from qoesched.scheduler import TTIS_PER_SECOND, Policy
@@ -50,12 +49,10 @@ def make_scenario(flows, duration=1000, peak=6e9, walk=0.0, cqis=None, **kw):
     return Scenario(
         name="test",
         duration_tti=duration,
-        flows=flows,
-        channel=ChannelParams(
-            peak_rate_bps=peak,
-            walk_prob=walk,
-            initial_cqi_per_ue=tuple(cqis) if cqis else (),
-        ),
+        flows=tuple(flows),
+        peak_rate_bps=peak,
+        walk_prob=walk,
+        initial_cqi_per_ue=tuple(cqis) if cqis else (),
         buffersize_bits=kw.pop("buffersize_bits", 40_000_000),
         **kw,
     )
@@ -324,7 +321,7 @@ class TestAdjustment:
         # a flow rescaled with dataclasses.replace floors at a tenth of the
         # load it now has, not of the load it was built with
         sc = self.overload_scenario(True)
-        flows = [sc.flows[0], dataclasses.replace(sc.flows[1], offered_load_bps=6e9)]
+        flows = (sc.flows[0], dataclasses.replace(sc.flows[1], offered_load_bps=6e9))
         events = run(dataclasses.replace(sc, flows=flows), seed=1).adjustment_events
         loads = [e.new_load_bps for e in events if e.ue_id == 1]
         assert min(loads) == loads[-1] == 0.1 * 6e9
@@ -349,9 +346,9 @@ class TestScenarioValidation:
     def test_initial_cqis_shortened_after_construction_fail_loudly(self):
         sc = make_scenario([ftp_flow(0), ftp_flow(1)], cqis=[9, 12])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            sc.channel.initial_cqi_per_ue = (9,)
+            sc.initial_cqi_per_ue = (9,)
         # forced past the frozen dataclass, the CQI count is still caught
-        object.__setattr__(sc.channel, "initial_cqi_per_ue", (9,))
+        object.__setattr__(sc, "initial_cqi_per_ue", (9,))
         with pytest.raises(ValueError):
             Simulation(sc)
 
@@ -361,7 +358,7 @@ class TestScenarioValidation:
     ])
     def test_non_finite_values_rejected(self, key, value):
         # each used to be taken and to fail in the run or reach summary.json
-        build = {"peak_rate_bps": lambda: ChannelParams(peak_rate_bps=value),
+        build = {"peak_rate_bps": lambda: make_scenario([ftp_flow(0)], peak=value),
                  "offered_load_bps": lambda: ftp_flow(0, load=value),
                  "q_max": lambda: make_scenario([ftp_flow(0)], q_max=value)}[key]
         with pytest.raises(ValueError, match=f"^{key} must be (positive|>= 1)"):
@@ -369,8 +366,8 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("build", [
         lambda: make_scenario([ftp_flow(0)]),
-        lambda: ChannelParams(peak_rate_bps=6e9),
-    ], ids=["Scenario", "ChannelParams"])
+        lambda: ftp_flow(0),
+    ], ids=["Scenario", "FlowSpec"])
     def test_fields_cannot_be_assigned(self, build):
         # an assignment would skip the __post_init__ invariants
         obj = build()
@@ -434,9 +431,10 @@ def fuzz_cells(draw):
     return Scenario(
         name="fuzz",
         duration_tti=draw(st.integers(1, 400)),
-        flows=[draw(fuzz_flows(ue)) for ue in ids],
-        channel=ChannelParams(peak_rate_bps=draw(decades(6, 10)),
-                              walk_prob=draw(st.floats(0.0, 1.0)), initial_cqi_per_ue=cqis),
+        flows=tuple(draw(fuzz_flows(ue)) for ue in ids),
+        peak_rate_bps=draw(decades(6, 10)),
+        walk_prob=draw(st.floats(0.0, 1.0)),
+        initial_cqi_per_ue=cqis,
         buffersize_bits=round(draw(decades(4, 7.5))),
         qoe_feedback_delay_tti=draw(st.integers(0, 12)),
         q_max=draw(st.floats(1.0, 200.0)),

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qoesched import cli, output
-from qoesched.channel import ChannelParams
 from qoesched.engine import Scenario, run
 from qoesched.metrics import WindowRecord
 from qoesched.scenario import scenario_to_dict
@@ -17,14 +16,13 @@ def small_scenario(duration=500):
     return Scenario(
         name="small",
         duration_tti=duration,
-        flows=[
+        flows=(
             FlowSpec(ue_id=0, traffic_class=TrafficClass.FTP_DOWNLOAD, alpha=1e-6,
                      beta_ms=300, offered_load_bps=5e8, mean_packet_bits=500_000),
             FlowSpec(ue_id=1, traffic_class=TrafficClass.LIVE_HD_VIDEO, alpha=1e-6,
                      beta_ms=150, offered_load_bps=5e8, max_packet_bits=2_000_000),
-        ],
-        channel=ChannelParams(peak_rate_bps=1e9, walk_prob=0.1,
-                              initial_cqi_per_ue=(9, 12)),
+        ),
+        peak_rate_bps=1e9, walk_prob=0.1, initial_cqi_per_ue=(9, 12),
         buffersize_bits=40_000_000,
         seed=1,
     )
@@ -32,13 +30,13 @@ def small_scenario(duration=500):
 
 def idle_scenario():
     sc = small_scenario(duration=5)
-    flows = [
+    flows = (
         FlowSpec(ue_id=0, traffic_class=TrafficClass.FTP_DOWNLOAD, alpha=1e-6,
                  beta_ms=300, offered_load_bps=1e-6, mean_packet_bits=500_000),
-    ]
+    )
     return Scenario(
         name="idle", duration_tti=5, flows=flows,
-        channel=ChannelParams(peak_rate_bps=1e9, initial_cqi_per_ue=(9,)),
+        peak_rate_bps=1e9, initial_cqi_per_ue=(9,),
         buffersize_bits=1_000_000,
     )
 

@@ -9,12 +9,12 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoesched import cli
-from qoesched.channel import ChannelParams
 from qoesched.engine import Scenario
 from qoesched.scenario import (
     SCHEMA,
@@ -50,7 +50,7 @@ class TestShippedScenario:
 
     def test_table1_cell_parameters(self):
         sc = parse_scenario(table1_text())
-        assert sc.channel.peak_rate_bps == 6e9
+        assert sc.peak_rate_bps == 6e9
         assert sc.buffersize_bits == 40_000_000  # 5 MB per UE
         assert sc.annotations["cell_radius_km"] == 1.0
         assert sc.annotations["moving_speed_kmh"] == 3.0
@@ -96,9 +96,10 @@ class TestValidation:
             parse_scenario(json.dumps(raw))
 
     def test_missing_channel(self):
+        # the channel section is required through its one required key
         raw = self.base()
         del raw["channel"]
-        with pytest.raises(ScenarioValidationError, match="channel"):
+        with pytest.raises(ScenarioValidationError, match="^channel: missing key 'peak_rate_bps'"):
             parse_scenario(json.dumps(raw))
 
     def test_beta_below_one(self):
@@ -198,8 +199,8 @@ class TestTypes:
         sc = parse_scenario(json.dumps(raw))
         assert sc.buffersize_bits == 40_000_000 and type(sc.buffersize_bits) is int
         assert type(sc.flows[0].beta_ms) is int
-        assert sc.channel.initial_cqi_per_ue == (13, 11, 9, 11, 13)
-        assert all(type(c) is int for c in sc.channel.initial_cqi_per_ue)
+        assert sc.initial_cqi_per_ue == (13, 11, 9, 11, 13)
+        assert all(type(c) is int for c in sc.initial_cqi_per_ue)
 
     def test_json_booleans_parse(self):
         raw = json.loads(table1_text())
@@ -220,8 +221,8 @@ class TestRoundTrip:
     def test_rescaled_flow_round_trips(self):
         # a flow rescaled with dataclasses.replace dumps and parses as itself
         sc = parse_scenario(table1_text())
-        flows = [dataclasses.replace(f, offered_load_bps=4 * f.offered_load_bps)
-                 for f in sc.flows]
+        flows = tuple(dataclasses.replace(f, offered_load_bps=4 * f.offered_load_bps)
+                      for f in sc.flows)
         rescaled = dataclasses.replace(sc, flows=flows)
         assert parse_scenario(dump_scenario(rescaled)) == rescaled
 
@@ -230,9 +231,17 @@ class TestBuiltInPython:
     """A scenario built or changed in Python gets no JSON type check, so its
     dataclasses check what the parser would have refused."""
 
+    # how a message names the kind of each field that is no integer
+    KIND = {"adjustment_enabled": "true or false", "adaptive": "true or false",
+            "name": "a string", "walk_prob": "a number", "offered_load_bps": "a number",
+            "alpha": "a number", "q_max": "a number", "annotations": "a dict"}
+
     # Each value used to be taken: the first three then failed in the run with
     # a bare TypeError, buffersize_bits=inf failed only in emit, and the rest
-    # ran and wrote their output.
+    # ran and wrote their output. Of the cases after the first ten, the strings
+    # for alpha, q_max and walk_prob ended in a bare TypeError, and the others
+    # ran: a bool as a number, a string as a bool, a number as the name, and
+    # a list as the annotations, whose dump the parser refused.
     @pytest.mark.parametrize("where, field, value", [
         ("scenario", "qoe_feedback_delay_tti", 1.5),
         ("scenario", "duration_tti", 20.5),
@@ -244,13 +253,41 @@ class TestBuiltInPython:
         (3, "frame_interval_ms", 16.5),
         ("scenario", "starvation_tti", 1.5),
         (0, "ue_id", True),
+        ("adjustment", "adjustment_enabled", "no"),
+        ("scenario", "name", 5),
+        (0, "adaptive", "no"),
+        ("channel", "walk_prob", True),
+        (1, "offered_load_bps", True),
+        (0, "alpha", "0.5"),
+        ("qoe", "q_max", "5"),
+        ("channel", "walk_prob", "0.1"),
+        ("scenario", "annotations", ["x"]),
     ])
     def test_integer_field_rejects_a_non_integer(self, where, field, value):
+        # ``where`` is a flow's index, or the JSON section of a Scenario field
         sc = parse_scenario(table1_text())
-        obj = {"scenario": sc, "channel": sc.channel}.get(where) or sc.flows[where]
+        obj = sc if isinstance(where, str) else sc.flows[where]
         bad = value[0] if isinstance(value, tuple) else value
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {bad!r}$"):
+        message = f"{field} must be {self.KIND.get(field, 'an integer')}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(obj, **{field: value})
+
+    def test_float_field_takes_an_int_or_a_float_subclass(self):
+        sc = parse_scenario(table1_text())
+        flow = dataclasses.replace(sc.flows[0], offered_load_bps=10**9)
+        changed = dataclasses.replace(sc, q_max=5, walk_prob=np.float64(0.25),
+                                      flows=(flow,) + sc.flows[1:])
+        assert parse_scenario(dump_scenario(changed)) == changed
+
+    def test_flows_cannot_be_changed_after_construction(self):
+        # a list used to be taken, and appending to it or clearing it after the
+        # invariants were checked ran a cell with a UE twice, or with none
+        sc = parse_scenario(table1_text())
+        assert type(sc.flows) is tuple
+        with pytest.raises(AttributeError):
+            sc.flows.append(sc.flows[0])
+        with pytest.raises(ValueError, match=r"^flows must be a tuple, got \[FlowSpec\("):
+            dataclasses.replace(sc, flows=list(sc.flows))
 
     def test_nullable_integer_fields_take_none(self):
         sc = parse_scenario(table1_text())
@@ -262,6 +299,20 @@ class TestBuiltInPython:
         sc = parse_scenario(table1_text())
         with pytest.raises(ValueError, match="^annotations must hold only JSON values"):
             dataclasses.replace(sc, annotations={"tags": {1, 2}})
+
+    @pytest.mark.parametrize("annotations", [{1: "x"}, {"t": (1, 2)}],
+                             ids=["integer_key", "tuple"])
+    def test_annotations_must_read_back_as_themselves(self, annotations):
+        # each used to be taken, and its dump parsed to another scenario: the
+        # key as "1", the tuple as a list
+        sc = parse_scenario(table1_text())
+        with pytest.raises(ValueError, match="^annotations must hold only JSON values"):
+            dataclasses.replace(sc, annotations=annotations)
+
+    def test_nested_json_annotations_round_trip(self):
+        sc = parse_scenario(table1_text())
+        nested = dataclasses.replace(sc, annotations={"ok": [1, {"b": 2.5}]})
+        assert parse_scenario(dump_scenario(nested)) == nested
 
     def test_dump_is_strict_json(self):
         # a NaN put into the annotations after construction used to be
@@ -395,10 +446,10 @@ class TestInvariants:
     def test_every_dataclass_field_has_one_json_key(self):
         fields = [k.field or k.name for keys in SCHEMA.values() for k in keys]
         assert len(fields) == len(set(fields))
-        classes = (Scenario, ChannelParams, FlowSpec)
+        classes = (Scenario, FlowSpec)
         expected = {f.name for cls in classes for f in dataclasses.fields(cls)}
-        # qoe and adjustment are sections with no dataclass field
-        assert set(fields) - {"qoe", "adjustment"} == expected
+        # channel, qoe and adjustment are sections with no dataclass field
+        assert set(fields) - {"channel", "qoe", "adjustment"} == expected
 
     def test_required_keys_alone_parse_to_the_dataclass_defaults(self):
         # a key left out takes its dataclass field's default: the JSON of the
@@ -412,13 +463,13 @@ class TestInvariants:
             ],
         }
         built = Scenario(
-            duration_tti=10, buffersize_bits=1_000, channel=ChannelParams(peak_rate_bps=1e6),
-            flows=[
+            duration_tti=10, buffersize_bits=1_000, peak_rate_bps=1e6,
+            flows=(
                 FlowSpec(ue_id=0, traffic_class=TrafficClass.FTP_DOWNLOAD,
                          mean_packet_bits=100, **common),
                 FlowSpec(ue_id=1, traffic_class=TrafficClass.LIVE_HD_VIDEO,
                          max_packet_bits=100, **common),
-            ],
+            ),
         )
         assert parse_scenario(json.dumps(minimal)) == built
 
@@ -570,12 +621,10 @@ def scenarios(draw):
     return Scenario(
         name=draw(st.text(max_size=8)),
         duration_tti=draw(st.integers(1, 10 ** 9)),
-        flows=[draw(flow_specs(ue)) for ue in ids],
-        channel=ChannelParams(
-            peak_rate_bps=draw(st.floats(0.0, 1e15, exclude_min=True)),
-            walk_prob=draw(st.floats(0.0, 1.0)),
-            initial_cqi_per_ue=cqis,
-        ),
+        flows=tuple(draw(flow_specs(ue)) for ue in ids),
+        peak_rate_bps=draw(st.floats(0.0, 1e15, exclude_min=True)),
+        walk_prob=draw(st.floats(0.0, 1.0)),
+        initial_cqi_per_ue=cqis,
         buffersize_bits=draw(st.integers(1, 10 ** 12)),
         policy=draw(st.sampled_from(Policy)),
         seed=draw(st.integers(0, 2 ** 64)),

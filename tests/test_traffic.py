@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoesched.buffering import UeBuffer
-from qoesched.channel import ChannelParams
 from qoesched.engine import Scenario, Simulation
 from qoesched.traffic import (
     FlowSpec,
@@ -67,8 +66,8 @@ class TestFtpArrivals:
 
     def test_deadlines_stamped(self):
         # the engine stamps a TTI's packets with that TTI and tti + beta_ms
-        sc = Scenario(name="stamp", duration_tti=10, flows=[ftp_spec(offered_load_bps=5e9)],
-                      channel=ChannelParams(peak_rate_bps=1e3, walk_prob=0.0),
+        sc = Scenario(name="stamp", duration_tti=10, flows=(ftp_spec(offered_load_bps=5e9),),
+                      peak_rate_bps=1e3, walk_prob=0.0,
                       buffersize_bits=10**12)
         sim = Simulation(sc)
         for tti in range(8):
