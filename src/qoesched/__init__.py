@@ -4,7 +4,6 @@ Implements a QoE-assisted scheduler (BCQQ) alongside M-LWDF, proportional
 fair, and round-robin baselines, with Jain's fairness index and a
 QoE-oriented fairness index computed over configurable windows.
 """
-from .buffering import Packet
 from .channel import cqi_step, rate_of
 from .engine import Scenario, SimReport, Simulation, run
 from .metrics import jfi, qoe_fi
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FlowSpec",
-    "Packet",
     "Policy",
     "Scenario",
     "SchedDecision",

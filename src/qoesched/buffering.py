@@ -11,8 +11,21 @@ holds exactly after every operation.
 flow in one call: they share the arrival TTI and the deadline. It validates
 the batch once (a deadline after ``arrival_tti`` and not before the queue
 tail's, so ``expire`` pops from the head only, and every size at least 1,
-else ``ValueError``), tail-drops each packet whole, in order, and queues a
-``Packet`` only for the packets that fit. It returns the bits accepted.
+else ``ValueError``) and tail-drops each packet whole, in order: a batch that
+fits skips the per-packet walk. It returns the bits accepted.
+
+The queue holds one entry per batch that accepted at least one bit, a list
+
+    [sent, accepted, arrival_tti, deadline_tti, ends]
+
+of the bits sent from it so far, its accepted bits, its arrival and deadline,
+and ``ends``, the prefix sums of its accepted packet sizes: packet k is
+complete once ``sent >= ends[k]``. Packets stay the unit of the accounting,
+the batch is the unit of the work. ``expire`` pops whole batches from the
+head and drops their unsent bits. ``drain`` completes whole batches in one
+step and adds each one's packets not yet completed to ``delay_counts`` in one
+increment, since they share a delay; only in the batch it splits does it find
+the packets completed, by bisecting ``ends``.
 
 The buffer also keeps its window marks, ``arrived_mark`` and
 ``delivered_mark``: its totals when the metrics window opened. The window's
@@ -21,17 +34,9 @@ volumes are the totals less the marks; ``metrics.q_of`` reads q off them and
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
-
-
-@dataclass(slots=True)
-class Packet:
-    """A queued packet: the bits still to send, its arrival and deadline."""
-
-    remaining_bits: int
-    arrival_tti: int
-    deadline_tti: int
+from itertools import accumulate
 
 
 class UeBuffer:
@@ -39,7 +44,8 @@ class UeBuffer:
         if capacity_bits <= 0:
             raise ValueError("capacity_bits must be positive")
         self.capacity_bits = capacity_bits
-        self.queue: deque[Packet] = deque()
+        # one [sent, accepted, arrival_tti, deadline_tti, ends] per batch
+        self.queue: deque[list] = deque()
         self.occupied_bits = 0
         self.arrived_bits = 0
         self.delivered_bits = 0
@@ -60,20 +66,27 @@ class UeBuffer:
         if deadline_tti <= arrival_tti:
             raise ValueError("deadline_tti must exceed arrival_tti")
         queue = self.queue
-        if queue and deadline_tti < queue[-1].deadline_tti:
+        if queue and deadline_tti < queue[-1][3]:
             raise ValueError("deadline_tti must not precede the queue tail's")
         if min(sizes, default=1) < 1:
             raise ValueError("packet sizes must be positive")
         arrived = sum(sizes)
         self.arrived_bits += arrived
         free = self.capacity_bits - self.occupied_bits
-        accepted = 0
-        for size in sizes:
-            if size <= free:
-                free -= size
-                accepted += size
-                queue.append(Packet(size, arrival_tti, deadline_tti))
-        self.occupied_bits += accepted
+        if arrived <= free:
+            accepted = arrived
+            ends = list(accumulate(sizes))
+        else:
+            accepted = 0
+            ends = []
+            for size in sizes:
+                if size <= free:
+                    free -= size
+                    accepted += size
+                    ends.append(accepted)
+        if accepted:
+            queue.append([0, accepted, arrival_tti, deadline_tti, ends])
+            self.occupied_bits += accepted
         self.dropped_overflow_bits += arrived - accepted
         return accepted
 
@@ -86,8 +99,9 @@ class UeBuffer:
         """
         dropped = 0
         queue = self.queue
-        while queue and queue[0].deadline_tti <= now_tti:
-            dropped += queue.popleft().remaining_bits
+        while queue and queue[0][3] <= now_tti:
+            sent, accepted, _, _, _ = queue.popleft()
+            dropped += accepted - sent
         self.occupied_bits -= dropped
         self.dropped_deadline_bits += dropped
         return dropped
@@ -103,24 +117,31 @@ class UeBuffer:
             raise ValueError("budget_bits must be non-negative")
         queue = self.queue
         counts = self.delay_counts
-        queued = len(queue)
+        completed = 0
         remaining = budget_bits
-        while queue:
+        # an entry always holds unsent bits, so a spent budget completes nothing
+        while queue and remaining:
             head = queue[0]
-            bits = head.remaining_bits
-            if bits > remaining:
-                # the head leaves only partly sent (or not at all)
-                head.remaining_bits = bits - remaining
+            sent, accepted, arrival, _, ends = head
+            unsent = accepted - sent
+            if unsent <= remaining:
+                remaining -= unsent
+                queue.popleft()
+                n = len(ends) - bisect_right(ends, sent)
+            else:
+                # the head batch leaves partly sent: its packets that end
+                # within the budget complete
+                head[0] = sent + remaining
+                n = bisect_right(ends, sent + remaining) - bisect_right(ends, sent)
                 remaining = 0
-                break
-            remaining -= bits
-            delay = now_tti - head.arrival_tti
-            counts[delay] = counts.get(delay, 0) + 1
-            queue.popleft()
+            if n:
+                delay = now_tti - arrival
+                counts[delay] = counts.get(delay, 0) + n
+                completed += n
         tx = budget_bits - remaining
         self.occupied_bits -= tx
         self.delivered_bits += tx
-        return tx, queued - len(queue)
+        return tx, completed
 
     def delay_mean_p99(self) -> tuple[float, int] | None:
         """Mean and p99 delivery delay in TTIs, None before any: the exact
@@ -140,7 +161,7 @@ class UeBuffer:
         """Waiting time of the oldest queued packet, 0 if empty."""
         if not self.queue:
             return 0
-        return now_tti - self.queue[0].arrival_tti
+        return now_tti - self.queue[0][2]
 
     def conservation_holds(self) -> bool:
         return (

@@ -16,7 +16,7 @@ stream equivalence test in ``tests/test_streams.py``.
 Per-TTI event order is fixed:
   1. generate arrivals and enqueue them in one call: the TTI's packet sizes
      share its arrival TTI and the deadline ``tti + beta_ms``
-  2. expire past-deadline packets from the queue head
+  2. expire past-deadline batches from the queue head
   3. step CQI by the scenario's ``walk_prob``; a rate is ``rate_of`` the CQI
      and its ``peak_rate_bps``
   4. read q off the buffer and feed it back (honoring the feedback delay)
@@ -322,8 +322,8 @@ class Simulation:
                 else:
                     buf.enqueue(sizes, tti, tti + spec.beta_ms)
 
-            # 2. deadline expiry, due once the head's deadline has come
-            if buf.queue and buf.queue[0].deadline_tti <= tti:
+            # 2. deadline expiry, due once the head batch's deadline has come
+            if buf.queue and buf.queue[0][3] <= tti:
                 buf.expire(tti)
 
             # 3. channel

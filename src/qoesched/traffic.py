@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .scheduler import TTIS_PER_SECOND
+from .scheduler import TTIS_PER_SECOND, Policy
 from .streams import BufferedStream
 
 # Source-rate adaptation never reduces a flow below this fraction of its
@@ -36,7 +36,7 @@ class TrafficClass(str, Enum):
 
 # a field's annotation, as source text up to any "[" -> how a message names its
 # kind and whether a value is of it, as parsed JSON gives it: a bool is no
-# number, and a float field takes an int. Enum fields are not checked here.
+# number, a float field takes an int, and an enum field only its members.
 _KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
     "int | None": ("an integer", lambda v: type(v) is int or v is None),
@@ -45,6 +45,10 @@ _KINDS = {
     "str": ("a string", lambda v: type(v) is str),
     "tuple": ("a tuple", lambda v: type(v) is tuple),
     "dict": ("a dict", lambda v: type(v) is dict),
+    "Policy": (f"a Policy, one of {[p.value for p in Policy]}",
+               lambda v: isinstance(v, Policy)),
+    "TrafficClass": (f"a TrafficClass, one of {[c.value for c in TrafficClass]}",
+                     lambda v: isinstance(v, TrafficClass)),
 }
 
 

@@ -5,6 +5,22 @@ of the session, derived from the outcomes of tests named ``test_c<NN>_*``
 in test_acceptance.py.
 """
 import re
+import warnings
+
+# When a property fails, hypothesis's pytest plugin imports its patch writer,
+# which imports libcst where that is installed. libcst 1.0 with
+# mypy_extensions 1.1 warns "mypy_extensions.TypedDict is deprecated" on
+# import, and under ``-W error`` that warning, raised in pytest's report
+# hook, ends the whole session. Import the patch writer once here with that
+# one warning ignored, so a failing property prints its falsifying example
+# and every other test still runs.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: nothing warns
+        pass
 
 _CRITERIA = {
     1: "Jain fairness index unit oracle",

@@ -6,9 +6,10 @@ EMA for each UE in each TTI, and draws from plain ``Generator`` substreams
 with scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window``
 and ``run`` are the engine's loop as it stood before idle UEs could sleep,
 changed since only where the buffer, window, channel, scheduler and trace
-interfaces changed (one ``enqueue`` call per TTI's packets, window volumes
-and delivery delays kept by the buffer, an ``int`` CQI, a per-flow QoS
-weight, trace drop columns as changes in the drop totals); only set-up and
+interfaces changed (one ``enqueue`` call per TTI's packets, an ``expire``
+call on every TTI, window volumes and delivery delays kept by the buffer, an
+``int`` CQI, a per-flow QoS weight, trace drop columns as changes in the drop
+totals); only set-up and
 the report are shared with ``Simulation``. Its ``buffer(ue_id)``, the door
 for outside changes, is a plain lookup: no UE sleeps, so there is nothing to
 catch up. Its served-rate EMA is ``update_avg_rate``, written from
@@ -77,11 +78,8 @@ class DenseSimulation(Simulation):
             if sizes:
                 buf.enqueue(sizes, tti, tti + spec.beta_ms)
 
-            # 2. deadline expiry; deadlines never fall along the queue, so
-            # nothing expires while the head is live
-            queue = buf.queue
-            if queue and queue[0].deadline_tti <= tti:
-                buf.expire(tti)
+            # 2. deadline expiry, every TTI: a call with nothing due is a no-op
+            buf.expire(tti)
 
             # 3. channel
             cqi = u.cqi = cqi_step(u.cqi, sc.walk_prob, u.cqi_rng)

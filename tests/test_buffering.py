@@ -3,7 +3,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoesched.buffering import Packet, UeBuffer
+from packet_buffer import Packet, PacketBuffer
+from qoesched.buffering import UeBuffer
+
+
+def packets(buf):
+    """(remaining_bits, arrival_tti, deadline_tti) of each queued packet of
+    either buffer: a batch entry expands into its packets not yet complete."""
+    if isinstance(buf, PacketBuffer):
+        return [(p.remaining_bits, p.arrival_tti, p.deadline_tti) for p in buf.queue]
+    out = []
+    for sent, _, arrival, deadline, ends in buf.queue:
+        start = 0
+        for end in ends:
+            if end > sent:
+                out.append((end - max(start, sent), arrival, deadline))
+            start = end
+    return out
 
 
 def enq(buf, size, arrival=0, deadline=None):
@@ -43,8 +59,7 @@ class TestEnqueue:
     def test_batch_returns_bits_accepted(self):
         buf = UeBuffer(1_000)
         assert buf.enqueue([300, 800, 200, 500], 3, 9) == 1_000
-        assert [(p.remaining_bits, p.arrival_tti, p.deadline_tti) for p in buf.queue] == [
-            (300, 3, 9), (200, 3, 9), (500, 3, 9)]
+        assert packets(buf) == [(300, 3, 9), (200, 3, 9), (500, 3, 9)]
         assert buf.dropped_overflow_bits == 800
         assert buf.arrived_bits == 1_800
         # nothing fits in a full buffer
@@ -75,7 +90,7 @@ class TestEnqueue:
             buf.enqueue([100], 2, 10)  # the tail is still queued
         assert buf.drain(300, now_tti=3) == (300, 1)
         assert buf.enqueue([100], 3, 10) == 100
-        assert [p.deadline_tti for p in buf.queue] == [10]
+        assert [d for _, _, d in packets(buf)] == [10]
         assert buf.conservation_holds()
 
 
@@ -117,7 +132,7 @@ class TestExpire:
         enq(buf, 300, arrival=0, deadline=60)
         assert buf.expire(10) == 0
         assert buf.expire(50) == 100
-        assert [p.deadline_tti for p in buf.queue] == [60]
+        assert [d for _, _, d in packets(buf)] == [60]
         assert buf.expire(60) == 300
         assert buf.occupied_bits == 0 and buf.dropped_deadline_bits == 400
         assert buf.conservation_holds()
@@ -143,7 +158,7 @@ class TestDrain:
         enq(buf, 2_000_000, arrival=0)
         assert buf.drain(3_000_000, now_tti=4) == (3_000_000, 1)
         assert buf.delay_counts == {4: 1}  # only the first packet completed
-        assert buf.queue[0].remaining_bits == 1_000_000
+        assert packets(buf)[0][0] == 1_000_000
 
     def test_delivery_delay_at_last_bit(self):
         buf = UeBuffer(10_000_000)
@@ -167,14 +182,14 @@ class TestDrain:
         buf.enqueue([300, 200], 1, 50)
         assert buf.drain(300, now_tti=5) == (300, 1)
         assert buf.delay_counts == {4: 1}
-        assert [p.remaining_bits for p in buf.queue] == [200]
+        assert [bits for bits, _, _ in packets(buf)] == [200]
         assert buf.occupied_bits == 200
 
     def test_split_head_then_complete(self):
         buf = UeBuffer(10_000)
         buf.enqueue([300], 0, 50)
         assert buf.drain(120, now_tti=1) == (120, 0)
-        assert buf.queue[0].remaining_bits == 180
+        assert packets(buf)[0][0] == 180
         assert buf.drain(180, now_tti=2) == (180, 1)
         assert buf.delay_counts == {2: 1}
         assert not buf.queue and buf.delivered_bits == 300
@@ -186,7 +201,7 @@ class TestDrain:
         buf.enqueue([300], 3, 53)
         assert buf.drain(500, now_tti=7) == (500, 3)
         assert buf.delay_counts == {7: 1, 5: 2}
-        assert [p.remaining_bits for p in buf.queue] == [150]
+        assert [bits for bits, _, _ in packets(buf)] == [150]
         assert buf.drain(1_000, now_tti=8) == (150, 1)
         assert buf.delay_counts == {7: 1, 5: 3}
         assert buf.occupied_bits == 0 and buf.delivered_bits == 650
@@ -225,7 +240,7 @@ class TestConservationReplay:
             assert buf.dropped_overflow_bits == over
             assert buf.dropped_deadline_bits == dead
             assert buf.conservation_holds()
-            assert buf.occupied_bits == sum(q.remaining_bits for q in buf.queue)
+            assert buf.occupied_bits == sum(bits for bits, _, _ in packets(buf))
             assert buf.occupied_bits <= buf.capacity_bits
 
 
@@ -282,7 +297,7 @@ def enqueue_per_packet(buf, sizes, arrival_tti, deadline_tti):
 
 
 def _state(buf):
-    return (list(buf.queue), buf.occupied_bits, buf.arrived_bits,
+    return (packets(buf), buf.occupied_bits, buf.arrived_bits,
             buf.dropped_overflow_bits, buf.delay_counts)
 
 
@@ -300,7 +315,7 @@ _batch = st.tuples(
 @example(1_000, [([1_000], 0, 10, 0), ([3, 1], 1, 5, 0)])  # nothing fits
 @example(2_000, [([500], 0, 50, 0), ([400, 300], 1, 5, 0)])  # equal deadline behind
 def test_batched_enqueue_equals_per_packet_tail_drop(capacity, batches):
-    batched, reference = UeBuffer(capacity), UeBuffer(capacity)
+    batched, reference = UeBuffer(capacity), PacketBuffer(capacity)
     deadline = 0
     for sizes, arrival, delay, budget in batches:
         # drains leave partly sent heads and free room at random points
@@ -311,6 +326,56 @@ def test_batched_enqueue_equals_per_packet_tail_drop(capacity, batches):
         assert batched.enqueue(sizes, arrival, deadline) == expected
         assert _state(batched) == _state(reference)
         assert batched.conservation_holds()
+
+
+_TOTALS = ("arrived_bits", "delivered_bits", "dropped_overflow_bits",
+           "dropped_deadline_bits", "occupied_bits")
+
+_op = st.one_of(
+    st.tuples(st.just("enqueue"), st.lists(st.integers(1, 1_200), max_size=8),
+              st.integers(1, 60)),                           # sizes, deadline - now
+    st.tuples(st.just("drain"), st.integers(0, 4_000)),      # budget
+    st.tuples(st.just("expire"), st.integers(0, 30)),        # TTIs that pass first
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3_000), st.lists(_op, max_size=40))
+# a budget exactly equal to a batch's unsent bits, first partly sent
+@example(3_000, [("enqueue", [300, 200], 10), ("drain", 100), ("drain", 400),
+                 ("enqueue", [50], 10), ("drain", 50)])
+# a split that ends exactly on a packet boundary
+@example(3_000, [("enqueue", [300, 200, 100], 10), ("drain", 500), ("expire", 1),
+                 ("drain", 100)])
+# a split head that then completes
+@example(3_000, [("enqueue", [300], 10), ("drain", 120), ("expire", 1), ("drain", 180)])
+# a tail drop where a later, smaller packet still fits
+@example(1_000, [("enqueue", [600], 10), ("enqueue", [500, 300, 200], 10),
+                 ("drain", 1_000)])
+def test_batch_queue_equals_packet_queue(capacity, ops):
+    """The batch queue and the per-packet reference agree after every
+    operation: return values, totals, delay histogram and figures, and the
+    queued packets."""
+    buf, ref = UeBuffer(capacity), PacketBuffer(capacity)
+    now = 0
+    for kind, *args in ops:
+        if kind == "enqueue":
+            sizes, delay = args
+            # deadlines never fall along the queue
+            tail = ref.queue[-1].deadline_tti if ref.queue else 0
+            deadline = max(tail, now + delay)
+            assert buf.enqueue(sizes, now, deadline) == ref.enqueue(sizes, now, deadline)
+        elif kind == "drain":
+            assert buf.drain(args[0], now) == ref.drain(args[0], now)
+        else:
+            now += args[0]
+            assert buf.expire(now) == ref.expire(now)
+        assert packets(buf) == packets(ref)
+        assert [getattr(buf, t) for t in _TOTALS] == [getattr(ref, t) for t in _TOTALS]
+        assert buf.delay_counts == ref.delay_counts
+        assert buf.hol_delay_tti(now) == ref.hol_delay_tti(now)
+        assert buf.delay_mean_p99() == ref.delay_mean_p99()
+        assert buf.conservation_holds()
 
 
 def sorted_list_delay_figures(delays):

@@ -471,7 +471,7 @@ def outside_enqueue(sim, tti, pick, sizes, beta_share):
     # as the engine's own arrivals at tti + beta keep them
     flow = sim.scenario.flows[pick % len(sim.scenario.flows)]
     buf = sim.buffer(flow.ue_id)
-    tail = buf.queue[-1].deadline_tti if buf.queue else 0
+    tail = buf.queue[-1][3] if buf.queue else 0  # the tail batch's deadline
     buf.enqueue(sizes, tti, max(tail, tti + math.ceil(beta_share * flow.beta_ms)))
 
 

@@ -272,6 +272,24 @@ class TestBuiltInPython:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(obj, **{field: value})
 
+    # Each value used to be taken or refused for the wrong reason: "XX" built
+    # a scenario whose dump the parser refused, a member's name built one, a
+    # video flow given the FTP class's name built as video, and an FTP flow
+    # given it was refused for its missing max_packet_bits.
+    @pytest.mark.parametrize("where, field, value, kind", [
+        ("scenario", "policy", "XX", Policy),
+        ("scenario", "policy", "PF", Policy),
+        (3, "traffic_class", "ftp_download", TrafficClass),
+        (0, "traffic_class", "ftp_download", TrafficClass),
+    ])
+    def test_enum_field_takes_only_its_members(self, where, field, value, kind):
+        sc = parse_scenario(table1_text())
+        obj = sc if isinstance(where, str) else sc.flows[where]
+        message = (f"{field} must be a {kind.__name__}, one of "
+                   f"{[m.value for m in kind]}, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(obj, **{field: value})
+
     def test_float_field_takes_an_int_or_a_float_subclass(self):
         sc = parse_scenario(table1_text())
         flow = dataclasses.replace(sc.flows[0], offered_load_bps=10**9)

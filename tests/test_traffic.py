@@ -72,10 +72,11 @@ class TestFtpArrivals:
         sim = Simulation(sc)
         for tti in range(8):
             sim.step(tti)
-        stamped = [p for p in sim.ues[0].buffer.queue if p.arrival_tti == 7]
-        assert stamped
-        for p in sim.ues[0].buffer.queue:
-            assert p.deadline_tti == p.arrival_tti + 300
+        # a queue entry is [sent, accepted, arrival_tti, deadline_tti, ends]
+        queue = sim.ues[0].buffer.queue
+        assert any(arrival == 7 for _, _, arrival, _, _ in queue)
+        for _, _, arrival, deadline, _ in queue:
+            assert deadline == arrival + 300
 
     def test_wrong_class_rejected(self):
         with pytest.raises(ValueError):
