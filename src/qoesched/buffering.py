@@ -68,7 +68,7 @@ class UeBuffer:
         queue = self.queue
         if queue and deadline_tti < queue[-1][3]:
             raise ValueError("deadline_tti must not precede the queue tail's")
-        if min(sizes, default=1) < 1:
+        if sizes and min(sizes) < 1:
             raise ValueError("packet sizes must be positive")
         arrived = sum(sizes)
         self.arrived_bits += arrived

@@ -19,7 +19,9 @@ EXIT_IO = 2
 
 
 def _distinct(flag: str, items: list) -> list:
-    """``items``, unless one repeats: that would run the same run twice."""
+    """``items``, if there is one and none repeats: a repeat runs a run twice."""
+    if not items:
+        raise ScenarioValidationError(f"--{flag}: need at least one {flag}")
     for i, item in enumerate(items):
         if item in items[:i]:
             raise ScenarioValidationError(
@@ -56,7 +58,7 @@ def _override(scenario: engine.Scenario, flag: str, **change) -> engine.Scenario
 
 def cmd_run(args) -> int:
     try:
-        text = Path(args.scenario).read_text()
+        text = Path(args.scenario).read_text(encoding="utf-8")
     except OSError as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return EXIT_IO
@@ -67,10 +69,8 @@ def cmd_run(args) -> int:
     if args.window_ms is not None:
         scenario = _override(scenario, "window-ms", window_tti=args.window_ms)
 
-    policies = _parse_policies(args.policy) if args.policy else [scenario.policy]
-    seeds = _parse_seeds(args.seed) if args.seed else [scenario.seed]
-    if not policies or not seeds:
-        raise ScenarioValidationError("need at least one policy and one seed")
+    policies = _parse_policies(args.policy) if args.policy is not None else [scenario.policy]
+    seeds = _parse_seeds(args.seed) if args.seed is not None else [scenario.seed]
 
     seeded = [_override(scenario, "seed", seed=s) for s in seeds]
     reports = [

@@ -17,8 +17,8 @@ Per-TTI event order is fixed:
   1. generate arrivals and enqueue them in one call: the TTI's packet sizes
      share its arrival TTI and the deadline ``tti + beta_ms``
   2. expire past-deadline batches from the queue head
-  3. step CQI by the scenario's ``walk_prob``; a rate is ``rate_of`` the CQI
-     and its ``peak_rate_bps``
+  3. step CQI by the scenario's ``walk_prob``; a rate is read from the cell's
+     rate table, which ``rate_of`` fills once per CQI from ``peak_rate_bps``
   4. read q off the buffer and feed it back (honoring the feedback delay)
   5. compute priorities and select one UE
   6. drain the winner with budget rate * TTI
@@ -281,6 +281,9 @@ class Simulation:
             for flow, cqi0 in zip(scenario.flows, init_cqis, strict=True)
         ]
         self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
+        # CQI -> rate, the index being the CQI: rate_of once per CQI, not per use
+        self._rates = [None] * CQI_MIN + [rate_of(c, scenario.peak_rate_bps)
+                                          for c in range(CQI_MIN, CQI_MAX + 1)]
 
         self.window = MetricsWindow({u.spec.ue_id: u.buffer for u in self.ues})
         self.adjustment_events: list[AdjustmentEvent] = []
@@ -296,7 +299,7 @@ class Simulation:
                              f"{sc.duration_tti - 1}, the next is {self._next_tti}")
         self._next_tti = tti + 1
         walk_prob = sc.walk_prob
-        peak = sc.peak_rate_bps
+        rates = self._rates
         q_max = sc.q_max
 
         # Steps 1-5 per due UE; only UEs with queued bits become inputs.
@@ -343,7 +346,7 @@ class Simulation:
                         sc.buffersize_bits,                       # buffersize_bits
                         u.qos_weight,                             # qos_weight
                         pipe[0],                                  # q
-                        rate_of(cqi, peak),                       # rate_bps
+                        rates[cqi],                               # rate_bps
                         buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
                         u.avg_rate_bps,                           # avg_rate_bps
                         u.last_served_tti,                        # last_served_tti
@@ -389,7 +392,7 @@ class Simulation:
 
         Drop columns are the changes in the buffer's drop totals since the
         UE's last row: a drop between steps shows in the next row."""
-        peak = self.scenario.peak_rate_bps
+        rates = self._rates
         pfn = PRIORITY_FN[self.policy]
         priority_of = {i.ue_id: pfn(i) for i in inputs}
         for u in self.ues:
@@ -402,7 +405,7 @@ class Simulation:
             u.traced_overflow_bits = buf.dropped_overflow_bits
             ue_id = u.spec.ue_id
             self.trace_rows.append((  # output.TRACE_COLUMNS
-                tti, ue_id, u.cqi, rate_of(u.cqi, peak), buf.occupied_bits, u.q_pipe[0],
+                tti, ue_id, u.cqi, rates[u.cqi], buf.occupied_bits, u.q_pipe[0],
                 priority_of.get(ue_id, 0.0), 1 if decision.selected_ue == ue_id else None,
                 tx if u is winner else 0, deadline, overflow,
             ))

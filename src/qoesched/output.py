@@ -57,7 +57,7 @@ def _round_reals(obj: Any) -> Any:
 
 def _dump_json(obj: Any, path: Path) -> None:
     path.write_text(json.dumps(_round_reals(obj), indent=2, sort_keys=True, allow_nan=False)
-                    + "\n")
+                    + "\n", encoding="utf-8")
 
 
 def run_to_dict(report: SimReport) -> dict:
@@ -88,7 +88,7 @@ def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,
     lines = [METRICS_COLUMNS]
     lines.extend(_metrics_line(r.policy, r.seed, w) for r in reports for w in r.windows)
     metrics_path = out / "metrics.csv"
-    metrics_path.write_text("\n".join(lines) + "\n")
+    metrics_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(metrics_path)
 
     if trace:
@@ -98,7 +98,7 @@ def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,
             rows = [TRACE_COLUMNS]
             rows.extend(map(_trace_line, r.trace_rows))
             p = out / name
-            p.write_text("\n".join(rows) + "\n")
+            p.write_text("\n".join(rows) + "\n", encoding="utf-8")
             written.append(p)
     return written
 
@@ -121,7 +121,7 @@ def _load_summary(path: Path) -> dict:
     """One summary.json, with the keys ``compare`` reads checked: a malformed
     file raises ``CompareError`` naming the path and the key."""
     try:
-        summary = json.loads(path.read_text(), parse_constant=_non_finite)
+        summary = json.loads(path.read_text(encoding="utf-8"), parse_constant=_non_finite)
     except ValueError as e:
         raise CompareError(f"{path}: not a strict JSON file: {e}") from None
     if not isinstance(summary, dict):

@@ -8,7 +8,8 @@ a time with ``gen.random(BLOCK).tolist()``, which yields the same sequence as
 buffer:
 
 * ``random()`` and ``random(n)`` return the next buffered doubles; ``random(n)``
-  returns a list where numpy returns an array, with the same values.
+  returns a list where numpy returns an array, with the same values; a
+  negative ``n`` raises numpy's ``ValueError``.
 * ``poisson(lam)`` for ``0 < lam < 10`` replays numpy's multiplication
   sampler on the buffered doubles: multiply uniforms into a product while it
   stays above ``exp(-lam)``; the count of factors kept is the sample.
@@ -78,16 +79,16 @@ class BufferedStream:
             self._refill()
             self._pos = 1
             return self._buf[0]
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
         if self._direct:
             return self._gen.random(size).tolist()
-        out: list[float] = []
-        while len(out) < size:
-            if pos == BLOCK:
-                self._refill()
-                pos = 0
-            take = min(size - len(out), BLOCK - pos)
-            out += self._buf[pos:pos + take]
-            pos += take
+        out = self._buf[pos:pos + size]
+        pos += size
+        while pos > BLOCK:
+            pos -= BLOCK
+            self._refill()
+            out += self._buf[:pos]
         self._pos = pos
         return out
 

@@ -6,11 +6,11 @@ Two traffic classes are supported:
 * Live HD video: one frame every ``frame_interval_ms`` TTIs, frame size
   exponential and clipped at ``max_packet_bits``.
 
-Generators are pure functions of (spec, tti, rng); each flow owns its own
-RNG substream so flows never perturb each other. A generator returns the
-sizes, in bits, of the packets that arrive in one TTI. They all arrive at
-that TTI and share one deadline, ``tti + spec.beta_ms``, so the caller stamps
-them once when it enqueues the batch (``UeBuffer.enqueue``).
+``arrivals(spec, tti, rng)`` is the one generator, pure in its arguments; its
+branch on the class is the only class test, as ``FlowSpec`` validated each
+class's fields. Each flow owns its RNG substream, so flows never perturb each
+other. The packets of one call arrive at ``tti`` and share one deadline,
+``tti + spec.beta_ms``: the caller stamps them once (``UeBuffer.enqueue``).
 """
 from __future__ import annotations
 
@@ -110,7 +110,8 @@ def exp_bits(us: list[float], mean_bits: float) -> list[int]:
     negative, so ``or 1`` is ``max(1, ...)`` without the call.
     """
     log1p = math.log1p
-    return [round(-mean_bits * log1p(-u)) or 1 for u in us]
+    m = -float(mean_bits)
+    return [round(m * log1p(-u)) or 1 for u in us]
 
 
 def ftp_lam(spec: FlowSpec) -> float:
@@ -118,30 +119,21 @@ def ftp_lam(spec: FlowSpec) -> float:
     return spec.offered_load_bps / (spec.mean_packet_bits * TTIS_PER_SECOND)
 
 
-def ftp_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
-    """Poisson arrivals at offered_load/mean_packet_bits per second."""
-    if spec.traffic_class is not TrafficClass.FTP_DOWNLOAD:
-        raise ValueError("ftp_arrivals requires an FTP flow spec")
-    n = rng.poisson(ftp_lam(spec))
-    if n == 0:
-        return []
-    return exp_bits(rng.random(n), spec.mean_packet_bits)
+def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
+    """Sizes, in bits, of the flow's packets that arrive at ``tti``.
 
-
-def video_arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
-    """One frame every frame_interval_ms TTIs, size clipped at max_packet_bits."""
-    if spec.traffic_class is not TrafficClass.LIVE_HD_VIDEO:
-        raise ValueError("video_arrivals requires a video flow spec")
+    FTP: Poisson arrivals at offered_load/mean_packet_bits per second. Video:
+    one frame every frame_interval_ms TTIs, size clipped at max_packet_bits.
+    """
+    if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
+        n = rng.poisson(ftp_lam(spec))
+        if n == 0:
+            return []
+        return exp_bits(rng.random(n), spec.mean_packet_bits)
     if tti % spec.frame_interval_ms != 0:
         return []
     mean_bits = spec.offered_load_bps * spec.frame_interval_ms / TTIS_PER_SECOND
     return [min(exp_bits([rng.random()], mean_bits)[0], spec.max_packet_bits)]
-
-
-def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
-    if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
-        return ftp_arrivals(spec, tti, rng)
-    return video_arrivals(spec, tti, rng)
 
 
 def next_arrival_tti(spec: FlowSpec, tti: int, rng: BufferedStream, end_tti: int) -> int:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dense_reference
 from dense_reference import DenseSimulation, update_avg_rate
 from qoesched import engine
+from qoesched.channel import rate_of
 from qoesched.engine import Scenario, Simulation, run
 from qoesched.scenario import parse_scenario
 from qoesched.scheduler import TTIS_PER_SECOND, Policy
@@ -537,6 +538,16 @@ class TestTraceObserves:
             assert sum(row[10] for row in rows) == u.dropped_overflow_bits
         assert all(sum(getattr(u, f"dropped_{kind}_bits") for u in report.per_ue)
                    for kind in ("deadline", "overflow"))
+
+    def test_rate_column_is_rate_of_the_rows_cqi(self):
+        # walk_prob=1.0 moves each CQI every TTI; from 1, 8 and 15 the walks
+        # cover the whole scale, a sleeper's caught-up rows too
+        sc = make_scenario([ftp_flow(0), video_flow(1), ftp_flow(2, load=TINY_LOAD)],
+                           duration=600, peak=3.7e9, walk=1.0, cqis=[1, 8, 15])
+        report = run(sc, policy=Policy.PF, seed=5, collect_trace=True)
+        assert {row[2] for row in report.trace_rows} == set(range(1, 16))
+        for row in report.trace_rows:
+            assert row[3] == rate_of(row[2], 3.7e9), row
 
     def test_overflow_of_an_outside_enqueue_shows_in_the_next_row(self):
         # UE 0 has no arrivals of its own; a packet offered to its full

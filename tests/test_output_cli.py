@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -283,6 +287,42 @@ class TestCli:
         assert rc == cli.EXIT_VALIDATION
         assert f"{flag}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--policy", ""), ("--policy", ","),
+                                             ("--seed", ""), ("--seed", " , ")])
+    def test_empty_policy_or_seed_rejected(self, tmp_path, capsys, flag, value):
+        # an empty list is refused, not read as "the scenario's own"
+        scenario = self.write_scenario(tmp_path)
+        rc = cli.main(["run", "--scenario", str(scenario), "--duration-ms", "10",
+                       flag, value, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"{flag}: need at least one" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale without coercion makes ASCII the default encoding
+        raw = scenario_to_dict(small_scenario())
+        raw["annotations"] = {"site": "Z\u00fcrich"}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+        def qoesched(*argv):
+            return subprocess.run([sys.executable, "-m", "qoesched", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        out = tmp_path / "out"
+        done = qoesched("run", "--scenario", str(scenario), "--duration-ms", "20",
+                        "--policy", "BCQQ,MLWDF", "--out", str(out))
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["scenario"]["annotations"] == {"site": "Z\u00fcrich"}
+        # a summary.json written as UTF-8 by another tool reads back too
+        (out / "summary.json").write_text(json.dumps(summary, ensure_ascii=False),
+                                          encoding="utf-8")
+        done = qoesched("compare", "--in", str(out))
+        assert done.returncode == cli.EXIT_OK, done.stderr
 
     def test_compare_single_policy_fails(self, tmp_path):
         scenario = self.write_scenario(tmp_path)

@@ -98,6 +98,12 @@ ZERO_LAM = [("poisson", 0.0), ("poisson", 20.0), ("poisson", 0.0), ("random", No
 @example(seed=3, sequence=ZERO_LAM)
 @example(seed=5, sequence=[("random_n", 2 * BLOCK + 7), ("poisson", 0.5)] * 3)
 @example(seed=6, sequence=EDGE_CROSSING)
+# random(n) at block edges: ending exactly at BLOCK, a whole first block, and
+# two doubles across the edge; a negative n raises and leaves the stream put
+@example(seed=7, sequence=[("random_n", 10), ("random_n", BLOCK - 10), ("random", None)])
+@example(seed=8, sequence=[("random_n", BLOCK), ("random", None)])
+@example(seed=9, sequence=[("random_n", BLOCK - 1), ("random_n", 2), ("random", None)])
+@example(seed=10, sequence=[("random_n", BLOCK - 1), ("random_n", -1), ("random", None)])
 def test_buffered_stream_matches_generator(seed, sequence):
     gen = generator(seed)
     replay(BufferedStream(gen), gen, generator(seed), sequence + [("random_n", 2 * BLOCK + 3)])
@@ -191,6 +197,21 @@ def test_skip_zeros_matches_leading_zero_draws(seed, prefix, lam, max_k):
     assert buffered.skip_zeros(lam, max_k) == leading_zeros(plain, lam, max_k)
     for op in [("poisson", lam)] + FOLLOW_UP + [("poisson", lam)] + FOLLOW_UP:
         assert call(buffered, op) == call(plain, op), op
+
+
+@pytest.mark.parametrize("prefix", [[], [("random_n", 3)], [("random_n", BLOCK)],
+                                    [("poisson", 15.0)]],
+                         ids=["fresh", "mid-block", "block-end", "direct"])
+def test_negative_size_raises_like_numpy_and_draws_nothing(prefix):
+    gen, plain = generator(15), generator(15)
+    stream = BufferedStream(gen)
+    replay(stream, gen, plain, prefix)
+    with pytest.raises(ValueError) as expected:
+        plain.random(-1)
+    with pytest.raises(ValueError) as got:
+        stream.random(-1)
+    assert str(got.value) == str(expected.value)
+    replay(stream, gen, plain, FOLLOW_UP)
 
 
 @pytest.mark.parametrize("lam", [10.0, 40.0])

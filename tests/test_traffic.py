@@ -11,9 +11,9 @@ from qoesched.traffic import (
     FlowSpec,
     TrafficClass,
     apply_adjustment,
+    arrivals,
     exp_bits,
-    ftp_arrivals,
-    video_arrivals,
+    ftp_lam,
 )
 
 
@@ -49,7 +49,7 @@ class TestFtpArrivals:
         # lambda per TTI chosen so one call yields ~1e6 packets
         spec = ftp_spec(offered_load_bps=5e14)
         rng = np.random.default_rng(42)
-        sizes = ftp_arrivals(spec, 0, rng)
+        sizes = arrivals(spec, 0, rng)
         assert len(sizes) > 900_000
         mean = sum(sizes) / len(sizes)
         assert abs(mean - 500_000) / 500_000 < 0.01
@@ -78,9 +78,21 @@ class TestFtpArrivals:
         for _, _, arrival, deadline, _ in queue:
             assert deadline == arrival + 300
 
-    def test_wrong_class_rejected(self):
-        with pytest.raises(ValueError):
-            ftp_arrivals(video_spec(), 0, np.random.default_rng(0))
+    def test_class_branch_draws_only_its_class_draws(self):
+        # the class branch is the only class test: video draws nothing off a
+        # frame TTI and one double on one, FTP a Poisson count and its sizes
+        rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+        assert arrivals(video_spec(), 7, rng) == []
+        assert repr(rng.bit_generator.state) == repr(plain.bit_generator.state)
+        frame = [min(_reference_bits(plain.random(), 1e9 * 16 / 1000.0), 2_000_000)]
+        assert arrivals(video_spec(), 16, rng) == frame
+        assert repr(rng.bit_generator.state) == repr(plain.bit_generator.state)
+        spec = ftp_spec(offered_load_bps=1.5e9)
+        n = plain.poisson(ftp_lam(spec))
+        assert n > 0
+        sizes = [_reference_bits(u, spec.mean_packet_bits) for u in plain.random(n)]
+        assert arrivals(spec, 7, rng) == sizes
+        assert repr(rng.bit_generator.state) == repr(plain.bit_generator.state)
 
 
 def _reference_bits(u, mean_bits):
@@ -97,6 +109,7 @@ class TestExpBits:
     @example([0.0, 1e-12, 0.5, 0.999_999_999_999], 3)    # 0.0 and values rounding to 0
     @example([0.0, 1e-300, 5e-324], 1e8)
     @example([1.0 - 2.0**-53], 0.5)
+    @example([1e-12, 0.1, 0.5, 0.75], 2**53 + 1)  # an int mean no float holds exactly
     def test_equals_max_one_rounded_inverse_cdf(self, us, mean_bits):
         assert exp_bits(us, mean_bits) == [_reference_bits(u, mean_bits) for u in us]
 
@@ -106,7 +119,7 @@ class TestExpBits:
         spec = video_spec(offered_load_bps=load, max_packet_bits=cap)
         u = np.random.default_rng(seed).random()
         expected = min(_reference_bits(u, load * 16 / 1000.0), cap)
-        assert video_arrivals(spec, 32, np.random.default_rng(seed)) == [expected]
+        assert arrivals(spec, 32, np.random.default_rng(seed)) == [expected]
 
 
 class TestVideoArrivals:
@@ -115,7 +128,7 @@ class TestVideoArrivals:
         rng = np.random.default_rng(1)
         sizes = []
         for k in range(200_000):
-            frame = video_arrivals(spec, k * 16, rng)
+            frame = arrivals(spec, k * 16, rng)
             assert len(frame) == 1
             sizes.append(frame[0])
         assert max(sizes) <= 2_000_000
@@ -123,13 +136,13 @@ class TestVideoArrivals:
     def test_off_frame_tti_empty(self):
         spec = video_spec()
         rng = np.random.default_rng(2)
-        assert video_arrivals(spec, 7, rng) == []
+        assert arrivals(spec, 7, rng) == []
 
     def test_truncation_pulls_mean_below_cap(self):
         # untruncated frame mean 1.6e7 bits >> 2e6 cap
         spec = video_spec(offered_load_bps=1e9, frame_interval_ms=16)
         rng = np.random.default_rng(3)
-        sizes = [video_arrivals(spec, k * 16, rng)[0] for k in range(100_000)]
+        sizes = [arrivals(spec, k * 16, rng)[0] for k in range(100_000)]
         assert max(sizes) <= 2_000_000
         # sampling oracle for the clipped-exponential mean
         oracle = np.minimum(
@@ -147,7 +160,7 @@ class TestLongRunRate:
         total = 0
         ttis = 1_000_000
         for tti in range(ttis):
-            total += sum(ftp_arrivals(spec, tti, rng))
+            total += sum(arrivals(spec, tti, rng))
         rate = total / (ttis / 1000.0)
         assert abs(rate - 5e8) / 5e8 < 0.02
 
@@ -162,7 +175,7 @@ class TestLongRunRate:
         ttis = 1_000_000
         total = 0
         for tti in range(0, ttis, 16):
-            total += video_arrivals(spec, tti, rng)[0]
+            total += arrivals(spec, tti, rng)[0]
         rate = total / (ttis / 1000.0)
         expected = oracle * 1000.0 / 16
         assert abs(rate - expected) / expected < 0.02
@@ -174,7 +187,7 @@ class TestReproducibility:
         a = np.random.default_rng(77)
         b = np.random.default_rng(77)
         for tti in range(2000):
-            assert ftp_arrivals(spec, tti, a) == ftp_arrivals(spec, tti, b)
+            assert arrivals(spec, tti, a) == arrivals(spec, tti, b)
 
     def test_packet_invariants(self):
         # packets are checked once per batch, where they enter a buffer
