@@ -11,8 +11,9 @@ holds exactly after every operation.
 flow in one call: they share the arrival TTI and the deadline. It validates
 the batch once (a deadline after ``arrival_tti`` and not before the queue
 tail's, so ``expire`` pops from the head only, and every size at least 1,
-else ``ValueError``) and tail-drops each packet whole, in order: a batch that
-fits skips the per-packet walk. It returns the bits accepted.
+else ``ValueError``, before any state changes) and tail-drops each packet
+whole, in order. One pass over the sizes checks, sums and prefix-sums them,
+so a batch that fits needs no second walk. It returns the bits accepted.
 
 The queue holds one entry per batch that accepted at least one bit, a list
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate
 
 
 class UeBuffer:
@@ -68,14 +68,17 @@ class UeBuffer:
         queue = self.queue
         if queue and deadline_tti < queue[-1][3]:
             raise ValueError("deadline_tti must not precede the queue tail's")
-        if sizes and min(sizes) < 1:
-            raise ValueError("packet sizes must be positive")
-        arrived = sum(sizes)
+        arrived = 0
+        ends = []
+        for size in sizes:
+            if size < 1:
+                raise ValueError("packet sizes must be positive")
+            arrived += size
+            ends.append(arrived)
         self.arrived_bits += arrived
         free = self.capacity_bits - self.occupied_bits
         if arrived <= free:
             accepted = arrived
-            ends = list(accumulate(sizes))
         else:
             accepted = 0
             ends = []

@@ -34,7 +34,7 @@ def _parse_policies(text: str) -> list[Policy]:
         policies = [Policy(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError as e:
         raise ScenarioValidationError(
-            f"policy: {e}; valid values are {[p.value for p in Policy]}"
+            f"--policy: {e}; valid values are {[p.value for p in Policy]}"
         ) from None
     return _distinct("policy", policies)
 
@@ -43,7 +43,7 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
-        raise ScenarioValidationError("seed: must be a comma-separated integer list") from None
+        raise ScenarioValidationError("--seed: must be a comma-separated integer list") from None
     return _distinct("seed", seeds)
 
 

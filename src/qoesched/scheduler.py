@@ -11,6 +11,11 @@ The QoS weight is -ln(alpha) / beta_s: stricter loss targets and tighter
 delay bounds raise priority. The priority functions take UEs with queued
 bits; ``select`` skips empty inputs. Exactly one UE is granted the full slot
 per TTI; an idle decision is returned when every buffer is empty.
+
+``select`` compares the priorities as floats and builds the tie-break pair
+``(last_served_tti, ue_id)`` only when two are equal, keeping the lower: for
+finite priorities (every one the engine computes) that is the order of the
+key ``(priority, -last_served_tti, -ue_id)``, without a tuple per candidate.
 """
 from __future__ import annotations
 
@@ -102,13 +107,14 @@ def select(inputs: list[UeSchedInput], policy: Policy) -> SchedDecision:
         raise ValueError("need at least one UE")
     priority_fn = PRIORITY_FN[policy]
     best = None
-    best_key = None
     for u in inputs:
         if u.buffer_bits == 0:
             continue
-        key = (priority_fn(u), -u.last_served_tti, -u.ue_id)
-        if best_key is None or key > best_key:
-            best, best_key = u, key
+        p = priority_fn(u)
+        if best is None or p > best_p or (
+                p == best_p
+                and (u.last_served_tti, u.ue_id) < (best.last_served_tti, best.ue_id)):
+            best, best_p = u, p
     if best is None:
         return SchedDecision(None, 0)
     return SchedDecision(best.ue_id, int(best.rate_bps * TTI_SECONDS))

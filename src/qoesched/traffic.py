@@ -34,6 +34,11 @@ class TrafficClass(str, Enum):
     LIVE_HD_VIDEO = "live_hd_video"
 
 
+# the class tests read a module global: an Enum member read off its class
+# goes through a descriptor on every arrival call
+_FTP = TrafficClass.FTP_DOWNLOAD
+
+
 # a field's annotation, as source text up to any "[" -> how a message names its
 # kind and whether a value is of it, as parsed JSON gives it: a bool is no
 # number, a float field takes an int, and an enum field only its members.
@@ -93,7 +98,7 @@ class FlowSpec:
             raise ValueError("beta_ms must be >= 1")
         if not 0.0 < self.offered_load_bps < math.inf:
             raise ValueError("offered_load_bps must be positive and finite")
-        if self.traffic_class is TrafficClass.FTP_DOWNLOAD:
+        if self.traffic_class is _FTP:
             if not self.mean_packet_bits or self.mean_packet_bits <= 0:
                 raise ValueError("mean_packet_bits must be > 0 for ftp_download flows")
         else:
@@ -110,8 +115,11 @@ def exp_bits(us: list[float], mean_bits: float) -> list[int]:
     negative, so ``or 1`` is ``max(1, ...)`` without the call.
     """
     log1p = math.log1p
+    # round(x) of a float calls float.__round__(x), after parsing its
+    # arguments and looking the method up on every packet
+    rnd = float.__round__
     m = -float(mean_bits)
-    return [round(m * log1p(-u)) or 1 for u in us]
+    return [rnd(m * log1p(-u)) or 1 for u in us]
 
 
 def ftp_lam(spec: FlowSpec) -> float:
@@ -125,7 +133,7 @@ def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
     FTP: Poisson arrivals at offered_load/mean_packet_bits per second. Video:
     one frame every frame_interval_ms TTIs, size clipped at max_packet_bits.
     """
-    if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
+    if spec.traffic_class is _FTP:
         n = rng.poisson(ftp_lam(spec))
         if n == 0:
             return []
@@ -141,7 +149,7 @@ def next_arrival_tti(spec: FlowSpec, tti: int, rng: BufferedStream, end_tti: int
     ``rng`` consumed for the TTIs skipped: FTP at ``lam < 10`` draws one double
     ``u <= exp(-lam)`` per empty TTI (``rng.skip_zeros``, up to ``end_tti``),
     FTP at ``lam >= 10`` skips none, video draws nothing until its next frame."""
-    if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
+    if spec.traffic_class is _FTP:
         return tti + rng.skip_zeros(ftp_lam(spec), end_tti - tti)
     return -(-tti // spec.frame_interval_ms) * spec.frame_interval_ms
 

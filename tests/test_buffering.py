@@ -56,6 +56,23 @@ class TestEnqueue:
         assert buf.arrived_bits == 0 and not buf.queue
         assert buf.enqueue([], 0, 1) == 0
 
+    @pytest.mark.parametrize("sizes", [[0, 300, 200], [300, -4, 200], [300, 200, 0],
+                                       [-1], [2_000, 0]])
+    def test_bad_size_anywhere_rejected_before_any_change(self, sizes):
+        # the size check runs in the pass that sums the batch: a bad size at
+        # any position raises before a total, the queue or the tail moves
+        buf = UeBuffer(1_000)
+        buf.enqueue([400, 500], 0, 20)
+        buf.drain(450, now_tti=1)
+        buf.enqueue([700], 1, 30)  # tail-dropped whole
+        before = (_state(buf), buf.delivered_bits, buf.dropped_deadline_bits,
+                  buf.queue[-1][3])
+        with pytest.raises(ValueError, match="positive"):
+            buf.enqueue(sizes, 2, 40)
+        assert (_state(buf), buf.delivered_bits, buf.dropped_deadline_bits,
+                buf.queue[-1][3]) == before
+        assert buf.conservation_holds()
+
     def test_batch_returns_bits_accepted(self):
         buf = UeBuffer(1_000)
         assert buf.enqueue([300, 800, 200, 500], 3, 9) == 1_000
@@ -298,7 +315,7 @@ def enqueue_per_packet(buf, sizes, arrival_tti, deadline_tti):
 
 def _state(buf):
     return (packets(buf), buf.occupied_bits, buf.arrived_bits,
-            buf.dropped_overflow_bits, buf.delay_counts)
+            buf.dropped_overflow_bits, dict(buf.delay_counts))
 
 
 _batch = st.tuples(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoesched.buffering import UeBuffer
@@ -165,11 +165,18 @@ class TestQoeFi:
             assert qoe_fi(scaled) == pytest.approx(qoe_fi(pairs), rel=1e-9)
 
     @given(st.lists(st.tuples(st.floats(0.0, 1e12), st.floats(1e-6, 1e12)),
-                    min_size=2, max_size=30))
+                    min_size=2, max_size=300))
     @example([(0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (5e-324, 1.0)])
     @example([(5e-324, 1e12), (1e12, 1e-6), (0.0, 3.0), (1e12, 1e-6)])
     def test_equals_index_loop_skipping_diagonal(self, pairs):
         # a finite ratio's diagonal term adds +0.0, so the result is the same float
+        assert qoe_fi(pairs) == qoe_fi_index_loop(pairs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e12), st.floats(1e-6, 1e12)),
+                    min_size=100, max_size=300))
+    def test_equals_index_loop_at_cell_sizes(self, pairs):
+        # the lists above stay short; a dense cell has ~100 UEs
         assert qoe_fi(pairs) == qoe_fi_index_loop(pairs)
 
     def test_rejects_degenerate_input(self):

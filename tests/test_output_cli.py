@@ -288,6 +288,16 @@ class TestCli:
         assert f"{flag}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--policy", "FIFO"), ("--policy", "BCQQ,pf"),
+                                             ("--seed", "x"), ("--seed", "1,2.5")])
+    def test_unparsable_policy_or_seed_names_the_flag(self, tmp_path, capsys, flag, value):
+        scenario = self.write_scenario(tmp_path)
+        rc = cli.main(["run", "--scenario", str(scenario), "--duration-ms", "10",
+                       flag, value, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"error: {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value", [("--policy", ""), ("--policy", ","),
                                              ("--seed", ""), ("--seed", " , ")])
     def test_empty_policy_or_seed_rejected(self, tmp_path, capsys, flag, value):

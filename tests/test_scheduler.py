@@ -8,7 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qoesched.scheduler import (
+    PRIORITY_FN,
+    TTI_SECONDS,
     Policy,
+    SchedDecision,
     UeSchedInput,
     bcqq_priority,
     mlwdf_priority,
@@ -153,6 +156,43 @@ class TestSelect:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             select([], Policy.BCQQ)
+
+
+def select_by_key(inputs, policy):
+    """select's earlier form: the first input with the largest key
+    (priority, -last_served_tti, -ue_id) among those with queued bits."""
+    priority_fn = PRIORITY_FN[policy]
+    best = best_key = None
+    for u in inputs:
+        if u.buffer_bits == 0:
+            continue
+        key = (priority_fn(u), -u.last_served_tti, -u.ue_id)
+        if best_key is None or key > best_key:
+            best, best_key = u, key
+    if best is None:
+        return SchedDecision(None, 0)
+    return SchedDecision(best.ue_id, int(best.rate_bps * TTI_SECONDS))
+
+
+# small value sets, so that equal priorities and equal last_served_tti occur
+_candidate = st.builds(
+    ue,
+    ue_id=st.integers(0, 15),
+    buffer_bits=st.sampled_from([0, 1_000, 20_000_000]),
+    beta_s=st.sampled_from([0.15, 0.3]),
+    q=st.sampled_from([1.0, 2.0]),
+    rate_bps=st.sampled_from([1e6, 2e6, 3e6]),
+    hol_delay_s=st.sampled_from([0.0, 0.01, 0.02]),
+    avg_rate_bps=st.sampled_from([1e6, 2e6]),
+    last_served_tti=st.sampled_from([-1, 0, 5]),
+)
+
+
+class TestSelectEqualsKeyOrder:
+    @given(st.lists(_candidate, min_size=1, max_size=12, unique_by=lambda u: u.ue_id))
+    def test_same_decision_as_the_tuple_key(self, inputs):
+        for policy in Policy:
+            assert select(inputs, policy) == select_by_key(inputs, policy)
 
 
 class TestMlwdfEqualsPf:

@@ -110,6 +110,10 @@ class TestExpBits:
     @example([0.0, 1e-300, 5e-324], 1e8)
     @example([1.0 - 2.0**-53], 0.5)
     @example([1e-12, 0.1, 0.5, 0.75], 2**53 + 1)  # an int mean no float holds exactly
+    # -mean * log1p(-u) is exactly 2.5 and 346574.5 with glibc's log1p: each
+    # rounds half to even, to 2 and 346574, where half-up rounding gives 1 more
+    @example([0.13436424411240122], 17.32609025672327)
+    @example([0.763774618976614], 240181.54092731967)
     def test_equals_max_one_rounded_inverse_cdf(self, us, mean_bits):
         assert exp_bits(us, mean_bits) == [_reference_bits(u, mean_bits) for u in us]
 
