@@ -72,7 +72,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -101,6 +101,7 @@ DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
 
 @dataclass(frozen=True)
 class Scenario:
+    """One cell's settings: its flows, buffer, channel, QoE and adjustment."""
     duration_tti: int
     flows: tuple[FlowSpec, ...]
     buffersize_bits: int
@@ -172,35 +173,37 @@ class Scenario:
                              f"{self.annotations!r} reads back as {back!r}")
 
 
-@dataclass
 class UeState:
-    flow: FlowSpec  # as the scenario configured it
-    spec: FlowSpec  # the flow as adjusted so far
-    buffer: UeBuffer
-    cqi: int
-    traffic_rng: BufferedStream
-    cqi_rng: BufferedStream
-    # q feedback pipeline: index 0 is the value the scheduler sees now.
-    q_pipe: deque[float]
-    # fixed per flow: service adjustment changes only the load
-    qos_weight: float
-    avg_rate_bps: float = 1.0
-    last_served_tti: int = -1
-    last_adjust_tti: int | None = None
-    # wake TTI: the traffic stream is consumed for exactly the TTIs before
-    # it, which have no arrivals; arrivals() runs on every TTI from it on
-    # that the UE is processed
-    next_arrival_tti: int = 0
-    # first TTI whose CQI step, q feedback and EMA decay are not yet applied
-    synced_tti: int = 0
-    sched_count: int = 0
-    # the buffer's drop totals at the UE's last trace row, kept by _trace
-    traced_deadline_bits: int = 0
-    traced_overflow_bits: int = 0
+    """One UE's run state. ``flow`` is the flow as the scenario configured it,
+    ``spec`` the flow as adjusted so far."""
+
+    def __init__(self, flow: FlowSpec, buffer: UeBuffer, cqi: int, traffic_rng: BufferedStream,
+                 cqi_rng: BufferedStream, q_pipe: deque[float], qos_weight: float):
+        self.flow = self.spec = flow
+        self.buffer = buffer
+        self.cqi = cqi
+        self.traffic_rng = traffic_rng
+        self.cqi_rng = cqi_rng
+        # q feedback pipeline: index 0 is the value the scheduler sees now.
+        self.q_pipe = q_pipe
+        # fixed per flow: service adjustment changes only the load
+        self.qos_weight = qos_weight
+        self.avg_rate_bps = 1.0
+        self.last_served_tti = -1
+        self.last_adjust_tti: int | None = None
+        # wake TTI: the traffic stream is consumed for exactly the TTIs before
+        # it, which have no arrivals; arrivals() runs on every TTI from it on
+        # that the UE is processed
+        self.next_arrival_tti = 0
+        # first TTI whose CQI step, q feedback and EMA decay are not yet applied
+        self.synced_tti = 0
+        self.sched_count = 0
+        # the buffer's drop totals at the UE's last trace row, kept by _trace
+        self.traced_deadline_bits = 0
+        self.traced_overflow_bits = 0
 
 
-@dataclass
-class AdjustmentEvent:
+class AdjustmentEvent(NamedTuple):
     tti: int
     ue_id: int
     occupancy_ratio: float
@@ -209,8 +212,7 @@ class AdjustmentEvent:
     new_load_bps: float
 
 
-@dataclass
-class UeReport:
+class UeReport(NamedTuple):
     ue_id: int
     traffic_class: str
     arrived_bits: int
@@ -225,8 +227,7 @@ class UeReport:
     loss_rate: float | None
 
 
-@dataclass
-class SimReport:
+class SimReport(NamedTuple):
     policy: str
     seed: int
     duration_tti: int
@@ -270,7 +271,7 @@ class Simulation:
         delay = min(scenario.qoe_feedback_delay_tti, scenario.duration_tti)
         self.ues = [
             UeState(
-                flow=flow, spec=flow,
+                flow=flow,
                 buffer=UeBuffer(scenario.buffersize_bits),
                 cqi=cqi0,
                 traffic_rng=_substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC),
@@ -413,7 +414,10 @@ class Simulation:
     def buffer(self, ue_id: int) -> UeBuffer:
         """UE ``ue_id``'s buffer, the one door for changing it between steps:
         the UE is caught up first, so its slept TTIs keep their q."""
-        u = self._ue_by_id[ue_id]
+        u = self._ue_by_id.get(ue_id)
+        if u is None:
+            raise ValueError(f"buffer({ue_id!r}): no UE has that id; "
+                             f"the cell's ue_ids are {list(self._ue_by_id)}")
         if self._next_tti > u.synced_tti:
             self._catch_up(u, self._next_tti)
         return u.buffer

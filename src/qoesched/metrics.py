@@ -21,7 +21,7 @@ buffers' marks), and the run report to the buffers' run totals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def figures(ys: list[int], y_reqs: list[int],
             qoe_fi(pairs) if len(pairs) >= 2 else None)
 
 
-@dataclass
-class WindowRecord:
+class WindowRecord(NamedTuple):
     index: int
     start_tti: int
     end_tti: int               # exclusive

@@ -7,7 +7,6 @@ reals with 9 significant digits.
 from __future__ import annotations
 
 import json
-from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -43,11 +42,11 @@ def _metrics_line(policy: str, seed: int, w: WindowRecord) -> str:
 
 def _round_reals(obj: Any) -> Any:
     """Recursively round floats to 9 significant digits for stable JSON;
-    dataclass instances become dicts of their fields."""
+    report records (NamedTuples) become dicts of their fields, not lists."""
     if isinstance(obj, float):
         return float(fmt_real(obj))
-    if is_dataclass(obj):
-        obj = vars(obj)
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {k: _round_reals(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -63,7 +62,7 @@ def _dump_json(obj: Any, path: Path) -> None:
 def run_to_dict(report: SimReport) -> dict:
     """A run's summary.json entry: every report field but the windows, which
     metrics.csv holds, and the trace."""
-    return {k: v for k, v in vars(report).items() if k not in ("windows", "trace_rows")}
+    return {k: v for k, v in report._asdict().items() if k not in ("windows", "trace_rows")}
 
 
 def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,

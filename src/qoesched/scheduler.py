@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # The TTI is fixed at 1 ms: beta_ms, frame_interval_ms, duration_tti,
 # window_tti and the CLI's --duration-ms all count TTIs, so these constants
@@ -45,6 +46,7 @@ class Policy(str, Enum):
 
 @dataclass(slots=True)
 class UeSchedInput:
+    """One UE's scheduling input for one TTI; only UEs with queued bits get one."""
     ue_id: int
     buffer_bits: int
     buffersize_bits: int
@@ -91,8 +93,7 @@ PRIORITY_FN = {
 }
 
 
-@dataclass
-class SchedDecision:
+class SchedDecision(NamedTuple):
     selected_ue: int | None
     budget_bits: int
 

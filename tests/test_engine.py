@@ -142,7 +142,14 @@ class TestRun:
         r2 = run(sc, seed=5, collect_trace=True)
         assert r1.trace_rows == r2.trace_rows
         assert r1.total_delivered_bits == r2.total_delivered_bits
-        assert [dataclasses.asdict(u) for u in r1.per_ue] == [dataclasses.asdict(u) for u in r2.per_ue]
+        assert [u._asdict() for u in r1.per_ue] == [u._asdict() for u in r2.per_ue]
+
+    def test_buffer_of_an_unknown_ue_names_the_id_and_the_cell(self):
+        sim = Simulation(make_scenario([ftp_flow(3), video_flow(0)]))
+        with pytest.raises(ValueError, match=r"^buffer\(99\): no UE has that id; "
+                                             r"the cell's ue_ids are \[3, 0\]$"):
+            sim.buffer(99)
+        assert sim.buffer(0) is sim.ues[1].buffer
 
     def test_policy_sweep_populates_reports(self):
         sc = make_scenario(
@@ -623,7 +630,7 @@ class TestScalarStreamReference:
         sparse, dense = sims
         assert isinstance(sparse.ues[0].traffic_rng, BufferedStream)
         assert isinstance(dense.ues[0].traffic_rng, np.random.Generator)
-        got, want = (dataclasses.asdict(r) for r in reports)
+        got, want = (r._asdict() for r in reports)
         for name in want:
             assert got[name] == want[name], name
         # run() leaves every UE caught up to the end of the run
@@ -648,7 +655,7 @@ class TestScalarStreamReference:
         traced = self.both(lambda cls: cls(sc, policy=policy, seed=21, collect_trace=True))
         plain = self.both(lambda cls: cls(sc, policy=policy, seed=21))
         assert traced.trace_rows and plain.trace_rows is None
-        assert dataclasses.replace(traced, trace_rows=None) == plain
+        assert traced._replace(trace_rows=None) == plain
         assert any(u.dropped_deadline_bits for u in plain.per_ue)
         assert any(row[7] is None for row in traced.trace_rows)
 

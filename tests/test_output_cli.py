@@ -58,6 +58,28 @@ class TestEmit:
             json.dumps(output._round_reals(scenario_to_dict(sc)))
         )
 
+    def test_summary_keys_are_the_report_fields(self, tmp_path):
+        # a renamed report field would change summary.json here, not only
+        # in the scenarios the benchmark digests cover
+        flows = tuple(FlowSpec(ue_id=i, traffic_class=TrafficClass.FTP_DOWNLOAD, alpha=1e-6,
+                               beta_ms=300, offered_load_bps=3e9, mean_packet_bits=500_000,
+                               adaptive=True) for i in (0, 1))
+        sc = Scenario(duration_tti=400, flows=flows, buffersize_bits=40_000_000,
+                      peak_rate_bps=1e9, walk_prob=0.0, initial_cqi_per_ue=(15, 1), q_max=1.0,
+                      adjustment_enabled=True)
+        output.emit([run(sc, seed=1)], sc, tmp_path)
+        entry, = json.loads((tmp_path / "summary.json").read_text())["runs"]
+        assert sorted(entry) == [
+            "adjustment_events", "duration_tti", "jfi", "per_ue", "policy", "qoe_fi", "seed",
+            "total_arrived_bits", "total_delivered_bits", "total_throughput_bps"]
+        assert [sorted(u) for u in entry["per_ue"]] == [[
+            "arrived_bits", "buffered_bits", "delivered_bits", "dropped_deadline_bits",
+            "dropped_overflow_bits", "loss_rate", "mean_delay_ms", "p99_delay_ms",
+            "sched_count", "throughput_bps", "traffic_class", "ue_id"]] * 2
+        assert entry["adjustment_events"]
+        assert {tuple(sorted(e)) for e in entry["adjustment_events"]} == {(
+            "new_load_bps", "occupancy_ratio", "old_load_bps", "starved_tti", "tti", "ue_id")}
+
     def test_non_finite_annotation_is_refused(self, tmp_path):
         # put in after construction, past Scenario's check; strict JSON has no NaN
         sc = small_scenario(duration=5)
