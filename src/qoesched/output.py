@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from sys import float_info
 from typing import Any
 
 from .engine import Scenario, SimReport
@@ -106,6 +107,8 @@ class CompareError(ValueError):
     pass
 
 
+# the run figures ``compare`` reads, each with its name in a per-seed row
+_FIGURES = {"total_throughput_bps": "throughput_bps", "jfi": "jfi", "qoe_fi": "qoe_fi"}
 # the keys ``compare`` reads from each run: the types it needs, and their name
 _REAL = ((int, float, type(None)), "a number or null")
 _RUN_KEYS = {"policy": ((str,), "a string"), "seed": ((int,), "an integer"),
@@ -135,8 +138,12 @@ def _load_summary(path: Path) -> dict:
         for key, (types, name) in _RUN_KEYS.items():
             if key not in run:
                 raise CompareError(f"{path}: runs[{i}]: key '{key}' is missing")
-            if isinstance(run[key], bool) or not isinstance(run[key], types):
+            v = run[key]
+            if isinstance(v, bool) or not isinstance(v, types):
                 raise CompareError(f"{path}: runs[{i}]: key '{key}' must be {name}")
+            # json.loads reads 1e400 as inf, and a 400-digit integer exactly
+            if key in _FIGURES and v is not None and not abs(v) <= float_info.max:
+                raise CompareError(f"{path}: runs[{i}]: key '{key}' must be finite, got {v}")
     return summary
 
 
@@ -153,23 +160,22 @@ def compare(summaries: list[dict]) -> dict:
     Emits per-seed and mean-over-seeds throughput ratios and fairness
     indices, plus flags for BCQQ beating MLWDF on throughput and on the
     QoE fairness index (lower is better). A throughput ratio is left out
-    where MLWDF's throughput is 0.
+    where MLWDF's throughput is 0. A (policy, seed) pair that two runs
+    give is an error.
     """
-    base = summaries[0]["scenario"]
-    for s in summaries[1:]:
-        sc = dict(s["scenario"])
-        ref = dict(base)
-        # per-run seed/policy overrides are not scenario mismatches
-        for k in ("seed", "policy"):
-            sc.pop(k, None)
-            ref.pop(k, None)
-        if sc != ref:
-            raise CompareError("summaries come from mismatched scenarios")
+    # per-run seed/policy overrides are not scenario mismatches
+    scenarios = [{k: v for k, v in s["scenario"].items() if k not in ("seed", "policy")}
+                 for s in summaries]
+    if any(sc != scenarios[0] for sc in scenarios[1:]):
+        raise CompareError("summaries come from mismatched scenarios")
 
     by_policy: dict[str, dict[int, dict]] = {}
     for s in summaries:
         for run in s["runs"]:
-            by_policy.setdefault(run["policy"], {})[run["seed"]] = run
+            runs = by_policy.setdefault(run["policy"], {})
+            if run["seed"] in runs:
+                raise CompareError(f"{run['policy']} seed {run['seed']} is given by two runs")
+            runs[run["seed"]] = run
     if len(by_policy) < 2:
         raise CompareError("compare requires at least two policies")
 
@@ -182,44 +188,23 @@ def compare(summaries: list[dict]) -> dict:
         xs = [x for x in xs if x is not None]
         return sum(xs) / len(xs) if xs else None
 
-    policy_stats = {
-        p: {
-            "mean_total_throughput_bps": mean(
-                [by_policy[p][s]["total_throughput_bps"] for s in seeds]
-            ),
-            "mean_jfi": mean([by_policy[p][s]["jfi"] for s in seeds]),
-            "mean_qoe_fi": mean([by_policy[p][s]["qoe_fi"] for s in seeds]),
-        }
-        for p in policies
-    }
+    def vs_mlwdf(values: dict) -> dict | None:
+        """Each policy's value over MLWDF's; None where MLWDF is missing or 0."""
+        ref = values.get("MLWDF")
+        return {p: v / ref for p, v in values.items()} if ref else None
 
-    per_seed = []
+    policy_stats = {p: {f"mean_{k}": mean([by_policy[p][s][k] for s in seeds]) for k in _FIGURES}
+                    for p in policies}
+    result = {"policies": policy_stats, "seeds": seeds, "per_seed": []}
     for s in seeds:
-        row = {
-            "seed": s,
-            "throughput_bps": {p: by_policy[p][s]["total_throughput_bps"] for p in policies},
-            "jfi": {p: by_policy[p][s]["jfi"] for p in policies},
-            "qoe_fi": {p: by_policy[p][s]["qoe_fi"] for p in policies},
-        }
-        if "MLWDF" in by_policy:
-            ref = by_policy["MLWDF"][s]["total_throughput_bps"]
-            if ref:
-                row["throughput_ratio_vs_mlwdf"] = {
-                    p: by_policy[p][s]["total_throughput_bps"] / ref for p in policies
-                }
-        per_seed.append(row)
+        row = {name: {p: by_policy[p][s][k] for p in policies} for k, name in _FIGURES.items()}
+        row["seed"] = s
+        if ratio := vs_mlwdf(row["throughput_bps"]):
+            row["throughput_ratio_vs_mlwdf"] = ratio
+        result["per_seed"].append(row)
+    if ratio := vs_mlwdf({p: st["mean_total_throughput_bps"] for p, st in policy_stats.items()}):
+        result["mean_throughput_ratio_vs_mlwdf"] = ratio
 
-    result = {
-        "policies": policy_stats,
-        "seeds": seeds,
-        "per_seed": per_seed,
-    }
-    if "MLWDF" in by_policy:
-        ref = policy_stats["MLWDF"]["mean_total_throughput_bps"]
-        if ref:
-            result["mean_throughput_ratio_vs_mlwdf"] = {
-                p: policy_stats[p]["mean_total_throughput_bps"] / ref for p in policies
-            }
     flags = {"bcqq_throughput_exceeds_mlwdf": False, "bcqq_qoefi_below_mlwdf": False}
     if "BCQQ" in by_policy and "MLWDF" in by_policy:
         b, m = policy_stats["BCQQ"], policy_stats["MLWDF"]

@@ -214,6 +214,59 @@ class TestCompare:
         table = output.comparison_table(res)
         assert "BCQQ" in table and "MLWDF" in table
 
+    def test_golden_three_policies_three_seeds(self):
+        # PF lacks seed 3, so seed 3 is dropped; MLWDF sends nothing on seed 2,
+        # so that seed has no ratio; BCQQ's seed-1 JFI is None, so its mean
+        # JFI is seed 2's alone. Each summary's scenario names its own seed and
+        # policy, which are per-run overrides, not mismatches.
+        figures = {  # policy -> seed -> (total_throughput_bps, jfi, qoe_fi)
+            "BCQQ": {1: (3e6, None, 1.5), 2: (2e6, 0.75, 1.0), 3: (9e6, 0.5, 0.5)},
+            "MLWDF": {1: (2e6, 0.5, 1.0), 2: (0.0, 1.0, 1.0), 3: (1e6, 0.5, 2.0)},
+            "PF": {1: (1e6, 0.25, 2.0), 2: (1e6, 0.5, 1.5)},
+        }
+        summaries = [
+            {"scenario": {"name": "syn", "duration_tti": 1000, "seed": min(runs),
+                          "policy": policy},
+             "runs": [{"policy": policy, "seed": seed, "total_throughput_bps": t,
+                       "jfi": j, "qoe_fi": q} for seed, (t, j, q) in runs.items()]}
+            for policy, runs in figures.items()
+        ]
+        res = output.compare(summaries)
+        assert res == {
+            "policies": {
+                "BCQQ": {"mean_total_throughput_bps": 2.5e6, "mean_jfi": 0.75,
+                         "mean_qoe_fi": 1.25},
+                "MLWDF": {"mean_total_throughput_bps": 1e6, "mean_jfi": 0.75,
+                          "mean_qoe_fi": 1.0},
+                "PF": {"mean_total_throughput_bps": 1e6, "mean_jfi": 0.375,
+                       "mean_qoe_fi": 1.75},
+            },
+            "seeds": [1, 2],
+            "per_seed": [
+                {"seed": 1,
+                 "throughput_bps": {"BCQQ": 3e6, "MLWDF": 2e6, "PF": 1e6},
+                 "jfi": {"BCQQ": None, "MLWDF": 0.5, "PF": 0.25},
+                 "qoe_fi": {"BCQQ": 1.5, "MLWDF": 1.0, "PF": 2.0},
+                 "throughput_ratio_vs_mlwdf": {"BCQQ": 1.5, "MLWDF": 1.0, "PF": 0.5}},
+                {"seed": 2,
+                 "throughput_bps": {"BCQQ": 2e6, "MLWDF": 0.0, "PF": 1e6},
+                 "jfi": {"BCQQ": 0.75, "MLWDF": 1.0, "PF": 0.5},
+                 "qoe_fi": {"BCQQ": 1.0, "MLWDF": 1.0, "PF": 1.5}},
+            ],
+            "mean_throughput_ratio_vs_mlwdf": {"BCQQ": 2.5, "MLWDF": 1.0, "PF": 1.0},
+            "flags": {"bcqq_throughput_exceeds_mlwdf": True,
+                      "bcqq_qoefi_below_mlwdf": False},
+        }
+        assert output.comparison_table(res) == "\n".join([
+            "policy     mean tput (Mbps)   mean JFI  mean QoE_FI",
+            "BCQQ                  2.500       0.75         1.25",
+            "MLWDF                 1.000       0.75            1",
+            "PF                    1.000      0.375         1.75",
+            "throughput ratio vs MLWDF: BCQQ=2.5, MLWDF=1, PF=1",
+            "bcqq_throughput_exceeds_mlwdf: True",
+            "bcqq_qoefi_below_mlwdf: False",
+        ])
+
 
 class TestCli:
     def write_scenario(self, tmp_path):
@@ -363,6 +416,19 @@ class TestCli:
         rc = cli.main(["compare", "--in", str(out)])
         assert rc == cli.EXIT_VALIDATION
 
+    def test_compare_refuses_a_policy_and_seed_given_twice(self, tmp_path, capsys):
+        # which of the two BCQQ seed-1 runs won would flip the ratio and the flag
+        a = synthetic_summary("BCQQ", 1, 1.0)
+        a["runs"] += synthetic_summary("MLWDF", 1, 2.0)["runs"]
+        b = synthetic_summary("BCQQ", 1, 9.0)
+        for sub, summary in (("a", a), ("b", b)):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "summary.json").write_text(json.dumps(summary))
+        assert cli.main(["compare", "--in", str(tmp_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "BCQQ" in err and "seed 1" in err
+        assert not (tmp_path / "comparison.json").exists()
+
     @pytest.mark.parametrize("text, key", [
         pytest.param("[]", None, id="list"),
         pytest.param('{"runs": []}', "'scenario'", id="no_scenario"),
@@ -377,6 +443,18 @@ class TestCli:
         pytest.param('{"scenario": {}, "runs": [{"policy": "PF", "seed": 1, '
                      '"total_throughput_bps": 1.0, "jfi": NaN, "qoe_fi": null}]}', "NaN",
                      id="jfi_nan"),
+        # json.loads reads 1e400 as inf without calling parse_constant
+        pytest.param('{"scenario": {}, "runs": [{"policy": "PF", "seed": 1, '
+                     '"total_throughput_bps": 1e400, "jfi": null, "qoe_fi": null}]}',
+                     "runs[0]: key 'total_throughput_bps' must be finite, got inf",
+                     id="throughput_1e400"),
+        pytest.param('{"scenario": {}, "runs": [{"policy": "PF", "seed": 1, '
+                     '"total_throughput_bps": 1.0, "jfi": -1e400, "qoe_fi": null}]}',
+                     "runs[0]: key 'jfi' must be finite, got -inf", id="jfi_minus_1e400"),
+        # ... and a 400-digit integer exactly, which no mean can divide to a float
+        pytest.param('{"scenario": {}, "runs": [{"policy": "PF", "seed": 1, '
+                     '"total_throughput_bps": 1.0, "jfi": null, "qoe_fi": 1' + "0" * 400 + "}]}",
+                     "runs[0]: key 'qoe_fi' must be finite, got 1000", id="qoe_fi_400_digits"),
         pytest.param('{"scenario": ', None, id="truncated"),
     ])
     def test_compare_malformed_summary(self, tmp_path, capsys, text, key):
