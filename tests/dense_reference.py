@@ -15,7 +15,8 @@ for outside changes, is a plain lookup: no UE sleeps, so there is nothing to
 catch up. Its served-rate EMA is ``update_avg_rate``, written from
 ``AVG_RATE_TC`` and not from the ``EMA_DECAY`` and ``EMA_GAIN`` the engine
 uses, so a wrong coefficient shows. Tests compare the two engines' reports
-and scheduling inputs field by field.
+field by field, and after every step the state of each UE the sparse engine
+left synced.
 """
 from __future__ import annotations
 

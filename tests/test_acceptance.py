@@ -13,16 +13,24 @@ import math
 import time
 from dataclasses import replace
 from importlib import resources
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
-import qoesched.engine as engine_mod
 from qoesched.engine import Scenario, Simulation, run
 from qoesched.metrics import jfi, qoe_fi
 from qoesched.output import emit
 from qoesched.scenario import parse_scenario
-from qoesched.scheduler import Policy, UeSchedInput, bcqq_priority, qos_weight, select
+from qoesched.scheduler import (
+    TTIS_PER_SECOND,
+    Policy,
+    UeSchedInput,
+    bcqq_priority,
+    qos_weight,
+    select,
+)
 from qoesched.traffic import FlowSpec, TrafficClass
 
 
@@ -240,27 +248,41 @@ def test_c08_baseline_reduces_to_pf():
 
 # --- criterion 9: selection invariant to uniform QoE rescaling -------------
 
-def test_c09_argmax_invariance(monkeypatch):
-    captured: list[list[UeSchedInput]] = []
-    real_select = select
-
-    def spy(inputs, policy):
-        captured.append([replace(i) for i in inputs])
-        return real_select(inputs, policy)
-
-    monkeypatch.setattr(engine_mod, "select", spy)
+def test_c09_argmax_invariance():
+    # BCQQ's inputs, rebuilt from the rows of a traced run: a UE's bits at
+    # selection are what its row leaves queued plus what it sent, and its
+    # last service is the last earlier TTI whose row marks it selected.
+    # BCQQ reads neither the head-of-line delay nor the served rate.
     scenario = replace(table1_scenario(), duration_tti=10_000)
-    run(scenario, policy=Policy.BCQQ, seed=9)
-    monkeypatch.undo()
-
-    assert len(captured) == 10_000
+    report = run(scenario, policy=Policy.BCQQ, seed=9, collect_trace=True)
+    weight = {f.ue_id: qos_weight(f.alpha, f.beta_ms / TTIS_PER_SECOND)
+              for f in scenario.flows}
+    last_served = dict.fromkeys(weight, -1)
     rng = np.random.default_rng(909)
-    for inputs in captured:
-        c = float(rng.uniform(0.01, 100.0))
+    ttis = 0
+    for tti, rows in groupby(report.trace_rows, key=itemgetter(0)):
+        inputs, priorities, winner = [], [], None
+        for _tti, ue, _cqi, rate, buffered, q, priority, selected, tx, *_drops in rows:
+            if selected:
+                winner = ue
+            if buffered + tx:
+                inputs.append(_sched_input(
+                    ue_id=ue, buffer_bits=buffered + tx,
+                    buffersize_bits=scenario.buffersize_bits, qos_weight=weight[ue],
+                    q=q, rate_bps=rate, last_served_tti=last_served[ue]))
+                priorities.append(priority)
+        assert inputs, tti
+        # the trace's priority and selected columns are BCQQ's on these inputs
+        assert [bcqq_priority(u) for u in inputs] == priorities, tti
         base = select(inputs, Policy.BCQQ).selected_ue
+        assert base == winner, tti
+        c = float(rng.uniform(0.01, 100.0))
         scaled = select([replace(u, q=u.q * c) for u in inputs],
                         Policy.BCQQ).selected_ue
         assert scaled == base
+        last_served[winner] = tti
+        ttis += 1
+    assert ttis == 10_000
 
 
 # --- criterion 10: service adjustment loop ----------------------------------

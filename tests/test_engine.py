@@ -1,16 +1,13 @@
 import dataclasses
 import math
-import sys
 import tracemalloc
 from importlib import resources
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dense_reference
 from dense_reference import DenseSimulation, update_avg_rate
 from qoesched import engine
 from qoesched.channel import rate_of
@@ -497,28 +494,25 @@ class TestTraceObserves:
     def test_trace_makes_the_same_arrivals_and_select_calls(self, monkeypatch):
         sc = light_cell()
         calls = []
-        arrivals, select = engine.arrivals, engine.select
+        arrivals = engine.arrivals
 
         def spy_arrivals(spec, tti, rng):
-            calls.append(("arrivals", spec.ue_id, tti))
+            calls.append((spec.ue_id, tti))
             return arrivals(spec, tti, rng)
 
-        def spy_select(inputs, policy):
-            calls.append(("select", list(inputs), policy))
-            return select(inputs, policy)
-
         monkeypatch.setattr(engine, "arrivals", spy_arrivals)
-        monkeypatch.setattr(engine, "select", spy_select)
         seen = []
         for trace in (False, True):
             calls.clear()
-            run(sc, policy=Policy.MLWDF, seed=17, collect_trace=trace)
-            seen.append(list(calls))
+            sim = Simulation(sc, policy=Policy.MLWDF, seed=17, collect_trace=trace)
+            report = sim.run()
+            seen.append((list(calls), report._replace(trace_rows=None),
+                         [(u.spec, u.cqi, u.avg_rate_bps, list(u.q_pipe), u.last_served_tti,
+                           u.next_arrival_tti, list(u.buffer.queue)) for u in sim.ues]))
         assert seen[0] == seen[1]
         # idle TTIs and sleepers stay out of both runs
-        selects = sum(1 for c in seen[0] if c[0] == "select")
-        assert 0 < selects < 700
-        assert sum(1 for c in seen[0] if c[0] == "arrivals") < 80 * 700
+        assert 0 < sum(u.sched_count for u in report.per_ue) < 700
+        assert len(calls) < 80 * 700
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_ue_with_nothing_queued_has_priority_zero(self, policy):
@@ -606,38 +600,53 @@ class TestScalarStreamReference:
     on every TTI with scalar draws from plain ``Generator`` substreams.
     """
 
-    def both(self, build, between=None):
-        """Run ``build(cls)`` under both engines; compare every report field
-        and every scheduling input, whichever policy reads it.
+    def both(self, build, between=None, steps=None):
+        """Run ``build(cls)`` under both engines and compare every report
+        field. After every step, compare each UE that the sparse engine left
+        synced with the dense loop's UE: its CQI, served rate, feedback pipe,
+        arrived bits and queued bits.
 
         ``between(sim, tti)``, if given, runs before each ``step(tti)``.
+        ``steps``, if given, gets the dense loop's record of those five, per
+        TTI and UE; the dense loop leaves every UE synced.
         """
-        sims, reports, inputs = [], [], []
-        for cls, mod in ((Simulation, engine), (DenseSimulation, dense_reference)):
+        def state(u):
+            return (u.cqi, u.avg_rate_bps, u.q_pipe.copy(), u.buffer.arrived_bits,
+                    u.buffer.occupied_bits)
+
+        record = [] if steps is None else steps
+
+        def keep(sim, tti):
+            record.append([state(u) for u in sim.ues])
+
+        def check(sim, tti):
+            for u, want in zip(sim.ues, record[tti], strict=True):
+                if u.synced_tti > tti:
+                    assert state(u) == want, (tti, u.spec.ue_id)
+
+        sims, reports = [], []
+        for cls, after in ((DenseSimulation, keep), (Simulation, check)):
             sim = build(cls)
-            if between is not None:
-                def step(tti, sim=sim, step=sim.step):
+
+            def step(tti, sim=sim, step=sim.step, after=after):
+                if between is not None:
                     between(sim, tti)
-                    return step(tti)
-                sim.step = step
-            with mock.patch.object(mod, "select", wraps=mod.select) as select:
-                reports.append(sim.run())
-            # the traced dense loop also offers UEs with nothing queued
-            inputs.append([c for c in ([i for i in call.args[0] if i.buffer_bits]
-                                       for call in select.call_args_list) if c])
+                decision = step(tti)
+                after(sim, tti)
+                return decision
+            sim.step = step
+            reports.append(sim.run())
             sims.append(sim)
-        assert inputs[0] == inputs[1]
-        sparse, dense = sims
+        dense, sparse = sims
         assert isinstance(sparse.ues[0].traffic_rng, BufferedStream)
         assert isinstance(dense.ues[0].traffic_rng, np.random.Generator)
-        got, want = (r._asdict() for r in reports)
+        want, got = (r._asdict() for r in reports)
         for name in want:
             assert got[name] == want[name], name
         # run() leaves every UE caught up to the end of the run
         for a, b in zip(sparse.ues, dense.ues):
-            assert (a.cqi, a.avg_rate_bps, list(a.q_pipe)) == \
-                (b.cqi, b.avg_rate_bps, list(b.q_pipe)), a.spec.ue_id
-        return reports[0]
+            assert state(a) == state(b), a.spec.ue_id
+        return reports[1]
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_mixed_traffic_with_feedback_delay(self, policy):
@@ -740,24 +749,30 @@ class TestScalarStreamReference:
             adjustment_enabled=True, occupancy_threshold=0.5, starvation_tti=20,
             adjustment_factor=0.5,
         )
-        rearms = []
+        calls = []
         wake_tti = engine.next_arrival_tti
 
         def record(spec, tti, rng, end_tti):
             wake = wake_tti(spec, tti, rng, end_tti)
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "_adjustment_check":
-                rearms.append((caller.f_locals["tti"], tti, wake))
+            calls.append((spec, tti, wake))
             return wake
 
         monkeypatch.setattr(engine, "next_arrival_tti", record)
         report = self.both(lambda cls: cls(sc, seed=10))
         events = [e for e in report.adjustment_events if e.ue_id == 1]
+        # An adjustment replaces the UE's spec and re-arms its wake TTI with
+        # it at once, so each new spec's first call is that event's re-arm.
+        rearms, spec = [], sc.flows[1]
+        for call_spec, pending, wake in calls:
+            if call_spec.ue_id == 1 and call_spec is not spec:
+                spec = call_spec
+                rearms.append((spec.offered_load_bps, pending, wake))
         assert len(events) == len(rearms) >= 3
+        assert all(load == e.new_load_bps for e, (load, _, _) in zip(events, rearms))
         # Loads never rise, so TTIs skipped under the old load stay empty.
         assert all(e.new_load_bps <= e.old_load_bps for e in events)
         assert all(e.old_load_bps / 400_000_000 < 10.0 for e in events)
-        assert any(wake > pending > now + 1 for now, pending, wake in rearms)
+        assert any(wake > pending > e.tti + 1 for e, (_, pending, wake) in zip(events, rearms))
 
     def test_packet_enqueued_into_a_sleeping_ue(self, trace=False):
         sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=5e5),
@@ -787,7 +802,7 @@ class TestScalarStreamReference:
         *(pytest.param("enqueue", d, id=str(d)) for d in (0, 2, 5)),
         *(pytest.param("drain", d, id=f"drain-{d}") for d in (3, 5, 11)),
     ])
-    def test_outside_bits_reach_q_as_in_the_dense_loop(self, monkeypatch, change, delay):
+    def test_outside_bits_reach_q_as_in_the_dense_loop(self, change, delay):
         # Bits enqueued or drained between steps through the door move the
         # UE's q from the next TTI on; the TTIs a sleeper slept before the
         # change keep the q of before it, and a UE drained empty sleeps on
@@ -798,13 +813,6 @@ class TestScalarStreamReference:
                             video_flow(2, load=4e6)],
                            duration=600, peak=1e9, walk=0.2, cqis=[4, 9, 12],
                            window_tti=100, qoe_feedback_delay_tti=delay)
-        seen = {engine: [], dense_reference: []}
-        for mod, log in seen.items():
-            def record(inputs, policy, log=log, select=mod.select):
-                log.append([(i.ue_id, i.q) for i in inputs])
-                return select(inputs, policy)
-            monkeypatch.setattr(mod, "select", record)
-
         def enqueue(sim, tti):
             if tti % 37 == 5:
                 sim.buffer(0).enqueue([300_000], tti, tti + 50)
@@ -820,12 +828,12 @@ class TestScalarStreamReference:
                 if not isinstance(sim, DenseSimulation) and tti < u.next_arrival_tti:
                     asleep.append(tti)
 
+        steps = []
         self.both(lambda cls: cls(sc, policy=Policy.BCQQ, seed=5),
-                  enqueue if change == "enqueue" else drain)
-        assert len(seen[engine]) > 50
-        assert seen[engine] == seen[dense_reference]
+                  enqueue if change == "enqueue" else drain, steps)
         if change == "enqueue":
-            assert any(q > 1.0 for inputs in seen[engine] for ue, q in inputs if ue == 0)
+            # the head of UE 0's pipe, the q the scheduler reads
+            assert any(ues[0][2][0] > 1.0 for ues in steps)
         else:
             assert len(asleep) >= 3
 
