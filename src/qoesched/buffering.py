@@ -12,8 +12,9 @@ flow in one call: they share the arrival TTI and the deadline. It validates
 the batch once (a deadline after ``arrival_tti`` and not before the queue
 tail's, so ``expire`` pops from the head only, and every size at least 1,
 else ``ValueError``, before any state changes) and tail-drops each packet
-whole, in order. One pass over the sizes checks, sums and prefix-sums them,
-so a batch that fits needs no second walk. It returns the bits accepted.
+whole, in order. One pass over the sizes checks each, adds it to the bits
+arrived and, if it still fits, to the bits accepted and their prefix sums.
+It returns the bits accepted.
 
 The queue holds one entry per batch that accepted at least one bit, a list
 
@@ -68,25 +69,18 @@ class UeBuffer:
         queue = self.queue
         if queue and deadline_tti < queue[-1][3]:
             raise ValueError("deadline_tti must not precede the queue tail's")
-        arrived = 0
+        free = self.capacity_bits - self.occupied_bits
+        arrived = accepted = 0
         ends = []
         for size in sizes:
             if size < 1:
                 raise ValueError("packet sizes must be positive")
             arrived += size
-            ends.append(arrived)
+            if size <= free:
+                free -= size
+                accepted += size
+                ends.append(accepted)
         self.arrived_bits += arrived
-        free = self.capacity_bits - self.occupied_bits
-        if arrived <= free:
-            accepted = arrived
-        else:
-            accepted = 0
-            ends = []
-            for size in sizes:
-                if size <= free:
-                    free -= size
-                    accepted += size
-                    ends.append(accepted)
         if accepted:
             queue.append([0, accepted, arrival_tti, deadline_tti, ends])
             self.occupied_bits += accepted

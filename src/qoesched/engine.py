@@ -20,15 +20,18 @@ Per-TTI event order is fixed:
   3. step CQI by the scenario's ``walk_prob``; a rate is read from the cell's
      rate table, which ``rate_of`` fills once per CQI from ``peak_rate_bps``
   4. read q off the buffer and feed it back (honoring the feedback delay)
-  5. compute priorities and select one UE
+  5. select one UE: each UE's one scheduling record, refreshed, is its input
   6. drain the winner with budget rate * TTI
   7. update served-rate EMAs
   8. evaluate the service-adjustment trigger
 
 Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
 they run in one loop over the UEs, in that order within each UE. Only UEs
-with queued bits are scheduling inputs. A TTI without inputs is idle and
-does not reach ``select``.
+with queued bits are scheduling inputs: a UE's record (``UeState.sched``,
+made once per run) gets its per-TTI fields refreshed and joins the inputs,
+so no input is built per TTI. ``select`` writes each input's priority to the
+record, where the trace reads it. A TTI without inputs is idle and does not
+reach ``select``.
 
 Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
 ``next_arrival_tti`` has come or when it has queued bits. In a TTI it sleeps
@@ -83,7 +86,6 @@ from .scheduler import (
     AVG_RATE_FLOOR,
     EMA_DECAY,
     EMA_GAIN,
-    PRIORITY_FN,
     Policy,
     SchedDecision,
     TTI_SECONDS,
@@ -175,10 +177,11 @@ class Scenario:
 
 class UeState:
     """One UE's run state. ``flow`` is the flow as the scenario configured it,
-    ``spec`` the flow as adjusted so far."""
+    ``spec`` the flow as adjusted so far, ``sched`` the UE's scheduling record:
+    the one account of its QoS weight, served-rate EMA and last grant."""
 
     def __init__(self, flow: FlowSpec, buffer: UeBuffer, cqi: int, traffic_rng: BufferedStream,
-                 cqi_rng: BufferedStream, q_pipe: deque[float], qos_weight: float):
+                 cqi_rng: BufferedStream, q_pipe: deque[float], sched: UeSchedInput):
         self.flow = self.spec = flow
         self.buffer = buffer
         self.cqi = cqi
@@ -186,10 +189,7 @@ class UeState:
         self.cqi_rng = cqi_rng
         # q feedback pipeline: index 0 is the value the scheduler sees now.
         self.q_pipe = q_pipe
-        # fixed per flow: service adjustment changes only the load
-        self.qos_weight = qos_weight
-        self.avg_rate_bps = 1.0
-        self.last_served_tti = -1
+        self.sched = sched
         self.last_adjust_tti: int | None = None
         # wake TTI: the traffic stream is consumed for exactly the TTIs before
         # it, which have no arrivals; arrivals() runs on every TTI from it on
@@ -277,7 +277,11 @@ class Simulation:
                 traffic_rng=_substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC),
                 cqi_rng=_substream(self.scenario.seed, flow.ue_id, _PURPOSE_CQI),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
-                qos_weight=qos_weight(flow.alpha, flow.beta_ms / TTIS_PER_SECOND),
+                # the QoS weight is fixed per flow: adjustment changes only the load
+                sched=UeSchedInput(
+                    ue_id=flow.ue_id, buffer_bits=0, buffersize_bits=scenario.buffersize_bits,
+                    qos_weight=qos_weight(flow.alpha, flow.beta_ms / TTIS_PER_SECOND),
+                    q=1.0, rate_bps=0.0, hol_delay_s=0.0, avg_rate_bps=1.0, last_served_tti=-1),
             )
             for flow, cqi0 in zip(scenario.flows, init_cqis, strict=True)
         ]
@@ -302,6 +306,7 @@ class Simulation:
         walk_prob = sc.walk_prob
         rates = self._rates
         q_max = sc.q_max
+        mlwdf = self.policy is Policy.MLWDF
 
         # Steps 1-5 per due UE; only UEs with queued bits become inputs.
         due: list[UeState] = []
@@ -314,7 +319,6 @@ class Simulation:
                 self._catch_up(u, tti)
             u.synced_tti = tti + 1
             spec = u.spec
-            ue_id = spec.ue_id
             buf = u.buffer
 
             # 1. arrivals; a TTI without any re-arms the wake TTI
@@ -337,22 +341,15 @@ class Simulation:
             pipe = u.q_pipe
             pipe.append(q_of(buf, q_max))
 
-            # 5a. scheduling input, built positionally: keyword arguments
-            # cost several times more per call
+            # 5a. scheduling input: the record with its per-TTI fields refreshed
             if buf.occupied_bits:
-                inputs.append(
-                    UeSchedInput(
-                        ue_id,                                    # ue_id
-                        buf.occupied_bits,                        # buffer_bits
-                        sc.buffersize_bits,                       # buffersize_bits
-                        u.qos_weight,                             # qos_weight
-                        pipe[0],                                  # q
-                        rates[cqi],                               # rate_bps
-                        buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
-                        u.avg_rate_bps,                           # avg_rate_bps
-                        u.last_served_tti,                        # last_served_tti
-                    )
-                )
+                s = u.sched
+                s.buffer_bits = buf.occupied_bits
+                s.q = pipe[0]
+                s.rate_bps = rates[cqi]
+                if mlwdf:
+                    s.hol_delay_s = buf.hol_delay_tti(tti) * TTI_SECONDS
+                inputs.append(s)
 
         # 5b. selection; a TTI without candidates is idle
         decision = select(inputs, self.policy) if inputs else SchedDecision(None, 0)
@@ -364,17 +361,18 @@ class Simulation:
             winner = self._ue_by_id[decision.selected_ue]
             tx = winner.buffer.drain(decision.budget_bits, tti)[0]
             winner.sched_count += 1
-            winner.last_served_tti = tti
+            winner.sched.last_served_tti = tti
 
         # 7. served-rate EMAs of the due UEs, by the scheduler's EMA_DECAY
         # and EMA_GAIN; sleeping UEs decay at their catch-up. A UE not served
         # adds EMA_GAIN * 0.0 == 0.0, which leaves the positive decayed rate
         # exactly as it is, so that term is left out.
         for u in due:
-            avg = EMA_DECAY * u.avg_rate_bps
+            s = u.sched
+            avg = EMA_DECAY * s.avg_rate_bps
             if u is winner:
                 avg = avg + EMA_GAIN * (tx / TTI_SECONDS)
-            u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
+            s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
         # 8. adjustment trigger
         if sc.adjustment_enabled:
@@ -391,12 +389,19 @@ class Simulation:
                winner: UeState | None, tx: int) -> None:
         """Append one row per UE for this TTI; a UE with nothing queued has priority 0.
 
+        ``inputs`` are records of ``self.ues`` in their order, so one walk
+        pairs each UE with the priority ``select`` wrote, if it was scored.
         Drop columns are the changes in the buffer's drop totals since the
         UE's last row: a drop between steps shows in the next row."""
         rates = self._rates
-        pfn = PRIORITY_FN[self.policy]
-        priority_of = {i.ue_id: pfn(i) for i in inputs}
+        scored = iter(inputs)
+        nxt = next(scored, None)
         for u in self.ues:
+            if u.sched is nxt:
+                priority = nxt.priority
+                nxt = next(scored, None)
+            else:
+                priority = 0.0
             if u.synced_tti <= tti:
                 self._catch_up(u, tti + 1)
             buf = u.buffer
@@ -407,7 +412,7 @@ class Simulation:
             ue_id = u.spec.ue_id
             self.trace_rows.append((  # output.TRACE_COLUMNS
                 tti, ue_id, u.cqi, rates[u.cqi], buf.occupied_bits, u.q_pipe[0],
-                priority_of.get(ue_id, 0.0), 1 if decision.selected_ue == ue_id else None,
+                priority, 1 if decision.selected_ue == ue_id else None,
                 tx if u is winner else 0, deadline, overflow,
             ))
 
@@ -432,10 +437,11 @@ class Simulation:
         # k decays, multiplied out in order: decay**k differs in the last
         # bits. The rate only falls, so it ends below the floor exactly when
         # the floored rate would have reached the floor, which it keeps.
-        avg = u.avg_rate_bps
+        s = u.sched
+        avg = s.avg_rate_bps
         if avg > AVG_RATE_FLOOR:
             avg = math.prod(repeat(EMA_DECAY, k), start=avg)
-            u.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
+            s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
     def _adjustment_check(self, tti: int, due: list[UeState]) -> None:
         # A UE that slept this TTI has no queued bits, so its occupancy is at
@@ -445,7 +451,7 @@ class Simulation:
             if not u.spec.adaptive:
                 continue
             ratio = u.buffer.occupied_bits / sc.buffersize_bits
-            starved = tti - u.last_served_tti
+            starved = tti - u.sched.last_served_tti
             if ratio <= sc.occupancy_threshold or starved < sc.starvation_tti:
                 continue
             if u.last_adjust_tti is not None and tti - u.last_adjust_tti < sc.starvation_tti:

@@ -12,6 +12,13 @@ delay bounds raise priority. The priority functions take UEs with queued
 bits; ``select`` skips empty inputs. Exactly one UE is granted the full slot
 per TTI; an idle decision is returned when every buffer is empty.
 
+A ``UeSchedInput`` is a UE's scheduling record. The engine makes one per UE
+for the whole run, and it is the one account of the UE's id, buffer size,
+QoS weight, served-rate EMA and last grant. On a TTI the UE has queued bits,
+the engine refreshes ``buffer_bits``, ``q`` and ``rate_bps`` (and
+``hol_delay_s`` under M-LWDF, the one formula that reads it) and hands the
+record to ``select``, which writes each candidate's score to ``priority``.
+
 ``select`` compares the priorities as floats and builds the tie-break pair
 ``(last_served_tti, ue_id)`` only when two are equal, keeping the lower: for
 finite priorities (every one the engine computes) that is the order of the
@@ -46,7 +53,10 @@ class Policy(str, Enum):
 
 @dataclass(slots=True)
 class UeSchedInput:
-    """One UE's scheduling input for one TTI; only UEs with queued bits get one."""
+    """One UE's scheduling record for a run. Its id, buffer size, QoS weight,
+    served-rate EMA and last grant are kept current; ``buffer_bits``, ``q``,
+    ``rate_bps`` and ``hol_delay_s`` hold the TTI it was last a candidate, and
+    ``priority`` the score ``select`` last gave it."""
     ue_id: int
     buffer_bits: int
     buffersize_bits: int
@@ -56,6 +66,7 @@ class UeSchedInput:
     hol_delay_s: float
     avg_rate_bps: float
     last_served_tti: int
+    priority: float = 0.0
 
 
 def qos_weight(alpha: float, beta_s: float) -> float:
@@ -102,7 +113,8 @@ def select(inputs: list[UeSchedInput], policy: Policy) -> SchedDecision:
     """Pick the highest-priority UE among those with queued data.
 
     Ties break deterministically: least recently served first, then lowest
-    ue_id. All buffers empty gives an idle decision.
+    ue_id. All buffers empty gives an idle decision. Each input with queued
+    bits gets its score in ``priority``.
     """
     if not inputs:
         raise ValueError("need at least one UE")
@@ -111,7 +123,7 @@ def select(inputs: list[UeSchedInput], policy: Policy) -> SchedDecision:
     for u in inputs:
         if u.buffer_bits == 0:
             continue
-        p = priority_fn(u)
+        p = u.priority = priority_fn(u)
         if best is None or p > best_p or (
                 p == best_p
                 and (u.last_served_tti, u.ue_id) < (best.last_served_tti, best.ue_id)):

@@ -1,22 +1,26 @@
 """The dense engine loop, kept as the reference for the sparse one.
 
 ``DenseSimulation`` processes every UE on every TTI: it calls ``arrivals``,
-steps the CQI, feeds q into the feedback pipe and decays the served-rate
-EMA for each UE in each TTI, and draws from plain ``Generator`` substreams
-with scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window``
-and ``run`` are the engine's loop as it stood before idle UEs could sleep,
+steps the CQI, feeds q into the feedback pipe and decays the served-rate EMA
+for each UE in each TTI, and draws from plain ``Generator`` substreams with
+scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window`` and
+``run`` are the engine's loop as it stood before idle UEs could sleep,
 changed since only where the buffer, window, channel, scheduler and trace
 interfaces changed (one ``enqueue`` call per TTI's packets, an ``expire``
 call on every TTI, window volumes and delivery delays kept by the buffer, an
-``int`` CQI, a per-flow QoS weight, trace drop columns as changes in the drop
-totals); only set-up and
-the report are shared with ``Simulation``. Its ``buffer(ue_id)``, the door
-for outside changes, is a plain lookup: no UE sleeps, so there is nothing to
-catch up. Its served-rate EMA is ``update_avg_rate``, written from
-``AVG_RATE_TC`` and not from the ``EMA_DECAY`` and ``EMA_GAIN`` the engine
-uses, so a wrong coefficient shows. Tests compare the two engines' reports
-field by field, and after every step the state of each UE the sparse engine
-left synced.
+``int`` CQI, a per-flow QoS weight, trace drop columns as changes in the
+drop totals, the QoS weight, served-rate EMA and last grant kept on the UE's
+scheduling record ``u.sched``); only set-up and the report are shared with
+``Simulation``. Where the engine refreshes that record in place and reads
+the priority ``select`` wrote to it, this loop still builds a fresh
+``UeSchedInput`` per UE per TTI from the record's state, and its trace calls
+the priority function again, so the two paths stay independent. Its
+``buffer(ue_id)``, the door for outside changes, is a plain lookup: no UE
+sleeps, so there is nothing to catch up. Its served-rate EMA is
+``update_avg_rate``, written from ``AVG_RATE_TC`` and not from the
+``EMA_DECAY`` and ``EMA_GAIN`` the engine uses, so a wrong coefficient
+shows. Tests compare the two engines' reports field by field, and after
+every step the state of each UE the sparse engine left synced.
 """
 from __future__ import annotations
 
@@ -97,12 +101,12 @@ class DenseSimulation(Simulation):
                         ue_id,                                    # ue_id
                         buf.occupied_bits,                        # buffer_bits
                         sc.buffersize_bits,                       # buffersize_bits
-                        u.qos_weight,                             # qos_weight
+                        u.sched.qos_weight,                       # qos_weight
                         pipe[0],                                  # q
                         rate_of(cqi, sc.peak_rate_bps),           # rate_bps
                         buf.hol_delay_tti(tti) * TTI_SECONDS,     # hol_delay_s
-                        u.avg_rate_bps,                           # avg_rate_bps
-                        u.last_served_tti,                        # last_served_tti
+                        u.sched.avg_rate_bps,                     # avg_rate_bps
+                        u.sched.last_served_tti,                  # last_served_tti
                     )
                 )
 
@@ -116,11 +120,11 @@ class DenseSimulation(Simulation):
             winner = self._ue_by_id[decision.selected_ue]
             tx = winner.buffer.drain(decision.budget_bits, tti)[0]
             winner.sched_count += 1
-            winner.last_served_tti = tti
+            winner.sched.last_served_tti = tti
 
         # 7. served-rate EMAs
         for u in self.ues:
-            u.avg_rate_bps = update_avg_rate(u.avg_rate_bps, tx if u is winner else 0)
+            u.sched.avg_rate_bps = update_avg_rate(u.sched.avg_rate_bps, tx if u is winner else 0)
 
         # 8. adjustment trigger
         if sc.adjustment_enabled:
@@ -165,7 +169,7 @@ class DenseSimulation(Simulation):
             if not u.spec.adaptive:
                 continue
             ratio = u.buffer.occupied_bits / sc.buffersize_bits
-            starved = tti - u.last_served_tti
+            starved = tti - u.sched.last_served_tti
             if ratio <= sc.occupancy_threshold or starved < sc.starvation_tti:
                 continue
             if u.last_adjust_tti is not None and tti - u.last_adjust_tti < sc.starvation_tti:

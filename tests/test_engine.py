@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from importlib import resources
@@ -12,6 +13,7 @@ from dense_reference import DenseSimulation, update_avg_rate
 from qoesched import engine
 from qoesched.channel import rate_of
 from qoesched.engine import Scenario, Simulation, run
+from qoesched.output import emit, fmt_real
 from qoesched.scenario import parse_scenario
 from qoesched.scheduler import TTIS_PER_SECOND, Policy
 from qoesched.streams import BLOCK, BufferedStream
@@ -125,7 +127,7 @@ class TestStep:
         avg = {u.spec.ue_id: 1.0 for u in sim.ues}
         for row in report.trace_rows:
             avg[row[1]] = update_avg_rate(avg[row[1]], row[8])
-        assert {u.spec.ue_id: u.avg_rate_bps for u in sim.ues} == avg
+        assert {u.spec.ue_id: u.sched.avg_rate_bps for u in sim.ues} == avg
 
 
 class TestRun:
@@ -507,8 +509,9 @@ class TestTraceObserves:
             sim = Simulation(sc, policy=Policy.MLWDF, seed=17, collect_trace=trace)
             report = sim.run()
             seen.append((list(calls), report._replace(trace_rows=None),
-                         [(u.spec, u.cqi, u.avg_rate_bps, list(u.q_pipe), u.last_served_tti,
-                           u.next_arrival_tti, list(u.buffer.queue)) for u in sim.ues]))
+                         [(u.spec, u.cqi, u.sched.avg_rate_bps, list(u.q_pipe),
+                           u.sched.last_served_tti, u.next_arrival_tti, list(u.buffer.queue))
+                          for u in sim.ues]))
         assert seen[0] == seen[1]
         # idle TTIs and sleepers stay out of both runs
         assert 0 < sum(u.sched_count for u in report.per_ue) < 700
@@ -592,6 +595,19 @@ class TestReportFigures:
         else:
             assert report.jfi is not None and report.qoe_fi is not None
 
+    def test_loss_rate_counts_overflow_and_deadline_drops(self, tmp_path):
+        # small buffers overflow and 5-TTI deadlines expire, on both UEs
+        sc = make_scenario([ftp_flow(0, load=3e9, beta=5), ftp_flow(1, load=1e9, beta=5)],
+                           duration=300, peak=1e9, buffersize_bits=8_000_000)
+        report = run(sc, policy=Policy.PF, seed=2)
+        emit([report], sc, tmp_path)
+        (summary,) = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))["runs"]
+        for u, written in zip(report.per_ue, summary["per_ue"], strict=True):
+            assert u.dropped_overflow_bits > 0 and u.dropped_deadline_bits > 0
+            loss = (u.dropped_overflow_bits + u.dropped_deadline_bits) / u.arrived_bits
+            assert u.loss_rate == loss
+            assert written["loss_rate"] == float(fmt_real(loss))
+
 
 class TestScalarStreamReference:
     """The sparse engine on buffered streams gives the dense engine's report.
@@ -611,7 +627,7 @@ class TestScalarStreamReference:
         TTI and UE; the dense loop leaves every UE synced.
         """
         def state(u):
-            return (u.cqi, u.avg_rate_bps, u.q_pipe.copy(), u.buffer.arrived_bits,
+            return (u.cqi, u.sched.avg_rate_bps, u.q_pipe.copy(), u.buffer.arrived_bits,
                     u.buffer.occupied_bits)
 
         record = [] if steps is None else steps

@@ -79,6 +79,13 @@ class TestQ:
     def test_idle_user_q_is_one(self):
         assert q_of(filled(), 100.0) == 1.0
 
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_small_demand_with_at_most_one_bit_delivered(self, y):
+        # under 2 * q_max bits of demand, the divisor max(y, 1) = 1 shows:
+        # q is the demand itself, clamped at q_max
+        assert q_of(filled(50 + y, y), 100.0) == 50.0 + y
+        assert q_of(filled(150, y), 100.0) == 100.0
+
     def test_monotonicity(self):
         rng = np.random.default_rng(8)
         for _ in range(2000):

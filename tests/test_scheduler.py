@@ -149,6 +149,16 @@ class TestSelect:
         ]
         assert select(inputs, Policy.RR).selected_ue == 1
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_each_candidate_keeps_its_priority(self, policy):
+        inputs = [ue(ue_id=0, buffer_bits=0), ue(ue_id=1, q=3.0, hol_delay_s=0.01),
+                  ue(ue_id=2, rate_bps=2e8, hol_delay_s=0.02, last_served_tti=4)]
+        select(inputs, policy)
+        # an empty input is not scored and keeps the default
+        assert [u.priority for u in inputs] == [0.0] + [PRIORITY_FN[policy](u)
+                                                        for u in inputs[1:]]
+        assert inputs[1].priority != inputs[2].priority
+
     def test_budget_is_rate_times_tti(self):
         decision = select([ue(rate_bps=6e9)], Policy.BCQQ)
         assert decision.budget_bits == 6_000_000
