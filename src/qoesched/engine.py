@@ -26,7 +26,7 @@ Per-TTI event order is fixed:
   8. evaluate the service-adjustment trigger
 
 Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
-they run in one loop over the UEs, in that order within each UE. Only UEs
+they run in one loop over the due UEs, in that order within each UE. Only UEs
 with queued bits are scheduling inputs: a UE's record (``UeState.sched``,
 made once per run) gets its per-TTI fields refreshed and joins the inputs,
 so no input is built per TTI. ``select`` writes each input's priority to the
@@ -34,7 +34,14 @@ record, where the trace reads it. A TTI without inputs is idle and does not
 reach ``select``.
 
 Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
-``next_arrival_tti`` has come or when it has queued bits. In a TTI it sleeps
+``next_arrival_tti`` has come or when it has queued bits. The step walks only
+the due UEs, kept in the order of ``ues``; the sleepers wait in a wake
+calendar (R. Brown, "Calendar queues", CACM 31(10), 1988), a dict from wake
+TTI to the UEs asleep until then. A due UE falls asleep when it ends a TTI
+with no queued bits and a wake TTI after the next; one whose wake TTI is at
+or past the run's end enters no bucket. A bucket wakes its UEs on its TTI.
+The due list is rebuilt only on a TTI where a UE falls asleep or wakes, so a
+cell whose UEs are all due pays nothing for the calendar. In a TTI it sleeps
 through, a UE has no arrival, no queued bits and no grant, so what remains
 depends only on its own substreams and state, and is caught up exactly and
 lazily when the UE is next processed, at each window close and at the end of
@@ -65,8 +72,10 @@ Two invariants keep the skipping exact:
 ``step(tti)`` therefore takes ``tti = 0, 1, 2, ..., duration_tti - 1`` in
 order, as ``run`` does, and raises on any other. Between steps, a buffer
 changes only through ``Simulation.buffer(ue_id)``, which first catches the UE
-up through the last stepped TTI. Any change, a batch tail-dropped whole too,
-then counts in q from the next TTI on, and queued bits wake their UE.
+up through the last stepped TTI and wakes it: it leaves its calendar bucket
+and is due on the next TTI, which is exact, as processing a sleeper's TTI is
+the same as catching it up by one. Any change, a batch tail-dropped whole
+too, then counts in q from the next TTI on.
 """
 from __future__ import annotations
 
@@ -75,6 +84,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -180,8 +190,10 @@ class UeState:
     ``spec`` the flow as adjusted so far, ``sched`` the UE's scheduling record:
     the one account of its QoS weight, served-rate EMA and last grant."""
 
-    def __init__(self, flow: FlowSpec, buffer: UeBuffer, cqi: int, traffic_rng: BufferedStream,
-                 cqi_rng: BufferedStream, q_pipe: deque[float], sched: UeSchedInput):
+    def __init__(self, index: int, flow: FlowSpec, buffer: UeBuffer, cqi: int,
+                 traffic_rng: BufferedStream, cqi_rng: BufferedStream, q_pipe: deque[float],
+                 sched: UeSchedInput):
+        self.index = index  # position in Simulation.ues, the order of the due UEs
         self.flow = self.spec = flow
         self.buffer = buffer
         self.cqi = cqi
@@ -197,6 +209,8 @@ class UeState:
         self.next_arrival_tti = 0
         # first TTI whose CQI step, q feedback and EMA decay are not yet applied
         self.synced_tti = 0
+        # not due until the wake TTI: in the wake calendar, or past the run's end
+        self.asleep = False
         self.sched_count = 0
         # the buffer's drop totals at the UE's last trace row, kept by _trace
         self.traced_deadline_bits = 0
@@ -250,6 +264,8 @@ def _substream(seed: int, ue_id: int, purpose: int) -> BufferedStream:
 _PURPOSE_TRAFFIC = 0
 _PURPOSE_CQI = 1
 
+_INDEX = attrgetter("index")
+
 
 class Simulation:
     """Mutable state for one run; step() executes one TTI."""
@@ -271,6 +287,7 @@ class Simulation:
         delay = min(scenario.qoe_feedback_delay_tti, scenario.duration_tti)
         self.ues = [
             UeState(
+                index=i,
                 flow=flow,
                 buffer=UeBuffer(scenario.buffersize_bits),
                 cqi=cqi0,
@@ -283,7 +300,7 @@ class Simulation:
                     qos_weight=qos_weight(flow.alpha, flow.beta_ms / TTIS_PER_SECOND),
                     q=1.0, rate_bps=0.0, hol_delay_s=0.0, avg_rate_bps=1.0, last_served_tti=-1),
             )
-            for flow, cqi0 in zip(scenario.flows, init_cqis, strict=True)
+            for i, (flow, cqi0) in enumerate(zip(scenario.flows, init_cqis, strict=True))
         ]
         self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
         # CQI -> rate, the index being the CQI: rate_of once per CQI, not per use
@@ -294,6 +311,10 @@ class Simulation:
         self.adjustment_events: list[AdjustmentEvent] = []
         self.trace_rows: list[tuple] | None = [] if collect_trace else None
         self._next_tti = 0
+        # the UEs due on the next TTI, in the order of self.ues, and the wake
+        # calendar: wake TTI -> the UEs asleep until then
+        self._due = list(self.ues)
+        self._calendar: dict[int, list[UeState]] = {}
 
     def step(self, tti: int) -> SchedDecision:
         # Sleepers are caught up by TTI count, so no TTI may be skipped or
@@ -308,13 +329,17 @@ class Simulation:
         q_max = sc.q_max
         mlwdf = self.policy is Policy.MLWDF
 
-        # Steps 1-5 per due UE; only UEs with queued bits become inputs.
-        due: list[UeState] = []
+        # Steps 1-5 per due UE; only UEs with queued bits become inputs. The
+        # due list changes only on a TTI where a UE wakes or falls asleep.
+        due = self._due
+        woken = self._calendar.pop(tti, None)
+        if woken:
+            for u in woken:
+                u.asleep = False
+            due = sorted(due + woken, key=_INDEX)
+        slept = False
         inputs: list[UeSchedInput] = []
-        for u in self.ues:
-            if tti < u.next_arrival_tti and not u.buffer.queue:
-                continue
-            due.append(u)
+        for u in due:
             if tti > u.synced_tti:
                 self._catch_up(u, tti)
             u.synced_tti = tti + 1
@@ -350,6 +375,9 @@ class Simulation:
                 if mlwdf:
                     s.hol_delay_s = buf.hol_delay_tti(tti) * TTI_SECONDS
                 inputs.append(s)
+            elif u.next_arrival_tti > tti + 1:
+                self._sleep(u)
+                slept = True
 
         # 5b. selection; a TTI without candidates is idle
         decision = select(inputs, self.policy) if inputs else SchedDecision(None, 0)
@@ -362,6 +390,9 @@ class Simulation:
             tx = winner.buffer.drain(decision.budget_bits, tti)[0]
             winner.sched_count += 1
             winner.sched.last_served_tti = tti
+            if not winner.buffer.queue and winner.next_arrival_tti > tti + 1:
+                self._sleep(winner)
+                slept = True
 
         # 7. served-rate EMAs of the due UEs, by the scheduler's EMA_DECAY
         # and EMA_GAIN; sleeping UEs decay at their catch-up. A UE not served
@@ -377,6 +408,7 @@ class Simulation:
         # 8. adjustment trigger
         if sc.adjustment_enabled:
             self._adjustment_check(tti, due)
+        self._due = [u for u in due if not u.asleep] if slept else due
 
         if self.trace_rows is not None:
             self._trace(tti, inputs, decision, winner, tx)
@@ -418,14 +450,28 @@ class Simulation:
 
     def buffer(self, ue_id: int) -> UeBuffer:
         """UE ``ue_id``'s buffer, the one door for changing it between steps:
-        the UE is caught up first, so its slept TTIs keep their q."""
+        the UE is caught up first, so its slept TTIs keep their q, and is due
+        on the next TTI, so queued bits count from then on."""
         u = self._ue_by_id.get(ue_id)
         if u is None:
             raise ValueError(f"buffer({ue_id!r}): no UE has that id; "
                              f"the cell's ue_ids are {list(self._ue_by_id)}")
         if self._next_tti > u.synced_tti:
             self._catch_up(u, self._next_tti)
+        if u.asleep:
+            # processing a sleeper's TTI is the same as catching it up by one
+            if u.next_arrival_tti < self.scenario.duration_tti:
+                self._calendar[u.next_arrival_tti].remove(u)
+            u.asleep = False
+            self._due = sorted([*self._due, u], key=_INDEX)
         return u.buffer
+
+    def _sleep(self, u: UeState) -> None:
+        """Put ``u`` in the calendar bucket of its wake TTI; a wake TTI at or
+        past the run's end enters none. The step drops it from the due UEs."""
+        u.asleep = True
+        if u.next_arrival_tti < self.scenario.duration_tti:
+            self._calendar.setdefault(u.next_arrival_tti, []).append(u)
 
     def _catch_up(self, u: UeState, until: int) -> None:
         """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept, at its q now."""

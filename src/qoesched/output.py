@@ -27,12 +27,24 @@ def fmt_real(x: float | None) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
+def _trace_lines(rows) -> list[str]:
+    """trace.csv rows, one ``%`` format each. rate_bps, q and priority are
+    floats, written in ``fmt_real``'s format; ``selected`` is 1 or None. A run
+    has one rate per CQI, so each distinct rate is formatted once."""
+    rates: dict[float, str] = {}
+    lines = []
+    for tti, ue, cqi, rate, buffer_bits, q, priority, selected, tx, deadline, overflow in rows:
+        r = rates.get(rate)
+        if r is None:
+            r = rates[rate] = f"{rate:.9g}"
+        lines.append("%s,%s,%s,%s,%s,%.9g,%.9g,%s,%s,%s,%s" % (
+            tti, ue, cqi, r, buffer_bits, q, priority, selected or "", tx, deadline, overflow))
+    return lines
+
+
 def _trace_line(row: tuple) -> str:
-    """One trace.csv row. rate_bps, q and priority are floats, written in
-    ``fmt_real``'s format; ``selected`` is 1 or None."""
-    tti, ue, cqi, rate, buffer_bits, q, priority, selected, tx, deadline, overflow = row
-    return (f"{tti},{ue},{cqi},{rate:.9g},{buffer_bits},{q:.9g},{priority:.9g},"
-            f"{selected or ''},{tx},{deadline},{overflow}")
+    """One trace.csv row, as ``_trace_lines`` writes it."""
+    return _trace_lines((row,))[0]
 
 
 def _metrics_line(policy: str, seed: int, w: WindowRecord) -> str:
@@ -95,8 +107,7 @@ def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,
         traced = [r for r in reports if r.trace_rows is not None]
         for r in traced:
             name = "trace.csv" if len(traced) == 1 else f"trace_{r.policy}_{r.seed}.csv"
-            rows = [TRACE_COLUMNS]
-            rows.extend(map(_trace_line, r.trace_rows))
+            rows = [TRACE_COLUMNS, *_trace_lines(r.trace_rows)]
             p = out / name
             p.write_text("\n".join(rows) + "\n", encoding="utf-8")
             written.append(p)

@@ -14,6 +14,13 @@ buffer:
   sampler on the buffered doubles: multiply uniforms into a product while it
   stays above ``exp(-lam)``; the count of factors kept is the sample.
 * ``poisson(0)`` returns 0 and consumes nothing, as numpy does.
+* ``skip_zeros(lam, max_k)`` consumes a wake scan's leading zero samples.
+  It scans what is left of the block in Python; past the block it draws the
+  rest of the horizon as one array, at most ``DRAW_MAX`` doubles per draw,
+  and finds the first non-zero with one numpy comparison. The doubles drawn
+  past that point stay pending, and later refills serve them before the
+  generator draws again, so at most ``BLOCK + DRAW_MAX`` doubles are ever
+  drawn ahead, whatever the run length.
 * Every other ``lam`` (``>= 10``, negative, NaN) goes to ``gen.poisson``,
   which raises for an invalid one. numpy samples ``lam >= 10`` by
   rejection, which uses no fixed number of doubles, so it cannot be
@@ -21,12 +28,12 @@ buffer:
   generator until its next ``0 < lam < 10`` call switches it to blocks.
 
 The generator stands right behind the last double served only while the
-stream holds no pending buffered doubles. So ``poisson`` raises
-``ValueError`` for a ``lam`` outside ``[0, 10)`` that arrives while doubles
-are pending; it does not re-synchronise the generator. The simulator never
-makes that call: a flow's ``lam`` never rises (see ``engine``), so a traffic
-stream that went to blocks at ``lam < 10`` stays there, and a CQI stream
-draws only ``random``.
+stream holds no pending doubles, in its block or drawn by a scan. So
+``poisson`` raises ``ValueError`` for a ``lam`` outside ``[0, 10)`` that
+arrives while doubles are pending; it does not re-synchronise the
+generator. The simulator never makes that call: a flow's ``lam`` never
+rises (see ``engine``), so a traffic stream that went to blocks at
+``lam < 10`` stays there, and a CQI stream draws only ``random``.
 
 The Poisson replay depends on numpy's sampler for small ``lam``;
 ``tests/test_streams.py`` checks the call mix against a plain ``Generator``
@@ -42,6 +49,11 @@ import numpy as np
 # cost memory per stream, and the simulator keeps two streams per UE.
 BLOCK = 64
 
+# Doubles a wake scan draws at most per draw past the block: its horizon can
+# be the rest of the run, and what it draws past the first non-zero stays
+# pending, so this bounds the memory a stream draws ahead.
+DRAW_MAX = 8 * BLOCK
+
 # numpy samples Poisson by multiplication below this lam, by rejection above.
 _MULT_LAM_MAX = 10.0
 
@@ -54,18 +66,27 @@ class BufferedStream:
     are pending.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos", "_direct", "_lam", "_exp_neg_lam")
+    __slots__ = ("_gen", "_buf", "_pos", "_spill", "_direct", "_lam", "_exp_neg_lam")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
         self._buf: list[float] = []
         self._pos = BLOCK       # nothing pending: the first draw refills
+        self._spill = None      # doubles a scan drew past the block, pending
         self._direct = False    # serving from the generator, buffer empty
         self._lam = None
         self._exp_neg_lam = 0.0
 
     def _refill(self) -> None:
-        self._buf = self._gen.random(BLOCK).tolist()
+        spill = self._spill
+        if spill is None:
+            self._buf = self._gen.random(BLOCK).tolist()
+        else:
+            self._spill = spill[BLOCK:] if len(spill) > BLOCK else None
+            block = spill[:BLOCK].tolist()
+            if len(block) < BLOCK:
+                block += self._gen.random(BLOCK - len(block)).tolist()
+            self._buf = block
         self._pos = 0
 
     def random(self, size: int | None = None):
@@ -111,36 +132,42 @@ class BufferedStream:
             self._lam = lam
             self._exp_neg_lam = math.exp(-lam)
         limit = self._exp_neg_lam
-        pos = self._pos
-        n = 0
-        while n < max_k:
-            if pos == BLOCK:
-                self._refill()
-                pos = 0
-            stop = pos + max_k - n
-            if stop > BLOCK:
-                stop = BLOCK
+        # what is left of the block, in Python
+        pos = start = self._pos
+        stop = min(pos + max_k, BLOCK)
+        if pos < stop:
             run = self._buf[pos:stop]
             # max() settles a run of zeros in one C loop; the run with the
             # first non-zero is walked to find it.
-            if max(run) <= limit:
-                n += stop - pos
-                pos = stop
-                continue
-            for u in run:
-                if u > limit:
-                    break
-                pos += 1
-                n += 1
-            break
-        self._pos = pos
+            if max(run) > limit:
+                for u in run:
+                    if u > limit:
+                        break
+                    pos += 1
+                self._pos = pos
+                return pos - start
+            self._pos = stop
+        n = stop - start
+        # past the block: the pending spill, then fresh draws, one array each
+        while n < max_k:
+            spill = self._spill
+            if spill is None:
+                spill = self._gen.random(min(max_k - n, DRAW_MAX))
+            head = spill[:max_k - n]
+            above = head > limit
+            i = int(above.argmax())
+            if above[i]:
+                self._spill = spill[i:]
+                return n + i
+            n += len(head)
+            self._spill = spill[len(head):] if len(spill) > len(head) else None
         return n
 
     def poisson(self, lam: float) -> int:
         if not 0.0 < lam < _MULT_LAM_MAX:
             if lam == 0.0:
                 return 0
-            if self._pos < BLOCK:
+            if self._pos < BLOCK or self._spill is not None:
                 raise ValueError(
                     f"poisson({lam}) after buffered draws: a stream's lam may fall "
                     "below 10 but not rise back to 10 or leave [0, 10)")

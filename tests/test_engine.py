@@ -16,7 +16,7 @@ from qoesched.engine import Scenario, Simulation, run
 from qoesched.output import emit, fmt_real
 from qoesched.scenario import parse_scenario
 from qoesched.scheduler import TTIS_PER_SECOND, Policy
-from qoesched.streams import BLOCK, BufferedStream
+from qoesched.streams import BLOCK, DRAW_MAX, BufferedStream
 from qoesched.traffic import FlowSpec, TrafficClass
 
 TINY_LOAD = 1e-3  # bps; effectively no arrivals over short runs
@@ -814,6 +814,58 @@ class TestScalarStreamReference:
     def test_packet_enqueued_into_a_sleeping_ue_traced(self):
         self.test_packet_enqueued_into_a_sleeping_ue(trace=True)
 
+    def test_door_wakes_a_sleeper_from_the_calendar(self):
+        # UE 0, a light flow, sleeps in the wake calendar between door
+        # enqueues, often with its wake TTI far ahead. The door makes it due
+        # on the next TTI and takes it out of its calendar bucket.
+        sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=5e5),
+                            video_flow(2, load=4e6)],
+                           duration=1000, peak=1e9, walk=0.2, cqis=[4, 9, 12],
+                           window_tti=100, qoe_feedback_delay_tti=2)
+        early = []
+
+        def fill(sim, tti):
+            if tti % 25 != 10:
+                return
+            u = sim.ues[0]
+            sparse = not isinstance(sim, DenseSimulation)
+            if sparse and u.asleep and tti + 50 <= u.next_arrival_tti < sc.duration_tti:
+                assert u in sim._calendar[u.next_arrival_tti]
+                early.append(tti)
+            sim.buffer(0).enqueue([300_000], tti, tti + 50)
+            if sparse:
+                assert not u.asleep and u in sim._due
+                assert all(u not in bucket for bucket in sim._calendar.values())
+
+        self.both(lambda cls: cls(sc, policy=Policy.BCQQ, seed=5), fill)
+        assert len(early) >= 5
+
+    @pytest.mark.parametrize("policy, trace", [(Policy.PF, False), (Policy.BCQQ, True)])
+    def test_light_cell_scans_past_a_draw_to_the_end_of_the_run(self, policy, trace):
+        # Flows of one packet per ~200 to ~2,500 TTIs over 3 * DRAW_MAX TTIs:
+        # some wake TTIs lie more than a draw ahead, and some scans reach the
+        # end of the run, where the UE sleeps on in no calendar bucket.
+        flows = [ftp_flow(ue, load=2e4 * (ue + 1), mean=50_000) for ue in range(12)]
+        sc = make_scenario([*flows, video_flow(12, load=2e6)], duration=3 * DRAW_MAX,
+                           peak=2e9, walk=0.1, cqis=[3 + i for i in range(13)],
+                           window_tti=200, qoe_feedback_delay_tti=3)
+        far, sims = [], []
+
+        def look(sim, tti):
+            if not isinstance(sim, DenseSimulation):
+                far.extend(u.next_arrival_tti - tti for u in sim.ues
+                           if u.asleep and u.next_arrival_tti < sc.duration_tti)
+
+        def build(cls):
+            sims.append(cls(sc, policy=policy, seed=3, collect_trace=trace))
+            return sims[-1]
+
+        self.both(build, look)
+        assert max(far) > DRAW_MAX + BLOCK
+        ended = [u for u in sims[1].ues if u.asleep and u.next_arrival_tti == sc.duration_tti]
+        assert ended
+        assert all(u not in bucket for u in ended for bucket in sims[1]._calendar.values())
+
     @pytest.mark.parametrize("change, delay", [
         *(pytest.param("enqueue", d, id=str(d)) for d in (0, 2, 5)),
         *(pytest.param("drain", d, id=f"drain-{d}") for d in (3, 5, 11)),
@@ -883,11 +935,14 @@ class TestDifferentialFuzz:
 
 
 class TestMemory:
-    @staticmethod
-    def peak_bytes(duration_tti, delay=0):
+    @classmethod
+    def peak_bytes(cls, duration_tti, delay=0):
         text = resources.files("qoesched").joinpath("scenarios/table1.json").read_text()
-        sc = dataclasses.replace(parse_scenario(text), duration_tti=duration_tti,
-                                 qoe_feedback_delay_tti=delay)
+        return cls.run_peak_bytes(dataclasses.replace(
+            parse_scenario(text), duration_tti=duration_tti, qoe_feedback_delay_tti=delay))
+
+    @staticmethod
+    def run_peak_bytes(sc):
         tracemalloc.start()
         try:
             run(sc, seed=1)
@@ -906,3 +961,14 @@ class TestMemory:
         # a delay past the run shows q = 1 throughout, however long it is
         self.peak_bytes(100)  # first-use allocations of numpy and the package
         assert self.peak_bytes(100, delay=10**6) < 2 * self.peak_bytes(100)
+
+    def test_sleeping_light_cell_memory_is_bounded_in_run_length(self):
+        # table1's flows seldom scan past a block; here wake scans reach past
+        # DRAW_MAX, and what a stream draws ahead must not grow with the run
+        def peak(duration_tti):
+            return self.run_peak_bytes(dataclasses.replace(
+                light_cell(20), duration_tti=duration_tti, window_tti=None))
+
+        peak(100)  # first-use allocations of numpy and the package
+        short, long = peak(1_000), peak(10_000)
+        assert long < 2 * short, (short, long)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoesched.streams import BLOCK, BufferedStream
+from qoesched.streams import BLOCK, DRAW_MAX, BufferedStream
 
 # numpy's upper limit for lam: int64 max minus ten standard deviations.
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -180,7 +180,7 @@ FOLLOW_UP = [("random", None), ("random_n", BLOCK + 3), ("random", None)]
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        prefix=st.lists(ops, max_size=12),
        lam=small_lams,
-       max_k=st.integers(min_value=0, max_value=4 * BLOCK))
+       max_k=st.integers(min_value=0, max_value=2 * DRAW_MAX + BLOCK))
 @example(seed=6, prefix=[("random_n", BLOCK - 1)], lam=0.01, max_k=4 * BLOCK)
 @example(seed=7, prefix=[("random_n", BLOCK)], lam=0.01, max_k=BLOCK)
 @example(seed=8, prefix=[("poisson", 15.0), ("random", None)], lam=0.02, max_k=200)
@@ -188,6 +188,13 @@ FOLLOW_UP = [("random", None), ("random_n", BLOCK + 3), ("random", None)]
 @example(seed=10, prefix=[("random", None)], lam=0.01, max_k=0)
 @example(seed=11, prefix=[("poisson", 15.0)], lam=0.01, max_k=0)
 @example(seed=12, prefix=[], lam=0.0, max_k=9)
+# past the block: the first non-zero in the scan's second draw, on the first
+# double of a draw (the first and the second), and no non-zero up to the
+# horizon, which the second draw ends at
+@example(seed=8, prefix=[("random_n", BLOCK - 1)], lam=0.002, max_k=3 * DRAW_MAX)
+@example(seed=0, prefix=[("random_n", BLOCK)], lam=5.0, max_k=2 * DRAW_MAX)
+@example(seed=873, prefix=[("random_n", BLOCK)], lam=0.003, max_k=3 * DRAW_MAX)
+@example(seed=2, prefix=[("random_n", 10)], lam=1e-4, max_k=DRAW_MAX + 200)
 def test_skip_zeros_matches_leading_zero_draws(seed, prefix, lam, max_k):
     gen = generator(seed)
     plain = generator(seed)
@@ -221,3 +228,52 @@ def test_skip_zeros_skips_nothing_from_ten_on(lam):
     assert buffered.skip_zeros(lam, 100) == 0
     for op in [("poisson", lam), ("random", None), ("poisson", 0.5), ("random_n", BLOCK)]:
         assert call(buffered, op) == call(plain, op), op
+
+
+class CountingGenerator:
+    """A ``Generator`` stand-in that records the size of each ``random`` draw."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.draws = []
+
+    def random(self, size=None):
+        self.draws.append(size)
+        return self.gen.random(size)
+
+
+@pytest.mark.parametrize("seed, prefix, lam, max_k, skipped, draws", [
+    (8, BLOCK - 1, 0.002, 3 * DRAW_MAX, 1 + DRAW_MAX + 30, [DRAW_MAX, DRAW_MAX]),
+    (0, BLOCK, 5.0, 2 * DRAW_MAX, 0, [DRAW_MAX]),
+    (873, BLOCK, 0.003, 3 * DRAW_MAX, DRAW_MAX, [DRAW_MAX, DRAW_MAX]),
+    (2, 10, 1e-4, DRAW_MAX + 200, DRAW_MAX + 200, [DRAW_MAX, 200 - (BLOCK - 10)]),
+], ids=["second-draw", "first-double", "first-double-of-second-draw", "horizon"])
+def test_skip_zeros_examples_take_their_path(seed, prefix, lam, max_k, skipped, draws):
+    # the examples above scan the rest of the block, then the draws named here
+    gen = CountingGenerator(generator(seed))
+    stream = BufferedStream(gen)
+    stream.random(prefix)
+    assert gen.draws == [BLOCK]
+    assert stream.skip_zeros(lam, max_k) == skipped
+    assert gen.draws[1:] == draws
+
+
+def test_wake_scan_draws_ahead_at_most_draw_max():
+    # However far the horizon, a scan draws at most DRAW_MAX doubles at a
+    # time and stops drawing at its first non-zero, whose draw stays pending.
+    gen = CountingGenerator(generator(4))
+    stream = BufferedStream(gen)
+    skipped = stream.skip_zeros(2e-4, 10**6)
+    assert 2 * DRAW_MAX < skipped < 10**6
+    assert max(gen.draws) == DRAW_MAX
+    assert sum(gen.draws) - skipped <= DRAW_MAX
+
+
+def test_lam_from_ten_on_raises_after_a_spill():
+    # the doubles a scan drew past the block are pending like a block's
+    gen = generator(0)
+    stream = BufferedStream(gen)
+    stream.random(BLOCK)
+    assert stream.skip_zeros(5.0, 2 * DRAW_MAX) == 0
+    with pytest.raises(ValueError, match="after buffered draws"):
+        stream.poisson(15.0)
