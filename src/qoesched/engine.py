@@ -22,37 +22,43 @@ Per-TTI event order is fixed:
   4. read q off the buffer and feed it back (honoring the feedback delay)
   5. select one UE: each UE's one scheduling record, refreshed, is its input
   6. drain the winner with budget rate * TTI
-  7. update served-rate EMAs
+  7. update served-rate EMAs and count the winner's grant
   8. evaluate the service-adjustment trigger
 
 Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
 they run in one loop over the due UEs, in that order within each UE. Only UEs
 with queued bits are scheduling inputs: a UE's record (``UeState.sched``,
-made once per run) gets its per-TTI fields refreshed and joins the inputs,
-so no input is built per TTI. ``select`` writes each input's priority to the
+made once per run) gets its per-TTI fields refreshed and joins the inputs, so
+no input is built per TTI. ``select`` writes each input's priority to the
 record, where the trace reads it. A TTI without inputs is idle and does not
-reach ``select``.
+reach ``select``. Steps 7 and 8 touch one UE each too, so after the drain one
+closing pass walks the due UEs: per UE, the served-rate EMA (for the winner
+also its grant count and last grant), the adjustment trigger if the UE is
+adaptive with queued bits, and sleep if it has no queued bits and a wake TTI
+after the next. Adjustment events thus keep the order of ``ues`` within a
+TTI.
 
 Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
 ``next_arrival_tti`` has come or when it has queued bits. The step walks only
 the due UEs, kept in the order of ``ues``; the sleepers wait in a wake
 calendar (R. Brown, "Calendar queues", CACM 31(10), 1988), a dict from wake
-TTI to the UEs asleep until then. A due UE falls asleep when it ends a TTI
-with no queued bits and a wake TTI after the next; one whose wake TTI is at
-or past the run's end enters no bucket. A bucket wakes its UEs on its TTI.
-The due list is rebuilt only on a TTI where a UE falls asleep or wakes, so a
-cell whose UEs are all due pays nothing for the calendar. In a TTI it sleeps
-through, a UE has no arrival, no queued bits and no grant, so what remains
-depends only on its own substreams and state, and is caught up exactly and
-lazily when the UE is next processed, at each window close and at the end of
-``run``: one CQI walk step per TTI from its CQI stream, its q fed into the
-feedback pipe once per TTI, and one served-rate decay per TTI, multiplied
-out in order because ``decay**k`` is not the same float. ``synced_tti`` marks
-the first TTI not yet applied. A sleeper's q does not move, so the catch-up
-reads it live, and the window close, which moves the buffer marks q reads,
-catches every UE up first. The trace, written after the step, catches each
-sleeper up through every TTI, so it changes no decision. Its drop columns are
-the changes in the buffer's drop totals since its last row.
+TTI to the UEs asleep until then. A due UE falls asleep in the closing pass;
+one whose wake TTI is at or past the run's end enters no bucket. A bucket
+wakes its UEs on its TTI, merged into the due UEs in the order of ``ues``.
+The closing pass lists the next TTI's due UEs as it walks this TTI's, so a
+cell whose UEs are all due pays one list append per UE and TTI for the
+calendar. In a TTI it sleeps through, a UE has no arrival, no queued bits and
+no grant, so what remains depends only on its own substreams and state, and
+is caught up exactly and lazily when the UE is next processed, at each window
+close and at the end of ``run``: one CQI walk step per TTI from its CQI
+stream, its q fed into the feedback pipe once per TTI, and one served-rate
+decay per TTI, multiplied out in order because ``decay**k`` is not the same
+float. ``synced_tti`` marks the first TTI not yet applied. A sleeper's q does
+not move, so the catch-up reads it live, and the window close, which moves
+the buffer marks q reads, catches every UE up first. The trace, written after
+the step, catches each sleeper up through every TTI, so it changes no
+decision. Its drop columns are the changes in the buffer's drop totals since
+its last row.
 
 Two invariants keep the skipping exact:
 
@@ -329,15 +335,13 @@ class Simulation:
         q_max = sc.q_max
         mlwdf = self.policy is Policy.MLWDF
 
-        # Steps 1-5 per due UE; only UEs with queued bits become inputs. The
-        # due list changes only on a TTI where a UE wakes or falls asleep.
+        # Steps 1-5 per due UE; only UEs with queued bits become inputs.
         due = self._due
         woken = self._calendar.pop(tti, None)
         if woken:
             for u in woken:
                 u.asleep = False
             due = sorted(due + woken, key=_INDEX)
-        slept = False
         inputs: list[UeSchedInput] = []
         for u in due:
             if tti > u.synced_tti:
@@ -375,9 +379,6 @@ class Simulation:
                 if mlwdf:
                     s.hol_delay_s = buf.hol_delay_tti(tti) * TTI_SECONDS
                 inputs.append(s)
-            elif u.next_arrival_tti > tti + 1:
-                self._sleep(u)
-                slept = True
 
         # 5b. selection; a TTI without candidates is idle
         decision = select(inputs, self.policy) if inputs else SchedDecision(None, 0)
@@ -388,37 +389,42 @@ class Simulation:
         if decision.selected_ue is not None:
             winner = self._ue_by_id[decision.selected_ue]
             tx = winner.buffer.drain(decision.budget_bits, tti)[0]
-            winner.sched_count += 1
-            winner.sched.last_served_tti = tti
-            if not winner.buffer.queue and winner.next_arrival_tti > tti + 1:
-                self._sleep(winner)
-                slept = True
 
-        # 7. served-rate EMAs of the due UEs, by the scheduler's EMA_DECAY
-        # and EMA_GAIN; sleeping UEs decay at their catch-up. A UE not served
-        # adds EMA_GAIN * 0.0 == 0.0, which leaves the positive decayed rate
-        # exactly as it is, so that term is left out.
+        # 7-8. The closing pass over the due UEs, in their order. A UE not
+        # served adds EMA_GAIN * 0.0 == 0.0 to its EMA, which leaves the
+        # positive decayed rate exactly as it is, so that term is left out.
+        # The UEs that stay awake are due on the next TTI.
+        adjust = sc.adjustment_enabled
+        awake = []
         for u in due:
             s = u.sched
             avg = EMA_DECAY * s.avg_rate_bps
             if u is winner:
                 avg = avg + EMA_GAIN * (tx / TTI_SECONDS)
+                u.sched_count += 1
+                s.last_served_tti = tti
             s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
-
-        # 8. adjustment trigger
-        if sc.adjustment_enabled:
-            self._adjustment_check(tti, due)
-        self._due = [u for u in due if not u.asleep] if slept else due
+            if u.buffer.occupied_bits:
+                if adjust and u.spec.adaptive:
+                    self._adjustment_check(tti, u)
+            elif u.next_arrival_tti > tti + 1:
+                # a wake TTI at or past the run's end enters no bucket
+                u.asleep = True
+                if u.next_arrival_tti < sc.duration_tti:
+                    self._calendar.setdefault(u.next_arrival_tti, []).append(u)
+                continue
+            awake.append(u)
+        self._due = awake
 
         if self.trace_rows is not None:
-            self._trace(tti, inputs, decision, winner, tx)
+            self._trace(tti, inputs, winner, tx)
 
         if sc.window_tti is not None and (tti + 1 - self.window.start_tti) >= sc.window_tti:
             self._close_window(tti + 1)
         return decision
 
-    def _trace(self, tti: int, inputs: list[UeSchedInput], decision: SchedDecision,
-               winner: UeState | None, tx: int) -> None:
+    def _trace(self, tti: int, inputs: list[UeSchedInput], winner: UeState | None,
+               tx: int) -> None:
         """Append one row per UE for this TTI; a UE with nothing queued has priority 0.
 
         ``inputs`` are records of ``self.ues`` in their order, so one walk
@@ -441,11 +447,10 @@ class Simulation:
             overflow = buf.dropped_overflow_bits - u.traced_overflow_bits
             u.traced_deadline_bits = buf.dropped_deadline_bits
             u.traced_overflow_bits = buf.dropped_overflow_bits
-            ue_id = u.spec.ue_id
             self.trace_rows.append((  # output.TRACE_COLUMNS
-                tti, ue_id, u.cqi, rates[u.cqi], buf.occupied_bits, u.q_pipe[0],
-                priority, 1 if decision.selected_ue == ue_id else None,
-                tx if u is winner else 0, deadline, overflow,
+                tti, u.spec.ue_id, u.cqi, rates[u.cqi], buf.occupied_bits, u.q_pipe[0],
+                priority, 1 if u is winner else None, tx if u is winner else 0,
+                deadline, overflow,
             ))
 
     def buffer(self, ue_id: int) -> UeBuffer:
@@ -466,13 +471,6 @@ class Simulation:
             self._due = sorted([*self._due, u], key=_INDEX)
         return u.buffer
 
-    def _sleep(self, u: UeState) -> None:
-        """Put ``u`` in the calendar bucket of its wake TTI; a wake TTI at or
-        past the run's end enters none. The step drops it from the due UEs."""
-        u.asleep = True
-        if u.next_arrival_tti < self.scenario.duration_tti:
-            self._calendar.setdefault(u.next_arrival_tti, []).append(u)
-
     def _catch_up(self, u: UeState, until: int) -> None:
         """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept, at its q now."""
         k = until - u.synced_tti
@@ -489,36 +487,34 @@ class Simulation:
             avg = math.prod(repeat(EMA_DECAY, k), start=avg)
             s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
-    def _adjustment_check(self, tti: int, due: list[UeState]) -> None:
-        # A UE that slept this TTI has no queued bits, so its occupancy is at
-        # or below any threshold in (0, 1): only due UEs can trigger.
+    def _adjustment_check(self, tti: int, u: UeState) -> None:
+        """Step 8 for an adaptive UE with queued bits: a UE over the occupancy
+        threshold and starved for ``starvation_tti`` has its load cut, at most
+        once per ``starvation_tti``."""
         sc = self.scenario
-        for u in due:
-            if not u.spec.adaptive:
-                continue
-            ratio = u.buffer.occupied_bits / sc.buffersize_bits
-            starved = tti - u.sched.last_served_tti
-            if ratio <= sc.occupancy_threshold or starved < sc.starvation_tti:
-                continue
-            if u.last_adjust_tti is not None and tti - u.last_adjust_tti < sc.starvation_tti:
-                continue
-            old_load = u.spec.offered_load_bps
-            u.spec = apply_adjustment(u.spec, sc.adjustment_factor, u.flow.offered_load_bps)
-            u.last_adjust_tti = tti
-            # The load did not rise, so the TTIs already skipped stay
-            # arrival-free; scan on from the pending wake TTI with the new lam.
-            u.next_arrival_tti = next_arrival_tti(u.spec, max(u.next_arrival_tti, tti + 1),
-                                                  u.traffic_rng, sc.duration_tti)
-            self.adjustment_events.append(
-                AdjustmentEvent(
-                    tti=tti,
-                    ue_id=u.spec.ue_id,
-                    occupancy_ratio=ratio,
-                    starved_tti=starved,
-                    old_load_bps=old_load,
-                    new_load_bps=u.spec.offered_load_bps,
-                )
+        ratio = u.buffer.occupied_bits / sc.buffersize_bits
+        starved = tti - u.sched.last_served_tti
+        if ratio <= sc.occupancy_threshold or starved < sc.starvation_tti:
+            return
+        if u.last_adjust_tti is not None and tti - u.last_adjust_tti < sc.starvation_tti:
+            return
+        old_load = u.spec.offered_load_bps
+        u.spec = apply_adjustment(u.spec, sc.adjustment_factor, u.flow.offered_load_bps)
+        u.last_adjust_tti = tti
+        # The load did not rise, so the TTIs already skipped stay
+        # arrival-free; scan on from the pending wake TTI with the new lam.
+        u.next_arrival_tti = next_arrival_tti(u.spec, max(u.next_arrival_tti, tti + 1),
+                                              u.traffic_rng, sc.duration_tti)
+        self.adjustment_events.append(
+            AdjustmentEvent(
+                tti=tti,
+                ue_id=u.spec.ue_id,
+                occupancy_ratio=ratio,
+                starved_tti=starved,
+                old_load_bps=old_load,
+                new_load_bps=u.spec.offered_load_bps,
             )
+        )
 
     def _close_window(self, end_tti: int) -> None:
         # the close moves the marks q reads, so sleepers catch up first

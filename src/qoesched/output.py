@@ -29,22 +29,11 @@ def fmt_real(x: float | None) -> str:
 
 def _trace_lines(rows) -> list[str]:
     """trace.csv rows, one ``%`` format each. rate_bps, q and priority are
-    floats, written in ``fmt_real``'s format; ``selected`` is 1 or None. A run
-    has one rate per CQI, so each distinct rate is formatted once."""
-    rates: dict[float, str] = {}
-    lines = []
-    for tti, ue, cqi, rate, buffer_bits, q, priority, selected, tx, deadline, overflow in rows:
-        r = rates.get(rate)
-        if r is None:
-            r = rates[rate] = f"{rate:.9g}"
-        lines.append("%s,%s,%s,%s,%s,%.9g,%.9g,%s,%s,%s,%s" % (
-            tti, ue, cqi, r, buffer_bits, q, priority, selected or "", tx, deadline, overflow))
-    return lines
-
-
-def _trace_line(row: tuple) -> str:
-    """One trace.csv row, as ``_trace_lines`` writes it."""
-    return _trace_lines((row,))[0]
+    floats, written in ``fmt_real``'s format; ``selected`` is 1 or None."""
+    return ["%s,%s,%s,%.9g,%s,%.9g,%.9g,%s,%s,%s,%s" % (
+        tti, ue, cqi, rate, buffer_bits, q, priority, selected or "", tx, deadline, overflow)
+        for tti, ue, cqi, rate, buffer_bits, q, priority, selected, tx, deadline, overflow
+        in rows]
 
 
 def _metrics_line(policy: str, seed: int, w: WindowRecord) -> str:

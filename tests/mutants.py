@@ -1,0 +1,135 @@
+"""Source mutants and the tests that catch them.
+
+Run from anywhere: ``python tests/mutants.py``. pytest does not collect this
+file: its name has no ``test_`` prefix.
+
+Each row of ``MUTANTS`` is one defect, written as one text replacement in a
+module of ``src/qoesched``, with the ids of the tests that must fail with it.
+The runner copies ``src/`` to a temporary directory outside the checkout and
+runs the named tests of every row there once unchanged, where they must pass.
+Then, per row, it applies the replacement to a fresh copy and runs only that
+row's tests against it. It fails when a row's old text does not occur exactly
+once in its module, or when a named test passes. pytest runs in the temporary
+directory, so hypothesis keeps the mutants' failing examples there.
+
+A change that moves or rewrites a row's old text updates the row with it, so
+the table describes the code as it stands. A mutant that only keeps a UE due
+for longer is exact by design (processing a sleeper's TTI equals catching it
+up by one), so no row holds one.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/qoesched
+    old: str  # occurs exactly once in the module
+    new: str
+    tests: tuple[str, ...]  # ids as pytest prints them, each of which must fail
+
+
+REF = "tests/test_engine.py::TestScalarStreamReference::"
+ORDER = REF + "test_adjustments_on_one_tti_keep_the_order_of_the_ues"
+
+MUTANTS = (
+    # _catch_up floors the rate with the same text, so the row takes the
+    # winner's line above it too
+    Mutant("ema_floor", "engine.py",
+           "                s.last_served_tti = tti\n"
+           "            s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg\n",
+           "                s.last_served_tti = tti\n"
+           "            s.avg_rate_bps = avg\n",
+           (REF + "test_mixed_traffic_with_feedback_delay[PF]",
+            REF + "test_mixed_traffic_with_feedback_delay[MLWDF]")),
+    Mutant("starvation_at_le", "engine.py",
+           "starved < sc.starvation_tti", "starved <= sc.starvation_tti",
+           (ORDER,)),
+    Mutant("rearm_at_le", "engine.py",
+           "tti - u.last_adjust_tti < sc.starvation_tti",
+           "tti - u.last_adjust_tti <= sc.starvation_tti",
+           (ORDER,)),
+    Mutant("last_service_off_by_one", "engine.py",
+           "                s.last_served_tti = tti\n",
+           "                s.last_served_tti = tti + 1\n",
+           # RR scores -last_served_tti, which the trace's priority column shows
+           (REF + "test_mixed_traffic_with_feedback_delay[RR]",)),
+    Mutant("queued_ue_sleeps", "engine.py",
+           "            elif u.next_arrival_tti > tti + 1:\n",
+           "            if u.next_arrival_tti > tti + 1:\n",
+           ("tests/test_engine.py::TestStep::test_expiry_behind_a_live_head",
+            REF + "test_mixed_traffic_with_feedback_delay[BCQQ]")),
+    Mutant("door_without_catch_up", "engine.py",
+           "        if self._next_tti > u.synced_tti:\n"
+           "            self._catch_up(u, self._next_tti)\n"
+           "        if u.asleep:\n",
+           "        if u.asleep:\n",
+           (REF + "test_outside_bits_reach_q_as_in_the_dense_loop[2]",
+            REF + "test_outside_bits_reach_q_as_in_the_dense_loop[5]",
+            REF + "test_packet_enqueued_into_a_sleeping_ue")),
+)
+
+
+def outcomes(src: Path, ids: list[str], work: Path) -> dict[str, str]:
+    """Run the tests ``ids`` on the package in ``src``: each id's outcome,
+    "passed", "failed" or "skipped"; an id pytest did not run is missing."""
+    junit = work / "junit.xml"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
+                    f"--rootdir={ROOT}", f"--junitxml={junit}", *(str(ROOT / i) for i in ids)],
+                   cwd=work, env=env, stdout=subprocess.DEVNULL, check=False)
+    kinds = {}
+    for case in ET.parse(junit).iter("testcase"):
+        kinds[case.get("classname"), case.get("name")] = (
+            "failed" if case.find("failure") is not None or case.find("error") is not None
+            else "skipped" if case.find("skipped") is not None else "passed")
+    got = {}
+    for i in ids:
+        # junit names tests/m.py::C::t as the class "tests.m.C" and the name "t"
+        path, *names = i.split("::")
+        key = (".".join([path.removesuffix(".py").replace("/", "."), *names[:-1]]), names[-1])
+        if key in kinds:
+            got[i] = kinds[key]
+    return got
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory(prefix="qoesched-mutants-") as tmp:
+        tmp = Path(tmp)
+        clean = tmp / "clean"
+        shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
+        ids = sorted({i for m in MUTANTS for i in m.tests})
+        got = outcomes(clean, ids, tmp)
+        problems += [f"unchanged: {i} {got.get(i, 'did not run')}" for i in ids
+                     if got.get(i) != "passed"]
+        for m in MUTANTS:
+            copy = tmp / m.name
+            shutil.copytree(clean, copy)
+            path = copy / "qoesched" / m.module
+            text = path.read_text(encoding="utf-8")
+            if (n := text.count(m.old)) != 1:
+                problems.append(f"{m.name}: its old text occurs {n} times in {m.module}")
+                continue
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            got = outcomes(copy, list(m.tests), tmp)
+            caught = [i for i in m.tests if got.get(i) == "failed"]
+            print(f"{m.name}: caught by {len(caught)} of {len(m.tests)} tests")
+            problems += [f"{m.name}: {i} {got.get(i, 'did not run')}" for i in m.tests
+                         if i not in caught]
+    print("\n".join(problems) or f"all {len(MUTANTS)} mutants caught")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

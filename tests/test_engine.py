@@ -790,6 +790,22 @@ class TestScalarStreamReference:
         assert all(e.old_load_bps / 400_000_000 < 10.0 for e in events)
         assert any(wake > pending > e.tti + 1 for e, (_, pending, wake) in zip(events, rearms))
 
+    def test_adjustments_on_one_tti_keep_the_order_of_the_ues(self):
+        # UE 0, far stricter, takes every grant; UEs 1 and 2 fill past the
+        # threshold and starve together, so both trigger on the same TTIs,
+        # first when starved for starvation_tti and then once per
+        # starvation_tti, and their events come out in the order of the UEs
+        ftp = [dataclasses.replace(ftp_flow(i, load=load, mean=100_000, beta=beta,
+                                            adaptive=i > 0), alpha=alpha)
+               for i, (alpha, beta, load) in enumerate(
+                   [(1e-9, 10, 5e9), (0.5, 5000, 2e8), (0.5, 5000, 2e8)])]
+        sc = make_scenario(ftp, duration=3000, peak=1e9, cqis=[15, 15, 15],
+                           buffersize_bits=4_000_000, adjustment_enabled=True,
+                           occupancy_threshold=0.5, starvation_tti=50)
+        report = self.both(lambda cls: cls(sc, policy=Policy.BCQQ, seed=1))
+        events = [(e.tti, e.ue_id) for e in report.adjustment_events]
+        assert events == [(tti, ue) for tti in range(49, 3000, 50) for ue in (1, 2)]
+
     def test_packet_enqueued_into_a_sleeping_ue(self, trace=False):
         sc = make_scenario([ftp_flow(0, load=3e5, mean=100_000), ftp_flow(1, load=5e5),
                             video_flow(2, load=4e6)],

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qoesched import cli, output
@@ -143,10 +143,13 @@ optional_reals = st.none() | reals
 
 
 class TestRowFormats:
-    @given(st.tuples(ints, ints, ints, reals, ints, reals, reals, st.sampled_from([1, None]),
-                     ints, ints, ints))
-    def test_trace_line_equals_the_cell_join(self, row):
-        assert output._trace_line(row) == ",".join(fmt_value(v) for v in row)
+    # a 0.0 rate then a -0.0 one: each is written as it is, "0" then "-0"
+    @example([(0, 0, 1, 0.0, 0, 1.0, 0.0, None, 0, 0, 0),
+              (0, 1, 1, -0.0, 0, 1.0, 0.0, None, 0, 0, 0)])
+    @given(st.lists(st.tuples(ints, ints, ints, reals, ints, reals, reals,
+                              st.sampled_from([1, None]), ints, ints, ints), max_size=5))
+    def test_trace_line_equals_the_cell_join(self, rows):
+        assert output._trace_lines(rows) == [",".join(fmt_value(v) for v in row) for row in rows]
 
     @given(st.sampled_from(["BCQQ", "MLWDF", "PF", "RR"]), ints, ints, ints, ints, ints, reals,
            optional_reals, optional_reals)
