@@ -9,7 +9,7 @@ each function here takes the one number it reads.
 """
 from __future__ import annotations
 
-import numpy as np
+from .streams import BufferedStream
 
 CQI_MIN = 1
 CQI_MAX = 15
@@ -40,7 +40,7 @@ def cqi_walk(cqi: int, walk_prob: float, us) -> int:
     return cqi
 
 
-def cqi_step(cqi: int, walk_prob: float, rng: np.random.Generator) -> int:
+def cqi_step(cqi: int, walk_prob: float, rng: BufferedStream) -> int:
     """One TTI of ``cqi_walk``: move CQI +/-1 with probability walk_prob."""
     u = rng.random()
     if u >= walk_prob:

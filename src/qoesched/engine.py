@@ -2,8 +2,8 @@
 
 A single run is strictly single-threaded; the whole trace is a pure
 function of (scenario, seed). Each (ue, purpose) pair gets its own
-counter-based RNG substream so changing one flow's parameters never
-perturbs another flow's arrival sequence.
+counter-based RNG substream (``streams.substream``) so changing one flow's
+parameters never perturbs another flow's arrival sequence.
 
 Substreams are consumed in blocks (see ``streams.BufferedStream``): each
 draws its doubles ``BLOCK`` at a time and serves the simulator's scalar calls
@@ -93,8 +93,6 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Any, NamedTuple
 
-import numpy as np
-
 from .buffering import UeBuffer
 from .channel import CQI_MAX, CQI_MIN, cqi_step, cqi_walk, rate_of
 from .metrics import MetricsWindow, WindowRecord, figures, q_of
@@ -110,7 +108,7 @@ from .scheduler import (
     qos_weight,
     select,
 )
-from .streams import BufferedStream
+from .streams import BufferedStream, substream
 from .traffic import FlowSpec, apply_adjustment, arrivals, check_types, next_arrival_tti
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
@@ -262,11 +260,6 @@ class SimReport(NamedTuple):
     trace_rows: list[tuple] | None = None
 
 
-def _substream(seed: int, ue_id: int, purpose: int) -> BufferedStream:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))
-    return BufferedStream(np.random.Generator(np.random.Philox(ss)))
-
-
 _PURPOSE_TRAFFIC = 0
 _PURPOSE_CQI = 1
 
@@ -297,8 +290,8 @@ class Simulation:
                 flow=flow,
                 buffer=UeBuffer(scenario.buffersize_bits),
                 cqi=cqi0,
-                traffic_rng=_substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC),
-                cqi_rng=_substream(self.scenario.seed, flow.ue_id, _PURPOSE_CQI),
+                traffic_rng=substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC),
+                cqi_rng=substream(self.scenario.seed, flow.ue_id, _PURPOSE_CQI),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
                 # the QoS weight is fixed per flow: adjustment changes only the load
                 sched=UeSchedInput(

@@ -1,4 +1,8 @@
-"""Block-buffered RNG substreams that replay numpy's scalar draws exactly.
+"""Keyed RNG substreams, block-buffered to replay numpy's scalar draws exactly.
+
+``substream(seed, ue_id, purpose)`` keys each (UE, purpose) pair's Philox
+generator by ``SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))``.
+This module is the package's only numpy import.
 
 A scalar ``Generator.random()`` or ``Generator.poisson(lam)`` call costs
 several hundred nanoseconds of numpy dispatch, more than the simulator's own
@@ -56,6 +60,12 @@ DRAW_MAX = 8 * BLOCK
 
 # numpy samples Poisson by multiplication below this lam, by rejection above.
 _MULT_LAM_MAX = 10.0
+
+
+def substream(seed: int, ue_id: int, purpose: int) -> BufferedStream:
+    """The buffered stream of one UE and purpose under the run's seed."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))
+    return BufferedStream(np.random.Generator(np.random.Philox(ss)))
 
 
 class BufferedStream:

@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cache
 
-import numpy as np
-
 from .scheduler import TTIS_PER_SECOND, Policy
 from .streams import BufferedStream
 
@@ -127,7 +125,7 @@ def ftp_lam(spec: FlowSpec) -> float:
     return spec.offered_load_bps / (spec.mean_packet_bits * TTIS_PER_SECOND)
 
 
-def arrivals(spec: FlowSpec, tti: int, rng: np.random.Generator) -> list[int]:
+def arrivals(spec: FlowSpec, tti: int, rng: BufferedStream) -> list[int]:
     """Sizes, in bits, of the flow's packets that arrive at ``tti``.
 
     FTP: Poisson arrivals at offered_load/mean_packet_bits per second. Video:

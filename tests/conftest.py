@@ -7,6 +7,8 @@ in test_acceptance.py.
 import re
 import warnings
 
+from hypothesis import Phase, settings
+
 # When a property fails, hypothesis's pytest plugin imports its patch writer,
 # which imports libcst where that is installed. libcst 1.0 with
 # mypy_extensions 1.1 warns "mypy_extensions.TypedDict is deprecated" on
@@ -21,6 +23,12 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: nothing warns
         pass
+
+# A source mutant that breaks the engine fails the differential fuzz at
+# once, and shrinking its examples can then take minutes. tests/mutants.py
+# runs under this profile (``--hypothesis-profile=mutants``): every phase but
+# the shrink. Tier-1 runs under the default profile.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
 
 _CRITERIA = {
     1: "Jain fairness index unit oracle",

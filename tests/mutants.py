@@ -10,7 +10,9 @@ runs the named tests of every row there once unchanged, where they must pass.
 Then, per row, it applies the replacement to a fresh copy and runs only that
 row's tests against it. It fails when a row's old text does not occur exactly
 once in its module, or when a named test passes. pytest runs in the temporary
-directory, so hypothesis keeps the mutants' failing examples there.
+directory, so hypothesis keeps the mutants' failing examples there, and under
+the ``mutants`` hypothesis profile of ``tests/conftest.py``, which does not
+shrink them: a property that fails is reported as soon as it fails.
 
 A change that moves or rewrites a row's old text updates the row with it, so
 the table describes the code as it stands. A mutant that only keeps a UE due
@@ -41,6 +43,9 @@ class Mutant(NamedTuple):
 
 REF = "tests/test_engine.py::TestScalarStreamReference::"
 ORDER = REF + "test_adjustments_on_one_tti_keep_the_order_of_the_ues"
+QOE_FI = "tests/test_metrics.py::TestQoeFi::"
+DIGESTS = tuple(f"tests/test_reference_digests.py::test_outputs_match_the_reference_digests[{w}-{s}]"
+                for w in ("dense_cell", "flood_traced", "table1_sweep") for s in ("full", "smoke"))
 
 MUTANTS = (
     # _catch_up floors the rate with the same text, so the row takes the
@@ -63,7 +68,8 @@ MUTANTS = (
            "                s.last_served_tti = tti\n",
            "                s.last_served_tti = tti + 1\n",
            # RR scores -last_served_tti, which the trace's priority column shows
-           (REF + "test_mixed_traffic_with_feedback_delay[RR]",)),
+           (REF + "test_mixed_traffic_with_feedback_delay[RR]",
+            "tests/test_engine.py::TestDifferentialFuzz::test_plain_cells")),
     Mutant("queued_ue_sleeps", "engine.py",
            "            elif u.next_arrival_tti > tti + 1:\n",
            "            if u.next_arrival_tti > tti + 1:\n",
@@ -77,6 +83,30 @@ MUTANTS = (
            (REF + "test_outside_bits_reach_q_as_in_the_dense_loop[2]",
             REF + "test_outside_bits_reach_q_as_in_the_dense_loop[5]",
             REF + "test_packet_enqueued_into_a_sleeping_ue")),
+    Mutant("qoe_fi_coefficient", "metrics.py",
+           "2 * k - n + 1", "2 * k - n - 1",
+           (QOE_FI + "test_all_equal_ratios_zero",)),
+    Mutant("qoe_fi_unsorted", "metrics.py",
+           "sorted(", "list(",
+           (QOE_FI + "test_three_users_hand_sum",)),
+    Mutant("qoe_fi_not_doubled", "metrics.py",
+           "2.0 * math.fsum(", "math.fsum(",
+           (QOE_FI + "test_two_users_hand_sum",)),
+    Mutant("jain_n_plus_one", "metrics.py",
+           "(len(xs) * s2)", "((len(xs) + 1) * s2)",
+           ("tests/test_metrics.py::TestJfi::test_constant_vector_is_one",)),
+    Mutant("q_clamped_at_half", "metrics.py",
+           "    if raw < 1.0:\n        raw = 1.0\n",
+           "    if raw < 0.5:\n        raw = 0.5\n",
+           ("tests/test_metrics.py::TestQ::test_idle_user_q_is_one",)),
+    Mutant("q_y_floor", "metrics.py",
+           "(y if y > 1 else 1)", "(y if y > 2 else 2)",
+           ("tests/test_metrics.py::TestQ::test_small_demand_with_at_most_one_bit_delivered[0]",)),
+    # the module docstring names the key too, so the row takes the assignment
+    Mutant("spawn_key_swapped", "streams.py",
+           "ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))",
+           "ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, ue_id))",
+           DIGESTS),
 )
 
 
@@ -86,7 +116,8 @@ def outcomes(src: Path, ids: list[str], work: Path) -> dict[str, str]:
     junit = work / "junit.xml"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
-                    f"--rootdir={ROOT}", f"--junitxml={junit}", *(str(ROOT / i) for i in ids)],
+                    "--hypothesis-profile=mutants", f"--rootdir={ROOT}", f"--junitxml={junit}",
+                    *(str(ROOT / i) for i in ids)],
                    cwd=work, env=env, stdout=subprocess.DEVNULL, check=False)
     kinds = {}
     for case in ET.parse(junit).iter("testcase"):

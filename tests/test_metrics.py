@@ -1,22 +1,48 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qoesched.buffering import UeBuffer
-from qoesched.metrics import MetricsWindow, jfi, q_of, qoe_fi
+from qoesched.metrics import MetricsWindow, figures, jfi, q_of, qoe_fi
 
 
 def qoe_fi_index_loop(pairs):
-    """qoe_fi's earlier form: an index double loop that skips i == j."""
-    ratios = [y / y_req for y, y_req in pairs]
-    n = len(ratios)
-    total = 0.0
+    """The index double loop over i != j on the float ratios, summed exactly.
+
+    A float is an integer over a power of two, so over the largest of the
+    ratios' denominators each ratio is an integer and the loop adds Python
+    ints. Returns the exact sum as a Fraction.
+    """
+    ratios = [Fraction(y / y_req) for y, y_req in pairs]
+    den = max(r.denominator for r in ratios)
+    nums = [r.numerator * (den // r.denominator) for r in ratios]
+    n = len(nums)
+    total = 0
     for i in range(n):
         for j in range(n):
             if i != j:
-                total += abs(ratios[i] - ratios[j])
-    return total
+                total += abs(nums[i] - nums[j])
+    return Fraction(total, den)
+
+
+def assert_near_index_loop(pairs):
+    """qoe_fi is within its bound, n * sum(r) * 2**-51, of the exact loop."""
+    bound = len(pairs) * sum(Fraction(y / y_req) for y, y_req in pairs) / 2**51
+    assert abs(Fraction(qoe_fi(pairs)) - qoe_fi_index_loop(pairs)) <= bound
+
+
+def peak_traced_bytes(fn, *args):
+    """The peak of the memory Python and numpy allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def window_over(n):
@@ -176,15 +202,22 @@ class TestQoeFi:
     @example([(0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (5e-324, 1.0)])
     @example([(5e-324, 1e12), (1e12, 1e-6), (0.0, 3.0), (1e12, 1e-6)])
     def test_equals_index_loop_skipping_diagonal(self, pairs):
-        # a finite ratio's diagonal term adds +0.0, so the result is the same float
-        assert qoe_fi(pairs) == qoe_fi_index_loop(pairs)
+        assert_near_index_loop(pairs)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1e12), st.floats(1e-6, 1e12)),
                     min_size=100, max_size=300))
     def test_equals_index_loop_at_cell_sizes(self, pairs):
         # the lists above stay short; a dense cell has ~100 UEs
-        assert qoe_fi(pairs) == qoe_fi_index_loop(pairs)
+        assert_near_index_loop(pairs)
+
+    def test_memory_is_linear_in_users(self):
+        # 1 MB is an eighth of one n x n float64 array at 1,000 users
+        ys = list(range(1000))
+        y_reqs = [2 * y + 1 for y in ys]
+        pairs = [(float(y), float(r)) for y, r in zip(ys, y_reqs)]
+        assert peak_traced_bytes(qoe_fi, pairs) < 2**20
+        assert peak_traced_bytes(figures, ys, y_reqs, 1000) < 2**20
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
