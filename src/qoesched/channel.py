@@ -5,11 +5,11 @@ The channel model is a bounded +/-1 random walk on the 15-level CQI scale
 standard 4-bit CQI spectral-efficiency table, normalized so CQI 15 hits
 the configured peak. The walk probability, the peak and the initial CQIs are
 ``Scenario`` fields (``walk_prob``, ``peak_rate_bps``, ``initial_cqi_per_ue``);
-each function here takes the one number it reads.
+each function here takes the one number it reads. ``cqi_step`` walks any
+number of TTIs from their uniforms, so a CQI that stays put on most TTIs is
+stepped only on the TTIs that move it.
 """
 from __future__ import annotations
-
-from .streams import BufferedStream
 
 CQI_MIN = 1
 CQI_MAX = 15
@@ -22,12 +22,13 @@ CQI_EFFICIENCY = (
 )
 
 
-def cqi_walk(cqi: int, walk_prob: float, us) -> int:
+def cqi_step(cqi: int, walk_prob: float, us) -> int:
     """Apply one TTI of the walk per uniform in ``us``, in order.
 
     A uniform below walk_prob moves the CQI: down when it is below half of
     walk_prob, up otherwise, clamped to [CQI_MIN, CQI_MAX]; any other
-    uniform leaves it where it is.
+    uniform leaves it where it is. The engine passes only the moves its CQI
+    stream (``streams.MoveStream``) holds, the uniforms below walk_prob.
     """
     half = walk_prob / 2.0
     for u in us:
@@ -38,14 +39,6 @@ def cqi_walk(cqi: int, walk_prob: float, us) -> int:
             elif cqi < CQI_MAX:
                 cqi += 1
     return cqi
-
-
-def cqi_step(cqi: int, walk_prob: float, rng: BufferedStream) -> int:
-    """One TTI of ``cqi_walk``: move CQI +/-1 with probability walk_prob."""
-    u = rng.random()
-    if u >= walk_prob:
-        return cqi
-    return cqi_walk(cqi, walk_prob, (u,))
 
 
 def rate_of(cqi: int, peak_rate_bps: float) -> float:

@@ -5,20 +5,24 @@ function of (scenario, seed). Each (ue, purpose) pair gets its own
 counter-based RNG substream (``streams.substream``) so changing one flow's
 parameters never perturbs another flow's arrival sequence.
 
-Substreams are consumed in blocks (see ``streams.BufferedStream``): each
-draws its doubles ``BLOCK`` at a time and serves the simulator's scalar calls
-from the buffer. The sequence of values is identical to scalar ``Generator``
-calls, so outputs do not depend on the block size. Small-``lam`` Poisson
-samples are replayed from the buffered doubles with numpy's multiplication
-sampler; that replay depends on numpy's sampler and is guarded by the
-stream equivalence test in ``tests/test_streams.py``.
+Substreams are consumed in blocks and chunks: a traffic stream
+(``streams.BufferedStream``) draws its doubles ``BLOCK`` at a time and serves
+the simulator's scalar calls from the buffer, and a CQI stream
+(``streams.MoveStream``) draws its doubles in numpy chunks and keeps only the
+walk's moves, the doubles below ``walk_prob`` with their TTIs. The sequence
+of values is identical to scalar ``Generator`` calls, so outputs do not
+depend on the block or chunk size. Small-``lam`` Poisson samples are
+replayed from the buffered doubles with numpy's multiplication sampler;
+that replay depends on numpy's sampler and is guarded by the stream
+equivalence test in ``tests/test_streams.py``.
 
 Per-TTI event order is fixed:
   1. generate arrivals and enqueue them in one call: the TTI's packet sizes
      share its arrival TTI and the deadline ``tti + beta_ms``
   2. expire past-deadline batches from the queue head
-  3. step CQI by the scenario's ``walk_prob``; a rate is read from the cell's
-     rate table, which ``rate_of`` fills once per CQI from ``peak_rate_bps``
+  3. step CQI by the scenario's ``walk_prob``, on the TTIs its stream moves
+     it; a rate is read from the cell's rate table, which ``rate_of`` fills
+     once per CQI from ``peak_rate_bps``
   4. read q off the buffer and feed it back (honoring the feedback delay)
   5. select one UE: each UE's one scheduling record, refreshed, is its input
   6. drain the winner with budget rate * TTI
@@ -50,12 +54,13 @@ cell whose UEs are all due pays one list append per UE and TTI for the
 calendar. In a TTI it sleeps through, a UE has no arrival, no queued bits and
 no grant, so what remains depends only on its own substreams and state, and
 is caught up exactly and lazily when the UE is next processed, at each window
-close and at the end of ``run``: one CQI walk step per TTI from its CQI
-stream, its q fed into the feedback pipe once per TTI, and one served-rate
-decay per TTI, multiplied out in order because ``decay**k`` is not the same
-float. ``synced_tti`` marks the first TTI not yet applied. A sleeper's q does
-not move, so the catch-up reads it live, and the window close, which moves
-the buffer marks q reads, catches every UE up first. The trace, written after
+close and at the end of ``run``: the CQI walk's moves in the slept TTIs,
+taken from its CQI stream in one ``cqi_step`` call, its q fed into the
+feedback pipe once per TTI, and one served-rate decay per TTI, multiplied
+out in order because ``decay**k`` is not the same float. ``synced_tti``
+marks the first TTI not yet applied. A sleeper's q does not move, so the
+catch-up reads it live, and the window close, which moves the buffer marks q
+reads, catches every UE up first. The trace, written after
 the step, catches each sleeper up through every TTI, so it changes no
 decision. Its drop columns are the changes in the buffer's drop totals since
 its last row.
@@ -94,7 +99,7 @@ from operator import attrgetter
 from typing import Any, NamedTuple
 
 from .buffering import UeBuffer
-from .channel import CQI_MAX, CQI_MIN, cqi_step, cqi_walk, rate_of
+from .channel import CQI_MAX, CQI_MIN, cqi_step, rate_of
 from .metrics import MetricsWindow, WindowRecord, figures, q_of
 from .scheduler import (
     AVG_RATE_FLOOR,
@@ -108,7 +113,7 @@ from .scheduler import (
     qos_weight,
     select,
 )
-from .streams import BufferedStream, substream
+from .streams import BufferedStream, MoveStream, substream
 from .traffic import FlowSpec, apply_adjustment, arrivals, check_types, next_arrival_tti
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
@@ -195,7 +200,7 @@ class UeState:
     the one account of its QoS weight, served-rate EMA and last grant."""
 
     def __init__(self, index: int, flow: FlowSpec, buffer: UeBuffer, cqi: int,
-                 traffic_rng: BufferedStream, cqi_rng: BufferedStream, q_pipe: deque[float],
+                 traffic_rng: BufferedStream, cqi_rng: MoveStream, q_pipe: deque[float],
                  sched: UeSchedInput):
         self.index = index  # position in Simulation.ues, the order of the due UEs
         self.flow = self.spec = flow
@@ -290,8 +295,10 @@ class Simulation:
                 flow=flow,
                 buffer=UeBuffer(scenario.buffersize_bits),
                 cqi=cqi0,
-                traffic_rng=substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC),
-                cqi_rng=substream(self.scenario.seed, flow.ue_id, _PURPOSE_CQI),
+                traffic_rng=BufferedStream(
+                    substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC)),
+                cqi_rng=MoveStream(substream(self.scenario.seed, flow.ue_id, _PURPOSE_CQI),
+                                   scenario.walk_prob, scenario.duration_tti),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
                 # the QoS weight is fixed per flow: adjustment changes only the load
                 sched=UeSchedInput(
@@ -356,8 +363,10 @@ class Simulation:
             if buf.queue and buf.queue[0][3] <= tti:
                 buf.expire(tti)
 
-            # 3. channel
-            cqi = u.cqi = cqi_step(u.cqi, walk_prob, u.cqi_rng)
+            # 3. channel: the CQI moves on the TTIs of its stream's moves
+            cqi_rng = u.cqi_rng
+            if tti >= cqi_rng.next_index:
+                u.cqi = cqi_step(u.cqi, walk_prob, cqi_rng.take(tti + 1))
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
@@ -368,7 +377,7 @@ class Simulation:
                 s = u.sched
                 s.buffer_bits = buf.occupied_bits
                 s.q = pipe[0]
-                s.rate_bps = rates[cqi]
+                s.rate_bps = rates[u.cqi]
                 if mlwdf:
                     s.hol_delay_s = buf.hol_delay_tti(tti) * TTI_SECONDS
                 inputs.append(s)
@@ -468,7 +477,8 @@ class Simulation:
         """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept, at its q now."""
         k = until - u.synced_tti
         u.synced_tti = until
-        u.cqi = cqi_walk(u.cqi, self.scenario.walk_prob, u.cqi_rng.random(k))
+        if until > u.cqi_rng.next_index:
+            u.cqi = cqi_step(u.cqi, self.scenario.walk_prob, u.cqi_rng.take(until))
         pipe = u.q_pipe
         pipe.extend([q_of(u.buffer, self.scenario.q_max)] * min(k, pipe.maxlen))
         # k decays, multiplied out in order: decay**k differs in the last

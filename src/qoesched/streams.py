@@ -1,8 +1,10 @@
-"""Keyed RNG substreams, block-buffered to replay numpy's scalar draws exactly.
+"""Keyed RNG substreams, served in blocks and chunks that replay numpy's scalar draws exactly.
 
 ``substream(seed, ue_id, purpose)`` keys each (UE, purpose) pair's Philox
 generator by ``SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))``.
-This module is the package's only numpy import.
+This module is the package's only numpy import. The engine serves a UE's
+traffic generator through a ``BufferedStream`` and its CQI generator through
+a ``MoveStream``.
 
 A scalar ``Generator.random()`` or ``Generator.poisson(lam)`` call costs
 several hundred nanoseconds of numpy dispatch, more than the simulator's own
@@ -37,7 +39,14 @@ stream holds no pending doubles, in its block or drawn by a scan. So
 arrives while doubles are pending; it does not re-synchronise the
 generator. The simulator never makes that call: a flow's ``lam`` never
 rises (see ``engine``), so a traffic stream that went to blocks at
-``lam < 10`` stays there, and a CQI stream draws only ``random``.
+``lam < 10`` stays there.
+
+A CQI walk reads one uniform per TTI and moves only on a uniform below
+``walk_prob``, about one TTI in ten. ``MoveStream`` draws the generator's
+doubles in numpy chunks of at most ``CHUNK``, never past the run's last TTI,
+and keeps only the moves: the index (the TTI) and value of each double below
+``walk_prob``. The engine asks it for the moves up to a TTI only when its
+``next_index`` is due, so a TTI without a move costs one integer compare.
 
 The Poisson replay depends on numpy's sampler for small ``lam``;
 ``tests/test_streams.py`` checks the call mix against a plain ``Generator``
@@ -46,6 +55,7 @@ and fails if a numpy release changes it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -58,14 +68,18 @@ BLOCK = 64
 # pending, so this bounds the memory a stream draws ahead.
 DRAW_MAX = 8 * BLOCK
 
+# Doubles a move stream draws at most per draw. A draw that reaches the
+# run's last TTI is shorter, so a run of up to CHUNK TTIs draws once per UE.
+CHUNK = 1024
+
 # numpy samples Poisson by multiplication below this lam, by rejection above.
 _MULT_LAM_MAX = 10.0
 
 
-def substream(seed: int, ue_id: int, purpose: int) -> BufferedStream:
-    """The buffered stream of one UE and purpose under the run's seed."""
+def substream(seed: int, ue_id: int, purpose: int) -> np.random.Generator:
+    """The Philox generator of one UE and purpose under the run's seed."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))
-    return BufferedStream(np.random.Generator(np.random.Philox(ss)))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 class BufferedStream:
@@ -201,3 +215,56 @@ class BufferedStream:
                 self._pos = pos
                 return n
             n += 1
+
+
+class MoveStream:
+    """The moves of a walk: the doubles of a ``Generator`` below ``walk_prob``.
+
+    Double ``i`` of the generator is the uniform of TTI ``i``; the stream
+    serves those below ``walk_prob`` with their indices, in order, and drops
+    the rest, which never move the walk. It draws ``CHUNK`` doubles at a time,
+    the last draw ending at ``horizon``, and draws no double past it. So it
+    holds ahead the moves of at most ``CHUNK`` drawn doubles, about
+    ``CHUNK * walk_prob`` of them; the drawn array itself is not kept.
+
+    ``next_index`` is the index of the next pending move or, when none is
+    pending, the end of what has been drawn: no move lies before it.
+    """
+
+    __slots__ = ("_gen", "_walk_prob", "_horizon", "_drawn", "_index", "_value", "_pos",
+                 "next_index")
+
+    def __init__(self, gen: np.random.Generator, walk_prob: float, horizon: int):
+        self._gen = gen
+        self._walk_prob = walk_prob
+        self._horizon = horizon
+        self._drawn = 0  # doubles drawn so far
+        # the moves of the last draw, indices and values, pending from _pos on
+        self._index: list[int] = []
+        self._value: list[float] = []
+        self._pos = 0
+        self.next_index = 0
+
+    def take(self, until: int) -> list[float]:
+        """The values of the pending moves with index < ``until``, in order.
+
+        Draws as far as ``until`` needs, so ``until`` past the horizon raises
+        ``ValueError`` before anything is drawn or taken.
+        """
+        if until > self._horizon:
+            raise ValueError(f"take({until}): the stream ends at {self._horizon}")
+        index, pos = self._index, self._pos
+        end = bisect_left(index, until, pos)
+        out = self._value[pos:end]
+        while end == len(index) and self._drawn < until:
+            drawn = self._drawn
+            us = self._gen.random(min(CHUNK, self._horizon - drawn))
+            moves = np.flatnonzero(us < self._walk_prob)
+            self._value = us[moves].tolist()
+            index = self._index = (moves + drawn).tolist()
+            self._drawn = drawn + len(us)
+            end = bisect_left(index, until)
+            out += self._value[:end]
+        self._pos = end
+        self.next_index = index[end] if end < len(index) else self._drawn
+        return out

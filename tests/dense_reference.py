@@ -86,8 +86,8 @@ class DenseSimulation(Simulation):
             # 2. deadline expiry, every TTI: a call with nothing due is a no-op
             buf.expire(tti)
 
-            # 3. channel
-            cqi = u.cqi = cqi_step(u.cqi, sc.walk_prob, u.cqi_rng)
+            # 3. channel: one scalar draw and one walk step per TTI
+            cqi = u.cqi = cqi_step(u.cqi, sc.walk_prob, (u.cqi_rng.random(),))
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe

@@ -9,7 +9,9 @@ The runner copies ``src/`` to a temporary directory outside the checkout and
 runs the named tests of every row there once unchanged, where they must pass.
 Then, per row, it applies the replacement to a fresh copy and runs only that
 row's tests against it. It fails when a row's old text does not occur exactly
-once in its module, or when a named test passes. pytest runs in the temporary
+once in its module, when a named test passes, or when a run of pytest outlasts
+``TIMEOUT_S``: a mutant that loops forever is then killed and reported by its
+row's name, and the table goes on. pytest runs in the temporary
 directory, so hypothesis keeps the mutants' failing examples there, and under
 the ``mutants`` hypothesis profile of ``tests/conftest.py``, which does not
 shrink them: a property that fails is reported as soon as it fails.
@@ -32,6 +34,10 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Seconds one run of pytest may take, the unchanged run of every named test
+# included; each takes well under a minute.
+TIMEOUT_S = 300
+
 
 class Mutant(NamedTuple):
     name: str
@@ -44,6 +50,9 @@ class Mutant(NamedTuple):
 REF = "tests/test_engine.py::TestScalarStreamReference::"
 ORDER = REF + "test_adjustments_on_one_tti_keep_the_order_of_the_ues"
 QOE_FI = "tests/test_metrics.py::TestQoeFi::"
+CQI_STEP = "tests/test_channel.py::TestCqiStep::"
+RATE_OF = "tests/test_channel.py::TestRateOf::"
+MOVES = "tests/test_streams.py::test_move_stream_serves_the_generators_moves"
 DIGESTS = tuple(f"tests/test_reference_digests.py::test_outputs_match_the_reference_digests[{w}-{s}]"
                 for w in ("dense_cell", "flood_traced", "table1_sweep") for s in ("full", "smoke"))
 
@@ -83,6 +92,34 @@ MUTANTS = (
            (REF + "test_outside_bits_reach_q_as_in_the_dense_loop[2]",
             REF + "test_outside_bits_reach_q_as_in_the_dense_loop[5]",
             REF + "test_packet_enqueued_into_a_sleeping_ue")),
+    # the catch-up one slept TTI short, and one q too many in the pipe
+    Mutant("catch_up_skips_a_tti", "engine.py",
+           "k = until - u.synced_tti\n", "k = until - u.synced_tti - 1\n",
+           (REF + "test_idle_cell",
+            REF + "test_light_cell_sleeps_across_windows[BCQQ]")),
+    Mutant("catch_up_pipe_plus_one", "engine.py",
+           "min(k, pipe.maxlen)", "min(k + 1, pipe.maxlen)",
+           (REF + "test_mixed_traffic_with_feedback_delay[BCQQ]",
+            REF + "test_light_cell_sleeps_across_windows[BCQQ]")),
+    Mutant("walk_floor_at_two", "channel.py",
+           "if cqi > CQI_MIN:", "if cqi > CQI_MIN + 1:",
+           (CQI_STEP + "test_stationary_distribution_symmetric",)),
+    Mutant("rates_normalized_to_cqi_14", "channel.py",
+           "/ CQI_EFFICIENCY[-1]", "/ CQI_EFFICIENCY[-2]",
+           (RATE_OF + "test_cqi15_is_peak", RATE_OF + "test_cqi1_hand_value",
+            RATE_OF + "test_bounds")),
+    # a move's index without its chunk's offset, and next_index left on a
+    # move already taken
+    Mutant("move_index_without_offset", "streams.py",
+           "(moves + drawn).tolist()", "moves.tolist()",
+           (MOVES, REF + "test_catch_up_spans_cross_cqi_chunks[BCQQ]")),
+    Mutant("next_index_not_advanced", "streams.py",
+           "index[end] if end < len(index)", "index[pos] if pos < len(index)",
+           (MOVES,)),
+    # at the horizon the stream draws no doubles, and would do so forever
+    Mutant("take_draws_at_the_horizon", "streams.py",
+           "self._drawn < until:", "self._drawn <= until:",
+           (MOVES, "tests/test_streams.py::test_take_past_the_horizon_raises_and_draws_nothing[0]")),
     Mutant("qoe_fi_coefficient", "metrics.py",
            "2 * k - n + 1", "2 * k - n - 1",
            (QOE_FI + "test_all_equal_ratios_zero",)),
@@ -110,15 +147,21 @@ MUTANTS = (
 )
 
 
-def outcomes(src: Path, ids: list[str], work: Path) -> dict[str, str]:
+def outcomes(src: Path, ids: list[str], work: Path) -> dict[str, str] | None:
     """Run the tests ``ids`` on the package in ``src``: each id's outcome,
-    "passed", "failed" or "skipped"; an id pytest did not run is missing."""
+    "passed", "failed" or "skipped"; an id pytest did not run is missing.
+    None when pytest outlasts ``TIMEOUT_S`` and is killed."""
     junit = work / "junit.xml"
+    junit.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
-                    "--hypothesis-profile=mutants", f"--rootdir={ROOT}", f"--junitxml={junit}",
-                    *(str(ROOT / i) for i in ids)],
-                   cwd=work, env=env, stdout=subprocess.DEVNULL, check=False)
+    try:
+        subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
+                        "--hypothesis-profile=mutants", f"--rootdir={ROOT}", f"--junitxml={junit}",
+                        *(str(ROOT / i) for i in ids)],
+                       cwd=work, env=env, stdout=subprocess.DEVNULL, check=False,
+                       timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
     kinds = {}
     for case in ET.parse(junit).iter("testcase"):
         kinds[case.get("classname"), case.get("name")] = (
@@ -142,8 +185,11 @@ def main() -> int:
         shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
         ids = sorted({i for m in MUTANTS for i in m.tests})
         got = outcomes(clean, ids, tmp)
-        problems += [f"unchanged: {i} {got.get(i, 'did not run')}" for i in ids
-                     if got.get(i) != "passed"]
+        if got is None:
+            problems.append(f"unchanged: the named tests outlasted {TIMEOUT_S} s")
+        else:
+            problems += [f"unchanged: {i} {got.get(i, 'did not run')}" for i in ids
+                         if got.get(i) != "passed"]
         for m in MUTANTS:
             copy = tmp / m.name
             shutil.copytree(clean, copy)
@@ -154,6 +200,10 @@ def main() -> int:
                 continue
             path.write_text(text.replace(m.old, m.new), encoding="utf-8")
             got = outcomes(copy, list(m.tests), tmp)
+            if got is None:
+                print(f"{m.name}: timed out")
+                problems.append(f"{m.name}: its tests outlasted {TIMEOUT_S} s")
+                continue
             caught = [i for i in m.tests if got.get(i) == "failed"]
             print(f"{m.name}: caught by {len(caught)} of {len(m.tests)} tests")
             problems += [f"{m.name}: {i} {got.get(i, 'did not run')}" for i in m.tests

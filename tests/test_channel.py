@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoesched.channel import (
     CQI_EFFICIENCY,
+    CQI_MAX,
+    CQI_MIN,
     cqi_step,
     rate_of,
 )
@@ -10,40 +14,28 @@ from qoesched.engine import Scenario
 from qoesched.traffic import FlowSpec, TrafficClass
 
 
-class FixedRng:
-    """Stub returning a scripted sequence of uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 class TestCqiStep:
     def test_frozen_channel(self):
         cqi = 9
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            cqi = cqi_step(cqi, 0.0, rng)
+        for u in np.random.default_rng(0).random(1000).tolist():
+            cqi = cqi_step(cqi, 0.0, (u,))
             assert cqi == 9
 
     def test_clamp_at_top(self):
         # u in [0.5, 1) is an upward step
-        assert cqi_step(15, 1.0, FixedRng([0.9])) == 15
+        assert cqi_step(15, 1.0, [0.9]) == 15
 
     def test_clamp_at_bottom(self):
-        assert cqi_step(1, 1.0, FixedRng([0.1])) == 1
+        assert cqi_step(1, 1.0, [0.1]) == 1
 
     def test_stationary_distribution_symmetric(self):
         # Monte-Carlo oracle: the clamped +/-1 walk mixes to a distribution
         # symmetric about the midpoint 8.
-        rng = np.random.default_rng(123)
         cqi = 8
         counts = np.zeros(16)
         n = 1_000_000
-        for _ in range(n):
-            cqi = cqi_step(cqi, 1.0, rng)
+        for u in np.random.default_rng(123).random(n).tolist():
+            cqi = cqi_step(cqi, 1.0, (u,))
             counts[cqi] += 1
         freqs = counts / n
         mean = sum(k * freqs[k] for k in range(1, 16))
@@ -55,9 +47,21 @@ class TestCqiStep:
         a, b = np.random.default_rng(5), np.random.default_rng(5)
         ca, cb = 7, 7
         for _ in range(5000):
-            ca = cqi_step(ca, 0.3, a)
-            cb = cqi_step(cb, 0.3, b)
+            ca = cqi_step(ca, 0.3, (a.random(),))
+            cb = cqi_step(cb, 0.3, (b.random(),))
             assert ca == cb
+
+    @settings(max_examples=200, deadline=None)
+    @given(cqi=st.integers(CQI_MIN, CQI_MAX), walk_prob=st.floats(0.0, 1.0),
+           us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=60))
+    def test_walk_of_many_uniforms_is_its_steps_and_only_its_moves(self, cqi, walk_prob, us):
+        # one call over a span is the span's steps one by one, and the
+        # uniforms at or above walk_prob, which a move stream drops, move nothing
+        stepped = cqi
+        for u in us:
+            stepped = cqi_step(stepped, walk_prob, (u,))
+        assert cqi_step(cqi, walk_prob, us) == stepped
+        assert cqi_step(cqi, walk_prob, [u for u in us if u < walk_prob]) == stepped
 
 
 class TestRateOf:

@@ -16,7 +16,7 @@ from qoesched.engine import Scenario, Simulation, run
 from qoesched.output import emit, fmt_real
 from qoesched.scenario import parse_scenario
 from qoesched.scheduler import TTIS_PER_SECOND, Policy
-from qoesched.streams import BLOCK, DRAW_MAX, BufferedStream
+from qoesched.streams import BLOCK, CHUNK, DRAW_MAX, BufferedStream
 from qoesched.traffic import FlowSpec, TrafficClass
 
 TINY_LOAD = 1e-3  # bps; effectively no arrivals over short runs
@@ -754,6 +754,24 @@ class TestScalarStreamReference:
         # a window close catches a sleeper up, and it sleeps on past the close
         assert any((ue, end, later) in spans for ue, _, end in spans if end % 100 == 0
                    for later in range(end + 2, 700))
+
+    @pytest.mark.parametrize("policy", [Policy.BCQQ, Policy.PF])
+    def test_catch_up_spans_cross_cqi_chunks(self, monkeypatch, policy):
+        # Over two CQI chunks and a shorter third, some sleeper's catch-up
+        # takes the moves of two chunks, drawing the second on the way.
+        sc = dataclasses.replace(light_cell(20), duration_tti=2 * CHUNK + 200)
+        spans = []
+        catch_up = Simulation._catch_up
+
+        def record(sim, u, until):
+            spans.append((u.synced_tti, until))
+            catch_up(sim, u, until)
+
+        monkeypatch.setattr(Simulation, "_catch_up", record)
+        self.both(lambda cls: cls(sc, policy=policy, seed=23))
+        crossings = [m for start, until in spans for m in (CHUNK, 2 * CHUNK)
+                     if start < m < until]
+        assert CHUNK in crossings and 2 * CHUNK in crossings
 
     def test_adjustment_rearms_a_pending_wake(self, monkeypatch):
         # UE 1 (lam = 0.04) gets a big packet about every 25 TTIs and starves

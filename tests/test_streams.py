@@ -1,10 +1,12 @@
-"""BufferedStream must return exactly what a plain Generator returns.
+"""BufferedStream and MoveStream must return exactly what a plain Generator returns.
 
 The stream replays numpy's Poisson multiplication sampler on buffered
 doubles. If a numpy release changes that sampler, or the way a block of
 doubles relates to scalar draws, these tests fail. The one call the stream
 does not serve, a Poisson ``lam`` outside ``[0, 10)`` while buffered doubles
-are pending, must raise the stream's own ``ValueError``.
+are pending, must raise the stream's own ``ValueError``. A move stream must
+serve the generator's doubles below ``walk_prob`` at their indices, drawing
+no double past its horizon.
 """
 import math
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qoesched.streams import BLOCK, DRAW_MAX, BufferedStream
+from qoesched.streams import BLOCK, CHUNK, DRAW_MAX, BufferedStream, MoveStream
 
 # numpy's upper limit for lam: int64 max minus ten standard deviations.
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -231,13 +233,18 @@ def test_skip_zeros_skips_nothing_from_ten_on(lam):
 
 
 class CountingGenerator:
-    """A ``Generator`` stand-in that records the size of each ``random`` draw."""
+    """A ``Generator`` stand-in that records the size of each ``random`` draw.
+
+    A draw of no doubles fails at once: a stream that asks for one makes no
+    progress, and one that asks again and again would spin forever.
+    """
 
     def __init__(self, gen):
         self.gen = gen
         self.draws = []
 
     def random(self, size=None):
+        assert size is None or size > 0, f"a draw of {size} doubles"
         self.draws.append(size)
         return self.gen.random(size)
 
@@ -277,3 +284,54 @@ def test_lam_from_ten_on_raises_after_a_spill():
     assert stream.skip_zeros(5.0, 2 * DRAW_MAX) == 0
     with pytest.raises(ValueError, match="after buffered draws"):
         stream.poisson(15.0)
+
+
+@st.composite
+def move_runs(draw):
+    """A walk probability, a horizon and the increasing ``until``s of the takes."""
+    walk_prob = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    horizon = draw(st.integers(0, 3 * CHUNK))
+    cuts = sorted(draw(st.lists(st.integers(0, horizon), max_size=12)))
+    return walk_prob, horizon, cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), run=move_runs())
+# takes that end on, one short of and one past a chunk edge, and a horizon
+# that ends on one; every double a move, and none
+@example(seed=1, run=(0.1, 3 * CHUNK, [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK]))
+@example(seed=2, run=(1.0, 2 * CHUNK + 1, [0, 1, CHUNK, 2 * CHUNK, 2 * CHUNK + 1]))
+@example(seed=3, run=(0.0, CHUNK + 5, [3, CHUNK + 4]))
+def test_move_stream_serves_the_generators_moves(seed, run):
+    walk_prob, horizon, cuts = run
+    us = generator(seed).random(horizon).tolist()
+    moves = [(i, u) for i, u in enumerate(us) if u < walk_prob]
+    gen = CountingGenerator(generator(seed))
+    stream = MoveStream(gen, walk_prob, horizon)
+    assert stream.next_index == 0 and gen.draws == []
+    joined, start = [], 0
+    for until in cuts + [horizon]:
+        got = stream.take(until)
+        assert got == [u for i, u in moves if start <= i < until], (start, until)
+        joined += got
+        start = until
+        # it draws CHUNK doubles at a time when it must, and none past the horizon
+        drawn = sum(gen.draws)
+        assert all(0 < n <= CHUNK for n in gen.draws)
+        assert drawn == min(horizon, -(-until // CHUNK) * CHUNK)
+        pending = [i for i, _ in moves if until <= i < drawn]
+        assert stream.next_index == (pending[0] if pending else drawn), until
+    assert joined == [u for u in us if u < walk_prob]
+
+
+@pytest.mark.parametrize("taken", [0, 5, CHUNK + 3, 2 * CHUNK + 1])
+def test_take_past_the_horizon_raises_and_draws_nothing(taken):
+    gen = CountingGenerator(generator(16))
+    stream = MoveStream(gen, 0.3, 2 * CHUNK + 1)
+    stream.take(taken)
+    draws, index = list(gen.draws), stream.next_index
+    with pytest.raises(ValueError, match="ends at"):
+        stream.take(2 * CHUNK + 2)
+    assert gen.draws == draws and stream.next_index == index
+    assert stream.take(2 * CHUNK + 1) == [
+        u for u in generator(16).random(2 * CHUNK + 1)[taken:].tolist() if u < 0.3]
