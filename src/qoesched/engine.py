@@ -23,11 +23,19 @@ Per-TTI event order is fixed:
   3. step CQI by the scenario's ``walk_prob``, on the TTIs its stream moves
      it; a rate is read from the cell's rate table, which ``rate_of`` fills
      once per CQI from ``peak_rate_bps``
-  4. read q off the buffer and feed it back (honoring the feedback delay)
+  4. feed the UE's q, ``UeState.q_now``, back (honoring the feedback delay)
   5. select one UE: each UE's one scheduling record, refreshed, is its input
   6. drain the winner with budget rate * TTI
-  7. update served-rate EMAs and count the winner's grant
+  7. count the winner's grant and, under PF and M-LWDF, whose priorities read
+     them, update the served-rate EMAs
   8. evaluate the service-adjustment trigger
+
+A UE's q is ``q_of(buffer, q_max)``, which moves only with the buffer's
+arrived and delivered totals and its window marks. So ``q_now`` holds it and
+is recomputed when they move: after the UE's arrivals are enqueued, after the
+winner's drain, for every UE at a window close, and at the start of a step
+for each UE that went through the door ``Simulation.buffer`` and, before the
+first step, for every UE.
 
 Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
 they run in one loop over the due UEs, in that order within each UE. Only UEs
@@ -35,12 +43,12 @@ with queued bits are scheduling inputs: a UE's record (``UeState.sched``,
 made once per run) gets its per-TTI fields refreshed and joins the inputs, so
 no input is built per TTI. ``select`` writes each input's priority to the
 record, where the trace reads it. A TTI without inputs is idle and does not
-reach ``select``. Steps 7 and 8 touch one UE each too, so after the drain one
-closing pass walks the due UEs: per UE, the served-rate EMA (for the winner
-also its grant count and last grant), the adjustment trigger if the UE is
+reach ``select``. Steps 7 and 8 touch one UE each too, so after the drain
+and the winner's grant one closing pass walks the due UEs: per UE, the
+served-rate EMA under PF and M-LWDF, the adjustment trigger if the UE is
 adaptive with queued bits, and sleep if it has no queued bits and a wake TTI
 after the next. Adjustment events thus keep the order of ``ues`` within a
-TTI.
+TTI. Under BCQQ and RR each record's EMA stays at the floor it starts at.
 
 Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
 ``next_arrival_tti`` has come or when it has queued bits. The step walks only
@@ -53,17 +61,19 @@ The closing pass lists the next TTI's due UEs as it walks this TTI's, so a
 cell whose UEs are all due pays one list append per UE and TTI for the
 calendar. In a TTI it sleeps through, a UE has no arrival, no queued bits and
 no grant, so what remains depends only on its own substreams and state, and
-is caught up exactly and lazily when the UE is next processed, at each window
-close and at the end of ``run``: the CQI walk's moves in the slept TTIs,
-taken from its CQI stream in one ``cqi_step`` call, its q fed into the
-feedback pipe once per TTI, and one served-rate decay per TTI, multiplied
-out in order because ``decay**k`` is not the same float. ``synced_tti``
-marks the first TTI not yet applied. A sleeper's q does not move, so the
-catch-up reads it live, and the window close, which moves the buffer marks q
-reads, catches every UE up first. The trace, written after
-the step, catches each sleeper up through every TTI, so it changes no
-decision. Its drop columns are the changes in the buffer's drop totals since
-its last row.
+is caught up exactly and lazily when the UE is next processed, by the trace
+and at the end of ``run``: the CQI walk's moves in the slept TTIs, taken
+from its CQI stream in one ``cqi_step`` call, its q fed into the feedback
+pipe once per TTI, and under PF and M-LWDF one served-rate decay per TTI,
+multiplied out in order because ``decay**k`` is not the same float.
+``synced_tti`` marks the first TTI not yet applied. A sleeper's q moves only
+at a window close, so a close catches no UE up: a UE asleep through one
+keeps its ``q_now`` of before the first close it sleeps through, with that
+close's TTI, and its catch-up feeds that q for the TTIs before the close and
+``q_now`` after it, which is 1 since the UE's window volumes are then 0. The
+trace, written after the step, catches each sleeper up through every TTI, so
+it changes no decision. Its drop columns are the changes in the buffer's drop
+totals since its last row.
 
 Two invariants keep the skipping exact:
 
@@ -86,7 +96,8 @@ changes only through ``Simulation.buffer(ue_id)``, which first catches the UE
 up through the last stepped TTI and wakes it: it leaves its calendar bucket
 and is due on the next TTI, which is exact, as processing a sleeper's TTI is
 the same as catching it up by one. Any change, a batch tail-dropped whole
-too, then counts in q from the next TTI on.
+too, then counts in q from the next TTI on, whose step recomputes the UE's
+``q_now`` first.
 """
 from __future__ import annotations
 
@@ -109,6 +120,7 @@ from .scheduler import (
     SchedDecision,
     TTI_SECONDS,
     TTIS_PER_SECOND,
+    READS_AVG_RATE,
     UeSchedInput,
     qos_weight,
     select,
@@ -218,6 +230,12 @@ class UeState:
         self.next_arrival_tti = 0
         # first TTI whose CQI step, q feedback and EMA decay are not yet applied
         self.synced_tti = 0
+        # q_of(buffer, q_max), recomputed when the buffer's totals or marks move
+        self.q_now = 1.0
+        # the first window close the UE slept through since its last catch-up,
+        # if any, and its q_now before that close
+        self.close_tti: int | None = None
+        self.close_q = 1.0
         # not due until the wake TTI: in the wake calendar, or past the run's end
         self.asleep = False
         self.sched_count = 0
@@ -321,6 +339,9 @@ class Simulation:
         # calendar: wake TTI -> the UEs asleep until then
         self._due = list(self.ues)
         self._calendar: dict[int, list[UeState]] = {}
+        # the UEs whose q_now the next step recomputes: those that went
+        # through the door, and before the first step every UE
+        self._opened = list(self.ues)
 
     def step(self, tti: int) -> SchedDecision:
         # Sleepers are caught up by TTI count, so no TTI may be skipped or
@@ -334,6 +355,10 @@ class Simulation:
         rates = self._rates
         q_max = sc.q_max
         mlwdf = self.policy is Policy.MLWDF
+        # the q of each buffer changed through the door since the last step
+        for u in self._opened:
+            u.q_now = q_of(u.buffer, q_max)
+        self._opened.clear()
 
         # Steps 1-5 per due UE; only UEs with queued bits become inputs.
         due = self._due
@@ -358,6 +383,7 @@ class Simulation:
                                                           sc.duration_tti)
                 else:
                     buf.enqueue(sizes, tti, tti + spec.beta_ms)
+                    u.q_now = q_of(buf, q_max)
 
             # 2. deadline expiry, due once the head batch's deadline has come
             if buf.queue and buf.queue[0][3] <= tti:
@@ -370,7 +396,7 @@ class Simulation:
 
             # 4. QoE feedback (possibly delayed)
             pipe = u.q_pipe
-            pipe.append(q_of(buf, q_max))
+            pipe.append(u.q_now)
 
             # 5a. scheduling input: the record with its per-TTI fields refreshed
             if buf.occupied_bits:
@@ -391,21 +417,24 @@ class Simulation:
         if decision.selected_ue is not None:
             winner = self._ue_by_id[decision.selected_ue]
             tx = winner.buffer.drain(decision.budget_bits, tti)[0]
+            winner.q_now = q_of(winner.buffer, q_max)
+            winner.sched_count += 1
+            winner.sched.last_served_tti = tti
 
         # 7-8. The closing pass over the due UEs, in their order. A UE not
         # served adds EMA_GAIN * 0.0 == 0.0 to its EMA, which leaves the
         # positive decayed rate exactly as it is, so that term is left out.
         # The UEs that stay awake are due on the next TTI.
         adjust = sc.adjustment_enabled
+        ema = self.policy in READS_AVG_RATE  # the EMA is kept only where read
         awake = []
         for u in due:
-            s = u.sched
-            avg = EMA_DECAY * s.avg_rate_bps
-            if u is winner:
-                avg = avg + EMA_GAIN * (tx / TTI_SECONDS)
-                u.sched_count += 1
-                s.last_served_tti = tti
-            s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
+            if ema:
+                s = u.sched
+                avg = EMA_DECAY * s.avg_rate_bps
+                if u is winner:
+                    avg = avg + EMA_GAIN * (tx / TTI_SECONDS)
+                s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
             if u.buffer.occupied_bits:
                 if adjust and u.spec.adaptive:
                     self._adjustment_check(tti, u)
@@ -465,6 +494,7 @@ class Simulation:
                              f"the cell's ue_ids are {list(self._ue_by_id)}")
         if self._next_tti > u.synced_tti:
             self._catch_up(u, self._next_tti)
+        self._opened.append(u)
         if u.asleep:
             # processing a sleeper's TTI is the same as catching it up by one
             if u.next_arrival_tti < self.scenario.duration_tti:
@@ -474,20 +504,28 @@ class Simulation:
         return u.buffer
 
     def _catch_up(self, u: UeState, until: int) -> None:
-        """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept, at its q now."""
-        k = until - u.synced_tti
+        """Apply the TTIs from ``u.synced_tti`` to ``until`` that the UE slept:
+        its q is ``close_q`` before ``close_tti``, if it slept through a
+        close, and ``q_now`` from then on."""
+        start = u.synced_tti
         u.synced_tti = until
         if until > u.cqi_rng.next_index:
             u.cqi = cqi_step(u.cqi, self.scenario.walk_prob, u.cqi_rng.take(until))
         pipe = u.q_pipe
-        pipe.extend([q_of(u.buffer, self.scenario.q_max)] * min(k, pipe.maxlen))
-        # k decays, multiplied out in order: decay**k differs in the last
-        # bits. The rate only falls, so it ends below the floor exactly when
-        # the floored rate would have reached the floor, which it keeps.
+        mid = start
+        if u.close_tti is not None:
+            mid, u.close_tti = u.close_tti, None
+            pipe.extend([u.close_q] * min(mid - start, pipe.maxlen))
+        pipe.extend([u.q_now] * min(until - mid, pipe.maxlen))
+        # One decay per TTI, multiplied out in order: decay**k differs in the
+        # last bits. The rate only falls, so it ends below the floor exactly
+        # when the floored rate would have reached the floor, which it keeps.
+        # Under a policy that keeps no EMA the rate stays at the floor it
+        # starts at, so the check skips it.
         s = u.sched
         avg = s.avg_rate_bps
         if avg > AVG_RATE_FLOOR:
-            avg = math.prod(repeat(EMA_DECAY, k), start=avg)
+            avg = math.prod(repeat(EMA_DECAY, until - start), start=avg)
             s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
 
     def _adjustment_check(self, tti: int, u: UeState) -> None:
@@ -520,19 +558,27 @@ class Simulation:
         )
 
     def _close_window(self, end_tti: int) -> None:
-        # the close moves the marks q reads, so sleepers catch up first
-        for u in self.ues:
-            if end_tti > u.synced_tti:
-                self._catch_up(u, end_tti)
+        # The close moves the marks q reads and catches no UE up: a UE asleep
+        # through it keeps its q of before the first close it sleeps through
+        # for its catch-up.
         self.window.close(end_tti)
+        q_max = self.scenario.q_max
+        for u in self.ues:
+            if u.synced_tti < end_tti and u.close_tti is None:
+                u.close_tti, u.close_q = end_tti, u.q_now
+            u.q_now = q_of(u.buffer, q_max)
 
     def run(self) -> SimReport:
         # The last window closes at the end of the run, in the last step or
-        # here, and leaves every UE caught up.
-        for tti in range(self.scenario.duration_tti):
+        # here; then every UE is caught up to the end.
+        end = self.scenario.duration_tti
+        for tti in range(end):
             self.step(tti)
-        if self.window.start_tti < self.scenario.duration_tti:
-            self._close_window(self.scenario.duration_tti)
+        if self.window.start_tti < end:
+            self._close_window(end)
+        for u in self.ues:
+            if u.synced_tti < end:
+                self._catch_up(u, end)
         return self._report()
 
     def _report(self) -> SimReport:

@@ -14,7 +14,9 @@ per TTI; an idle decision is returned when every buffer is empty.
 
 A ``UeSchedInput`` is a UE's scheduling record. The engine makes one per UE
 for the whole run, and it is the one account of the UE's id, buffer size,
-QoS weight, served-rate EMA and last grant. On a TTI the UE has queued bits,
+QoS weight, served-rate EMA and last grant. It holds the EMA only under PF
+and M-LWDF (``READS_AVG_RATE``), whose priorities read it; under BCQQ and RR
+``avg_rate_bps`` stays at its initial 1.0. On a TTI the UE has queued bits,
 the engine refreshes ``buffer_bits``, ``q`` and ``rate_bps`` (and
 ``hol_delay_s`` under M-LWDF, the one formula that reads it) and hands the
 record to ``select``, which writes each candidate's score to ``priority``.
@@ -54,9 +56,10 @@ class Policy(str, Enum):
 @dataclass(slots=True)
 class UeSchedInput:
     """One UE's scheduling record for a run. Its id, buffer size, QoS weight,
-    served-rate EMA and last grant are kept current; ``buffer_bits``, ``q``,
-    ``rate_bps`` and ``hol_delay_s`` hold the TTI it was last a candidate, and
-    ``priority`` the score ``select`` last gave it."""
+    last grant and, under PF and M-LWDF only, served-rate EMA are kept
+    current; ``buffer_bits``, ``q``, ``rate_bps`` and ``hol_delay_s`` hold
+    the TTI it was last a candidate, and ``priority`` the score ``select``
+    last gave it."""
     ue_id: int
     buffer_bits: int
     buffersize_bits: int
@@ -102,6 +105,10 @@ PRIORITY_FN = {
     Policy.PF: pf_priority,
     Policy.RR: rr_priority,
 }
+
+
+# the policies whose priorities read avg_rate_bps, the ones the engine keeps it for
+READS_AVG_RATE = frozenset({Policy.MLWDF, Policy.PF})
 
 
 class SchedDecision(NamedTuple):

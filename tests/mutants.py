@@ -49,6 +49,8 @@ class Mutant(NamedTuple):
 
 REF = "tests/test_engine.py::TestScalarStreamReference::"
 ORDER = REF + "test_adjustments_on_one_tti_keep_the_order_of_the_ues"
+SLEPT_CLOSE = REF + "test_wake_within_the_feedback_delay_after_a_slept_close"
+SELECT = "tests/test_scheduler.py::TestSelect::"
 QOE_FI = "tests/test_metrics.py::TestQoeFi::"
 CQI_STEP = "tests/test_channel.py::TestCqiStep::"
 RATE_OF = "tests/test_channel.py::TestRateOf::"
@@ -60,10 +62,10 @@ MUTANTS = (
     # _catch_up floors the rate with the same text, so the row takes the
     # winner's line above it too
     Mutant("ema_floor", "engine.py",
-           "                s.last_served_tti = tti\n"
-           "            s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg\n",
-           "                s.last_served_tti = tti\n"
-           "            s.avg_rate_bps = avg\n",
+           "                    avg = avg + EMA_GAIN * (tx / TTI_SECONDS)\n"
+           "                s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg\n",
+           "                    avg = avg + EMA_GAIN * (tx / TTI_SECONDS)\n"
+           "                s.avg_rate_bps = avg\n",
            (REF + "test_mixed_traffic_with_feedback_delay[PF]",
             REF + "test_mixed_traffic_with_feedback_delay[MLWDF]")),
     Mutant("starvation_at_le", "engine.py",
@@ -74,8 +76,8 @@ MUTANTS = (
            "tti - u.last_adjust_tti <= sc.starvation_tti",
            (ORDER,)),
     Mutant("last_service_off_by_one", "engine.py",
-           "                s.last_served_tti = tti\n",
-           "                s.last_served_tti = tti + 1\n",
+           "winner.sched.last_served_tti = tti\n",
+           "winner.sched.last_served_tti = tti + 1\n",
            # RR scores -last_served_tti, which the trace's priority column shows
            (REF + "test_mixed_traffic_with_feedback_delay[RR]",
             "tests/test_engine.py::TestDifferentialFuzz::test_plain_cells")),
@@ -87,20 +89,55 @@ MUTANTS = (
     Mutant("door_without_catch_up", "engine.py",
            "        if self._next_tti > u.synced_tti:\n"
            "            self._catch_up(u, self._next_tti)\n"
-           "        if u.asleep:\n",
-           "        if u.asleep:\n",
+           "        self._opened.append(u)\n",
+           "        self._opened.append(u)\n",
            (REF + "test_outside_bits_reach_q_as_in_the_dense_loop[2]",
             REF + "test_outside_bits_reach_q_as_in_the_dense_loop[5]",
             REF + "test_packet_enqueued_into_a_sleeping_ue")),
     # the catch-up one slept TTI short, and one q too many in the pipe
     Mutant("catch_up_skips_a_tti", "engine.py",
-           "k = until - u.synced_tti\n", "k = until - u.synced_tti - 1\n",
+           "start = u.synced_tti\n", "start = u.synced_tti + 1\n",
            (REF + "test_idle_cell",
             REF + "test_light_cell_sleeps_across_windows[BCQQ]")),
     Mutant("catch_up_pipe_plus_one", "engine.py",
-           "min(k, pipe.maxlen)", "min(k + 1, pipe.maxlen)",
+           "min(until - mid, pipe.maxlen)", "min(until - mid + 1, pipe.maxlen)",
            (REF + "test_mixed_traffic_with_feedback_delay[BCQQ]",
             REF + "test_light_cell_sleeps_across_windows[BCQQ]")),
+    # q_now left stale where the buffer's totals or marks move
+    Mutant("q_not_recomputed_after_the_drain", "engine.py",
+           "            winner.q_now = q_of(winner.buffer, q_max)\n", "",
+           (REF + "test_mixed_traffic_with_feedback_delay[BCQQ]",
+            REF + "test_light_cell_sleeps_across_windows[BCQQ]")),
+    Mutant("q_not_recomputed_after_an_enqueue", "engine.py",
+           "                    u.q_now = q_of(buf, q_max)\n", "",
+           (REF + "test_mixed_traffic_with_feedback_delay[BCQQ]",
+            REF + "test_idle_cell")),
+    Mutant("q_not_recomputed_after_the_door", "engine.py",
+           "        self._opened.append(u)\n", "",
+           (REF + "test_outside_bits_reach_q_as_in_the_dense_loop[2]",
+            REF + "test_outside_bits_reach_q_as_in_the_dense_loop[drain-3]",
+            SLEPT_CLOSE + "[BCQQ-1]")),
+    # the TTIs a sleeper slept before a close fed the q of after it
+    Mutant("close_snapshot_after_the_marks_move", "engine.py",
+           "            if u.synced_tti < end_tti and u.close_tti is None:\n"
+           "                u.close_tti, u.close_q = end_tti, u.q_now\n"
+           "            u.q_now = q_of(u.buffer, q_max)\n",
+           "            u.q_now = q_of(u.buffer, q_max)\n"
+           "            if u.synced_tti < end_tti and u.close_tti is None:\n"
+           "                u.close_tti, u.close_q = end_tti, u.q_now\n",
+           tuple(SLEPT_CLOSE + f"[{p}-{d}]" for p in ("BCQQ", "PF") for d in (1, 7))),
+    Mutant("tie_break_reversed", "scheduler.py",
+           "(u.last_served_tti, u.ue_id) < (best.last_served_tti, best.ue_id)",
+           "(u.last_served_tti, u.ue_id) > (best.last_served_tti, best.ue_id)",
+           (SELECT + "test_tie_broken_by_least_recently_served",
+            SELECT + "test_tie_then_lowest_ue_id")),
+    Mutant("mlwdf_without_qos_weight", "scheduler.py",
+           "return u.qos_weight * u.hol_delay_s * u.rate_bps / u.avg_rate_bps",
+           "return u.hol_delay_s * u.rate_bps / u.avg_rate_bps",
+           ("tests/test_scheduler.py::TestMlwdfPriority::test_hand_value",)),
+    Mutant("budget_rounded", "scheduler.py",
+           "int(best.rate_bps * TTI_SECONDS)", "round(best.rate_bps * TTI_SECONDS)",
+           (SELECT + "test_budget_truncates_a_partial_bit",)),
     Mutant("walk_floor_at_two", "channel.py",
            "if cqi > CQI_MIN:", "if cqi > CQI_MIN + 1:",
            (CQI_STEP + "test_stationary_distribution_symmetric",)),

@@ -15,7 +15,7 @@ from qoesched.channel import rate_of
 from qoesched.engine import Scenario, Simulation, run
 from qoesched.output import emit, fmt_real
 from qoesched.scenario import parse_scenario
-from qoesched.scheduler import TTIS_PER_SECOND, Policy
+from qoesched.scheduler import READS_AVG_RATE, TTIS_PER_SECOND, Policy
 from qoesched.streams import BLOCK, CHUNK, DRAW_MAX, BufferedStream
 from qoesched.traffic import FlowSpec, TrafficClass
 
@@ -620,7 +620,9 @@ class TestScalarStreamReference:
         """Run ``build(cls)`` under both engines and compare every report
         field. After every step, compare each UE that the sparse engine left
         synced with the dense loop's UE: its CQI, served rate, feedback pipe,
-        arrived bits and queued bits.
+        arrived bits and queued bits. The served rate is compared under the
+        policies that read it, PF and M-LWDF; under BCQQ and RR the sparse
+        engine keeps none, and it stays at 1.0.
 
         ``between(sim, tti)``, if given, runs before each ``step(tti)``.
         ``steps``, if given, gets the dense loop's record of those five, per
@@ -630,6 +632,12 @@ class TestScalarStreamReference:
             return (u.cqi, u.sched.avg_rate_bps, u.q_pipe.copy(), u.buffer.arrived_bits,
                     u.buffer.occupied_bits)
 
+        def same(sim, u, want):
+            got = state(u)
+            if sim.policy in READS_AVG_RATE:
+                return got == want
+            return got[1] == 1.0 and got[:1] + got[2:] == want[:1] + want[2:]
+
         record = [] if steps is None else steps
 
         def keep(sim, tti):
@@ -638,7 +646,7 @@ class TestScalarStreamReference:
         def check(sim, tti):
             for u, want in zip(sim.ues, record[tti], strict=True):
                 if u.synced_tti > tti:
-                    assert state(u) == want, (tti, u.spec.ue_id)
+                    assert same(sim, u, want), (tti, u.spec.ue_id)
 
         sims, reports = [], []
         for cls, after in ((DenseSimulation, keep), (Simulation, check)):
@@ -661,7 +669,7 @@ class TestScalarStreamReference:
             assert got[name] == want[name], name
         # run() leaves every UE caught up to the end of the run
         for a, b in zip(sparse.ues, dense.ues):
-            assert state(a) == state(b), a.spec.ue_id
+            assert same(sparse, a, state(b)), a.spec.ue_id
         return reports[1]
 
     @pytest.mark.parametrize("policy", list(Policy))
@@ -751,9 +759,42 @@ class TestScalarStreamReference:
             assert len(report.trace_rows) == 80 * 700
             return
         assert max(until - start for _, start, until in spans) > BLOCK
-        # a window close catches a sleeper up, and it sleeps on past the close
-        assert any((ue, end, later) in spans for ue, _, end in spans if end % 100 == 0
-                   for later in range(end + 2, 700))
+        # A UE's catch-ups are contiguous, each from where the last ended: a
+        # sleeper sleeps through a window close with no catch-up ending
+        # there, and a later one spans the close.
+        closes = range(100, 700, 100)
+        assert any(start < end < until for _, start, until in spans for end in closes)
+
+    @pytest.mark.parametrize("delay", [1, 7])
+    @pytest.mark.parametrize("policy", [Policy.BCQQ, Policy.PF])
+    def test_wake_within_the_feedback_delay_after_a_slept_close(self, policy, delay):
+        # UE 0, a flow of one packet per ~3,000 TTIs, gets a packet larger
+        # than its buffer through the door 10 TTIs before each window close:
+        # it is dropped whole, so its q rises, and UE 0 sleeps through the
+        # close, after which its q is 1. The door wakes it delay - 1 TTIs
+        # after the close with a packet it keeps, so the pipe's head, which
+        # BCQQ reads, is still a q of before the close when it is scheduled.
+        sc = make_scenario([ftp_flow(0, load=3e4, mean=100_000), ftp_flow(1, load=5e7),
+                            video_flow(2, load=4e6)],
+                           duration=600, peak=1e9, walk=0.2, cqis=[4, 9, 12],
+                           buffersize_bits=2_000_000, window_tti=50,
+                           qoe_feedback_delay_tti=delay)
+        spanned = []
+
+        def door(sim, tti):
+            phase = tti % 50
+            if phase == 40 or (phase == delay - 1 and tti > 50):
+                u = sim.ues[0]
+                if (phase != 40 and not isinstance(sim, DenseSimulation)
+                        and u.close_tti == tti - phase and u.close_q > 1.0):
+                    spanned.append(tti)
+                buf = sim.buffer(0)
+                tail = buf.queue[-1][3] if buf.queue else 0
+                size = 3_000_000 if phase == 40 else 300_000
+                buf.enqueue([size], tti, max(tail, tti + 50))
+
+        self.both(lambda cls: cls(sc, policy=policy, seed=5), door)
+        assert len(spanned) >= 8
 
     @pytest.mark.parametrize("policy", [Policy.BCQQ, Policy.PF])
     def test_catch_up_spans_cross_cqi_chunks(self, monkeypatch, policy):

@@ -163,6 +163,10 @@ class TestSelect:
         decision = select([ue(rate_bps=6e9)], Policy.BCQQ)
         assert decision.budget_bits == 6_000_000
 
+    def test_budget_truncates_a_partial_bit(self):
+        # 1,999,999 bps is 1,999.999 bits in a TTI: the budget is whole bits sent
+        assert select([ue(rate_bps=1_999_999.0)], Policy.BCQQ).budget_bits == 1_999
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             select([], Policy.BCQQ)
