@@ -7,11 +7,12 @@ parameters never perturbs another flow's arrival sequence.
 
 Substreams are consumed in blocks and chunks: a traffic stream
 (``streams.BufferedStream``) draws its doubles ``BLOCK`` at a time and serves
-the simulator's scalar calls from the buffer, and a CQI stream
-(``streams.MoveStream``) draws its doubles in numpy chunks and keeps only the
-walk's moves, the doubles below ``walk_prob`` with their TTIs. The sequence
-of values is identical to scalar ``Generator`` calls, so outputs do not
-depend on the block or chunk size. Small-``lam`` Poisson samples are
+from the buffer an FTP arrival TTI's Poisson count and its packet uniforms in
+one call, a video frame's uniform and a wake scan's zero samples; a CQI
+stream (``streams.MoveStream``) draws its doubles in numpy chunks and keeps
+only the walk's moves, the doubles below ``walk_prob`` with their TTIs. The
+sequence of values is identical to scalar ``Generator`` calls, so outputs do
+not depend on the block or chunk size. Small-``lam`` Poisson samples are
 replayed from the buffered doubles with numpy's multiplication sampler;
 that replay depends on numpy's sampler and is guarded by the stream
 equivalence test in ``tests/test_streams.py``.
@@ -23,7 +24,8 @@ Per-TTI event order is fixed:
   3. step CQI by the scenario's ``walk_prob``, on the TTIs its stream moves
      it; a rate is read from the cell's rate table, which ``rate_of`` fills
      once per CQI from ``peak_rate_bps``
-  4. feed the UE's q, ``UeState.q_now``, back (honoring the feedback delay)
+  4. under BCQQ or with a trace, feed the UE's q, ``UeState.q_now``, back
+     (honoring the feedback delay)
   5. select one UE: each UE's one scheduling record, refreshed, is its input
   6. drain the winner with budget rate * TTI
   7. count the winner's grant and, under PF and M-LWDF, whose priorities read
@@ -35,7 +37,11 @@ arrived and delivered totals and its window marks. So ``q_now`` holds it and
 is recomputed when they move: after the UE's arrivals are enqueued, after the
 winner's drain, for every UE at a window close, and at the start of a step
 for each UE that went through the door ``Simulation.buffer`` and, before the
-first step, for every UE.
+first step, for every UE. q is read only by BCQQ's priority and by the
+trace's q column (``scheduler.READS_Q``), so it is kept only under BCQQ or
+when a trace is collected. Otherwise the engine computes no q, feeds no
+pipe and takes no close snapshot, and each pipe and record keeps its initial
+1.0, as the EMA does under BCQQ and RR.
 
 Steps 1-4 and the scheduling input of step 5 touch only one UE's state, so
 they run in one loop over the due UEs, in that order within each UE. Only UEs
@@ -63,16 +69,18 @@ calendar. In a TTI it sleeps through, a UE has no arrival, no queued bits and
 no grant, so what remains depends only on its own substreams and state, and
 is caught up exactly and lazily when the UE is next processed, by the trace
 and at the end of ``run``: the CQI walk's moves in the slept TTIs, taken
-from its CQI stream in one ``cqi_step`` call, its q fed into the feedback
-pipe once per TTI, and under PF and M-LWDF one served-rate decay per TTI,
-multiplied out in order because ``decay**k`` is not the same float.
+from its CQI stream in one ``cqi_step`` call, where q is kept its q fed into
+the feedback pipe once per TTI, and under PF and M-LWDF one served-rate
+decay per TTI, multiplied out in order because ``decay**k`` is not the same
+float.
 ``synced_tti`` marks the first TTI not yet applied. A sleeper's q moves only
 at a window close, so a close catches no UE up: a UE asleep through one
 keeps its ``q_now`` of before the first close it sleeps through, with that
 close's TTI, and its catch-up feeds that q for the TTIs before the close and
 ``q_now`` after it, which is 1 since the UE's window volumes are then 0. The
-trace, written after the step, catches each sleeper up through every TTI, so
-it changes no decision. Its drop columns are the changes in the buffer's drop
+trace, written after the step, catches each sleeper up through every TTI, and
+keeps q under every policy, which only BCQQ's decisions read, so it changes
+no decision. Its drop columns are the changes in the buffer's drop
 totals since its last row.
 
 Two invariants keep the skipping exact:
@@ -121,6 +129,7 @@ from .scheduler import (
     TTI_SECONDS,
     TTIS_PER_SECOND,
     READS_AVG_RATE,
+    READS_Q,
     UeSchedInput,
     qos_weight,
     select,
@@ -334,6 +343,8 @@ class Simulation:
         self.window = MetricsWindow({u.spec.ue_id: u.buffer for u in self.ues})
         self.adjustment_events: list[AdjustmentEvent] = []
         self.trace_rows: list[tuple] | None = [] if collect_trace else None
+        # q is kept only where read: by BCQQ's priority and by the trace
+        self._keep_q = self.policy in READS_Q or collect_trace
         self._next_tti = 0
         # the UEs due on the next TTI, in the order of self.ues, and the wake
         # calendar: wake TTI -> the UEs asleep until then
@@ -355,9 +366,11 @@ class Simulation:
         rates = self._rates
         q_max = sc.q_max
         mlwdf = self.policy is Policy.MLWDF
+        keep_q = self._keep_q
         # the q of each buffer changed through the door since the last step
-        for u in self._opened:
-            u.q_now = q_of(u.buffer, q_max)
+        if keep_q:
+            for u in self._opened:
+                u.q_now = q_of(u.buffer, q_max)
         self._opened.clear()
 
         # Steps 1-5 per due UE; only UEs with queued bits become inputs.
@@ -383,7 +396,8 @@ class Simulation:
                                                           sc.duration_tti)
                 else:
                     buf.enqueue(sizes, tti, tti + spec.beta_ms)
-                    u.q_now = q_of(buf, q_max)
+                    if keep_q:
+                        u.q_now = q_of(buf, q_max)
 
             # 2. deadline expiry, due once the head batch's deadline has come
             if buf.queue and buf.queue[0][3] <= tti:
@@ -394,15 +408,16 @@ class Simulation:
             if tti >= cqi_rng.next_index:
                 u.cqi = cqi_step(u.cqi, walk_prob, cqi_rng.take(tti + 1))
 
-            # 4. QoE feedback (possibly delayed)
-            pipe = u.q_pipe
-            pipe.append(u.q_now)
+            # 4. QoE feedback (possibly delayed), where q is kept
+            if keep_q:
+                u.q_pipe.append(u.q_now)
 
             # 5a. scheduling input: the record with its per-TTI fields refreshed
             if buf.occupied_bits:
                 s = u.sched
                 s.buffer_bits = buf.occupied_bits
-                s.q = pipe[0]
+                if keep_q:
+                    s.q = u.q_pipe[0]
                 s.rate_bps = rates[u.cqi]
                 if mlwdf:
                     s.hol_delay_s = buf.hol_delay_tti(tti) * TTI_SECONDS
@@ -417,7 +432,8 @@ class Simulation:
         if decision.selected_ue is not None:
             winner = self._ue_by_id[decision.selected_ue]
             tx = winner.buffer.drain(decision.budget_bits, tti)[0]
-            winner.q_now = q_of(winner.buffer, q_max)
+            if keep_q:
+                winner.q_now = q_of(winner.buffer, q_max)
             winner.sched_count += 1
             winner.sched.last_served_tti = tti
 
@@ -511,12 +527,13 @@ class Simulation:
         u.synced_tti = until
         if until > u.cqi_rng.next_index:
             u.cqi = cqi_step(u.cqi, self.scenario.walk_prob, u.cqi_rng.take(until))
-        pipe = u.q_pipe
-        mid = start
-        if u.close_tti is not None:
-            mid, u.close_tti = u.close_tti, None
-            pipe.extend([u.close_q] * min(mid - start, pipe.maxlen))
-        pipe.extend([u.q_now] * min(until - mid, pipe.maxlen))
+        if self._keep_q:
+            pipe = u.q_pipe
+            mid = start
+            if u.close_tti is not None:
+                mid, u.close_tti = u.close_tti, None
+                pipe.extend([u.close_q] * min(mid - start, pipe.maxlen))
+            pipe.extend([u.q_now] * min(until - mid, pipe.maxlen))
         # One decay per TTI, multiplied out in order: decay**k differs in the
         # last bits. The rate only falls, so it ends below the floor exactly
         # when the floored rate would have reached the floor, which it keeps.
@@ -562,6 +579,8 @@ class Simulation:
         # through it keeps its q of before the first close it sleeps through
         # for its catch-up.
         self.window.close(end_tti)
+        if not self._keep_q:
+            return
         q_max = self.scenario.q_max
         for u in self.ues:
             if u.synced_tti < end_tti and u.close_tti is None:

@@ -16,8 +16,10 @@ A ``UeSchedInput`` is a UE's scheduling record. The engine makes one per UE
 for the whole run, and it is the one account of the UE's id, buffer size,
 QoS weight, served-rate EMA and last grant. It holds the EMA only under PF
 and M-LWDF (``READS_AVG_RATE``), whose priorities read it; under BCQQ and RR
-``avg_rate_bps`` stays at its initial 1.0. On a TTI the UE has queued bits,
-the engine refreshes ``buffer_bits``, ``q`` and ``rate_bps`` (and
+``avg_rate_bps`` stays at its initial 1.0. Likewise the engine keeps q only
+under BCQQ (``READS_Q``), whose priority reads it, or for the trace; else
+``q`` stays at its initial 1.0. On a TTI the UE has queued bits, the engine
+refreshes ``buffer_bits``, ``q`` where kept and ``rate_bps`` (and
 ``hol_delay_s`` under M-LWDF, the one formula that reads it) and hands the
 record to ``select``, which writes each candidate's score to ``priority``.
 
@@ -57,9 +59,9 @@ class Policy(str, Enum):
 class UeSchedInput:
     """One UE's scheduling record for a run. Its id, buffer size, QoS weight,
     last grant and, under PF and M-LWDF only, served-rate EMA are kept
-    current; ``buffer_bits``, ``q``, ``rate_bps`` and ``hol_delay_s`` hold
-    the TTI it was last a candidate, and ``priority`` the score ``select``
-    last gave it."""
+    current; ``buffer_bits``, ``q`` (under BCQQ or a trace only),
+    ``rate_bps`` and ``hol_delay_s`` hold the TTI it was last a candidate,
+    and ``priority`` the score ``select`` last gave it."""
     ue_id: int
     buffer_bits: int
     buffersize_bits: int
@@ -109,6 +111,8 @@ PRIORITY_FN = {
 
 # the policies whose priorities read avg_rate_bps, the ones the engine keeps it for
 READS_AVG_RATE = frozenset({Policy.MLWDF, Policy.PF})
+# the policies whose priorities read q, the ones the engine keeps it for
+READS_Q = frozenset({Policy.BCQQ})
 
 
 class SchedDecision(NamedTuple):

@@ -16,10 +16,15 @@ buffer:
 * ``random()`` and ``random(n)`` return the next buffered doubles; ``random(n)``
   returns a list where numpy returns an array, with the same values; a
   negative ``n`` raises numpy's ``ValueError``.
-* ``poisson(lam)`` for ``0 < lam < 10`` replays numpy's multiplication
-  sampler on the buffered doubles: multiply uniforms into a product while it
-  stays above ``exp(-lam)``; the count of factors kept is the sample.
-* ``poisson(0)`` returns 0 and consumes nothing, as numpy does.
+* ``poisson_random(lam)`` returns ``random(poisson(lam))``, a Poisson count's
+  doubles, in one call: an FTP arrival TTI's packet uniforms. For
+  ``0 < lam < 10`` it replays numpy's multiplication sampler on the buffered
+  doubles (multiply uniforms into a product while it stays above
+  ``exp(-lam)``; the count of factors kept is the sample), then slices the
+  count's doubles from the block, or serves them as ``random(n)`` when they
+  cross its end.
+* ``poisson_random(0)`` returns no doubles and consumes nothing, as numpy's
+  ``poisson(0)`` does.
 * ``skip_zeros(lam, max_k)`` consumes a wake scan's leading zero samples.
   It scans what is left of the block in Python; past the block it draws the
   rest of the horizon as one array, at most ``DRAW_MAX`` doubles per draw,
@@ -28,14 +33,19 @@ buffer:
   generator draws again, so at most ``BLOCK + DRAW_MAX`` doubles are ever
   drawn ahead, whatever the run length.
 * Every other ``lam`` (``>= 10``, negative, NaN) goes to ``gen.poisson``,
-  which raises for an invalid one. numpy samples ``lam >= 10`` by
-  rejection, which uses no fixed number of doubles, so it cannot be
-  replayed from a buffer. The stream then serves every call from the
-  generator until its next ``0 < lam < 10`` call switches it to blocks.
+  which raises for an invalid one, and the count's doubles to
+  ``gen.random``. numpy samples ``lam >= 10`` by rejection, which uses no
+  fixed number of doubles, so it cannot be replayed from a buffer. The
+  stream then serves every call from the generator until its next
+  ``0 < lam < 10`` call switches it to blocks.
+
+The simulator's call mix is ``poisson_random`` on an FTP flow's arrival
+TTIs, ``skip_zeros`` for its wake scans and ``random()`` on a video flow's
+frame TTIs.
 
 The generator stands right behind the last double served only while the
 stream holds no pending doubles, in its block or drawn by a scan. So
-``poisson`` raises ``ValueError`` for a ``lam`` outside ``[0, 10)`` that
+``poisson_random`` raises ``ValueError`` for a ``lam`` outside ``[0, 10)`` that
 arrives while doubles are pending; it does not re-synchronise the
 generator. The simulator never makes that call: a flow's ``lam`` never
 rises (see ``engine``), so a traffic stream that went to blocks at
@@ -83,11 +93,12 @@ def substream(seed: int, ue_id: int, purpose: int) -> np.random.Generator:
 
 
 class BufferedStream:
-    """The ``random`` and ``poisson`` calls of a ``Generator``, served from blocks.
+    """A ``Generator``'s ``random`` calls and its ``random(poisson(lam))`` pair,
+    served from blocks.
 
-    Exact for the call mixes the module docstring names; ``poisson`` raises
-    ``ValueError`` for a ``lam`` outside ``[0, 10)`` while buffered doubles
-    are pending.
+    Exact for the call mixes the module docstring names; ``poisson_random``
+    raises ``ValueError`` for a ``lam`` outside ``[0, 10)`` while buffered
+    doubles are pending.
     """
 
     __slots__ = ("_gen", "_buf", "_pos", "_spill", "_direct", "_lam", "_exp_neg_lam")
@@ -142,9 +153,9 @@ class BufferedStream:
 
         For ``0 < lam < 10`` a zero sample uses exactly one double
         ``u <= exp(-lam)``. The scan stops before the first larger double,
-        which begins a non-zero sample, so the next ``poisson(lam)`` call sees
-        it. ``lam == 0`` gives zeros without draws, so all ``max_k`` are
-        skipped. Any other ``lam`` skips nothing: numpy samples it by
+        which begins a non-zero sample, so the next ``poisson_random(lam)``
+        call sees it. ``lam == 0`` gives zeros without draws, so all ``max_k``
+        are skipped. Any other ``lam`` skips nothing: numpy samples it by
         rejection, which uses no fixed number of doubles per sample.
         """
         if max_k <= 0:
@@ -187,34 +198,44 @@ class BufferedStream:
             self._spill = spill[len(head):] if len(spill) > len(head) else None
         return n
 
-    def poisson(self, lam: float) -> int:
+    def poisson_random(self, lam: float) -> list[float]:
+        """``random(poisson(lam))`` in one call: a Poisson count's doubles."""
         if not 0.0 < lam < _MULT_LAM_MAX:
             if lam == 0.0:
-                return 0
+                return []
             if self._pos < BLOCK or self._spill is not None:
                 raise ValueError(
-                    f"poisson({lam}) after buffered draws: a stream's lam may fall "
+                    f"poisson_random({lam}) after buffered draws: a stream's lam may fall "
                     "below 10 but not rise back to 10 or leave [0, 10)")
             self._direct = True
-            return self._gen.poisson(lam)
+            gen = self._gen
+            return gen.random(gen.poisson(lam)).tolist()
         self._direct = False
         if lam != self._lam:
             self._lam = lam
             self._exp_neg_lam = math.exp(-lam)
         limit = self._exp_neg_lam
-        buf, pos = self._buf, self._pos
-        n = 0
+        buf = self._buf
+        pos = start = self._pos
         prod = 1.0
         while True:
             if pos == BLOCK:
                 self._refill()
                 buf, pos = self._buf, 0
+                start -= BLOCK
             prod *= buf[pos]
             pos += 1
             if prod <= limit:
-                self._pos = pos
-                return n
-            n += 1
+                break
+        # the count is the factors kept, all but the last; its doubles follow,
+        # a slice of the block or across its end
+        n = pos - start - 1
+        end = pos + n
+        if end <= BLOCK:
+            self._pos = end
+            return buf[pos:end]
+        self._pos = pos
+        return self.random(n)
 
 
 class MoveStream:

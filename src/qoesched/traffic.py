@@ -8,7 +8,11 @@ Two traffic classes are supported:
 
 ``arrivals(spec, tti, rng)`` is the one generator, pure in its arguments; its
 branch on the class is the only class test, as ``FlowSpec`` validated each
-class's fields. Each flow owns its RNG substream, so flows never perturb each
+class's fields. The branch picks only a TTI's uniforms and their mean: an FTP
+flow's from one stream call, ``rng.poisson_random(lam)``, a video flow's one
+double on a frame TTI. One rule then turns either into sizes, the
+inverse-CDF exponential rounded to a positive bit count, and a video frame is
+clipped. Each flow owns its RNG substream, so flows never perturb each
 other. The packets of one call arrive at ``tti`` and share one deadline,
 ``tti + spec.beta_ms``: the caller stamps them once (``UeBuffer.enqueue``).
 """
@@ -35,6 +39,11 @@ class TrafficClass(str, Enum):
 # the class tests read a module global: an Enum member read off its class
 # goes through a descriptor on every arrival call
 _FTP = TrafficClass.FTP_DOWNLOAD
+
+# the size rule's two calls, bound once: round(x) of a float calls
+# float.__round__(x), after parsing its arguments and looking the method up
+_log1p = math.log1p
+_round = float.__round__
 
 
 # a field's annotation, as source text up to any "[" -> how a message names its
@@ -106,20 +115,6 @@ class FlowSpec:
                 raise ValueError("frame_interval_ms must be >= 1")
 
 
-def exp_bits(us: list[float], mean_bits: float) -> list[int]:
-    """Inverse-CDF exponential samples, rounded to positive bit counts.
-
-    For ``u`` in [0, 1) and ``mean_bits > 0`` the rounded value is never
-    negative, so ``or 1`` is ``max(1, ...)`` without the call.
-    """
-    log1p = math.log1p
-    # round(x) of a float calls float.__round__(x), after parsing its
-    # arguments and looking the method up on every packet
-    rnd = float.__round__
-    m = -float(mean_bits)
-    return [rnd(m * log1p(-u)) or 1 for u in us]
-
-
 def ftp_lam(spec: FlowSpec) -> float:
     """Mean FTP packet arrivals per TTI."""
     return spec.offered_load_bps / (spec.mean_packet_bits * TTIS_PER_SECOND)
@@ -132,14 +127,22 @@ def arrivals(spec: FlowSpec, tti: int, rng: BufferedStream) -> list[int]:
     one frame every frame_interval_ms TTIs, size clipped at max_packet_bits.
     """
     if spec.traffic_class is _FTP:
-        n = rng.poisson(ftp_lam(spec))
-        if n == 0:
-            return []
-        return exp_bits(rng.random(n), spec.mean_packet_bits)
-    if tti % spec.frame_interval_ms != 0:
+        us = rng.poisson_random(ftp_lam(spec))
+        mean_bits = spec.mean_packet_bits
+        cap = None
+    elif tti % spec.frame_interval_ms:
         return []
-    mean_bits = spec.offered_load_bps * spec.frame_interval_ms / TTIS_PER_SECOND
-    return [min(exp_bits([rng.random()], mean_bits)[0], spec.max_packet_bits)]
+    else:
+        us = [rng.random()]
+        mean_bits = spec.offered_load_bps * spec.frame_interval_ms / TTIS_PER_SECOND
+        cap = spec.max_packet_bits
+    # For u in [0, 1) and a positive mean the rounded value is never negative,
+    # so ``or 1`` is ``max(1, ...)`` without the call.
+    m = -float(mean_bits)
+    sizes = [_round(m * _log1p(-u)) or 1 for u in us]
+    if cap is not None and sizes[0] > cap:
+        sizes[0] = cap
+    return sizes
 
 
 def next_arrival_tti(spec: FlowSpec, tti: int, rng: BufferedStream, end_tti: int) -> int:

@@ -1,9 +1,11 @@
 """The dense engine loop, kept as the reference for the sparse one.
 
-``DenseSimulation`` processes every UE on every TTI: it calls ``arrivals``,
+``DenseSimulation`` processes every UE on every TTI: it draws arrivals,
 steps the CQI, feeds q into the feedback pipe and decays the served-rate EMA
 for each UE in each TTI, and draws from plain ``Generator`` substreams with
-scalar calls. Its ``step``, ``_adjustment_check``, ``_close_window`` and
+scalar calls. Its arrivals are ``scalar_arrivals``, written here from the
+traffic law and not from ``traffic.arrivals``, so the A/B check does not run
+the traffic code it checks. Its ``step``, ``_adjustment_check``, ``_close_window`` and
 ``run`` are the engine's loop as it stood before idle UEs could sleep,
 changed since only where the buffer, window, channel, scheduler and trace
 interfaces changed (one ``enqueue`` call per TTI's packets, an ``expire``
@@ -24,6 +26,8 @@ every step the state of each UE the sparse engine left synced.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qoesched import engine
@@ -36,10 +40,11 @@ from qoesched.scheduler import (
     PRIORITY_FN,
     SchedDecision,
     TTI_SECONDS,
+    TTIS_PER_SECOND,
     UeSchedInput,
     select,
 )
-from qoesched.traffic import apply_adjustment, arrivals
+from qoesched.traffic import TrafficClass, apply_adjustment
 
 
 def update_avg_rate(avg_rate_bps: float, served_bits: int) -> float:
@@ -47,6 +52,25 @@ def update_avg_rate(avg_rate_bps: float, served_bits: int) -> float:
     updated = ((1.0 - 1.0 / AVG_RATE_TC) * avg_rate_bps
                + (1.0 / AVG_RATE_TC) * (served_bits / TTI_SECONDS))
     return max(updated, AVG_RATE_FLOOR)
+
+
+def reference_bits(u: float, mean_bits: float) -> int:
+    """A packet's size in bits from its uniform: the rounded inverse-CDF
+    exponential, at least 1."""
+    return max(1, round(-mean_bits * math.log1p(-u)))
+
+
+def scalar_arrivals(spec, tti: int, gen: np.random.Generator) -> list[int]:
+    """The flow's packet sizes at ``tti``, from scalar draws: an FTP flow's
+    ``gen.poisson(lam)`` count, then ``gen.random(n)`` for the sizes; a video
+    flow's one ``gen.random()`` on a frame TTI, clipped at max_packet_bits."""
+    if spec.traffic_class is TrafficClass.FTP_DOWNLOAD:
+        n = gen.poisson(spec.offered_load_bps / (spec.mean_packet_bits * TTIS_PER_SECOND))
+        return [reference_bits(u, spec.mean_packet_bits) for u in gen.random(n).tolist()]
+    if tti % spec.frame_interval_ms != 0:
+        return []
+    frame_mean = spec.offered_load_bps * spec.frame_interval_ms / TTIS_PER_SECOND
+    return [min(reference_bits(gen.random(), frame_mean), spec.max_packet_bits)]
 
 
 def scalar_substream(seed, ue_id, purpose):
@@ -79,7 +103,7 @@ class DenseSimulation(Simulation):
             buf = u.buffer
 
             # 1. arrivals
-            sizes = arrivals(spec, tti, u.traffic_rng)
+            sizes = scalar_arrivals(spec, tti, u.traffic_rng)
             if sizes:
                 buf.enqueue(sizes, tti, tti + spec.beta_ms)
 

@@ -1,12 +1,13 @@
 """BufferedStream and MoveStream must return exactly what a plain Generator returns.
 
 The stream replays numpy's Poisson multiplication sampler on buffered
-doubles. If a numpy release changes that sampler, or the way a block of
-doubles relates to scalar draws, these tests fail. The one call the stream
-does not serve, a Poisson ``lam`` outside ``[0, 10)`` while buffered doubles
-are pending, must raise the stream's own ``ValueError``. A move stream must
-serve the generator's doubles below ``walk_prob`` at their indices, drawing
-no double past its horizon.
+doubles, and ``poisson_random(lam)`` serves ``random(poisson(lam))``, a
+count's doubles, in one call. If a numpy release changes that sampler, or the
+way a block of doubles relates to scalar draws, these tests fail. The one
+call the stream does not serve, a Poisson ``lam`` outside ``[0, 10)`` while
+buffered doubles are pending, must raise the stream's own ``ValueError``. A
+move stream must serve the generator's doubles below ``walk_prob`` at their
+indices, drawing no double past its horizon.
 """
 import math
 
@@ -27,14 +28,17 @@ def generator(seed: int) -> np.random.Generator:
 
 
 def call(rng, op):
-    """Apply one operation; a ValueError is returned as its message."""
+    """Apply one operation; a ValueError is returned as its message. A plain
+    generator serves ``poisson_random`` as ``random(poisson(lam))``."""
     kind, arg = op
     try:
         if kind == "random":
             return rng.random()
         if kind == "random_n":
             return list(rng.random(arg))
-        return int(rng.poisson(arg))
+        if isinstance(rng, BufferedStream):
+            return rng.poisson_random(arg)
+        return rng.random(rng.poisson(arg)).tolist()
     except ValueError as e:
         return ("ValueError", str(e))
 
@@ -49,10 +53,10 @@ def replay(stream, gen, plain, sequence) -> bool:
     """
     for op in sequence:
         kind, arg = op
-        if (kind == "poisson" and not 0.0 <= arg < 10.0
+        if (kind == "poisson_random" and not 0.0 <= arg < 10.0
                 and repr(gen.bit_generator.state) != repr(plain.bit_generator.state)):
             with pytest.raises(ValueError, match="after buffered draws"):
-                stream.poisson(arg)
+                stream.poisson_random(arg)
             return False
         assert call(stream, op) == call(plain, op), op
     return True
@@ -72,24 +76,29 @@ lams = st.one_of(
 ops = st.one_of(
     st.tuples(st.just("random"), st.none()),
     st.tuples(st.just("random_n"), st.integers(min_value=0, max_value=3 * BLOCK + 5)),
-    st.tuples(st.just("poisson"), lams),
+    st.tuples(st.just("poisson_random"), lams),
 )
 
 # Downward crossings of lam = 10: mid-block, after direct draws, and at a
 # block edge, after exactly BLOCK buffered draws.
 CROSSINGS = [
-    ("poisson", 12.0), ("random_n", 5), ("poisson", 10.0), ("random", None),
-    ("poisson", 9.999999), ("random_n", 50), ("poisson", 0.7), ("random_n", BLOCK),
-    ("poisson", 2.0),
+    ("poisson_random", 12.0), ("random_n", 5), ("poisson_random", 10.0), ("random", None),
+    ("poisson_random", 9.999999), ("random_n", 50), ("poisson_random", 0.7),
+    ("random_n", BLOCK), ("poisson_random", 2.0),
 ]
-EDGE_CROSSING = [("random_n", BLOCK), ("poisson", 40.0), ("random_n", 3), ("poisson", 11.0),
-                 ("poisson", 3.5), ("random_n", BLOCK - 1), ("poisson", 2.0)]
+EDGE_CROSSING = [
+    ("random_n", BLOCK), ("poisson_random", 40.0), ("random_n", 3), ("poisson_random", 11.0),
+    ("poisson_random", 3.5), ("random_n", BLOCK - 1), ("poisson_random", 2.0),
+]
 OUT_OF_DOMAIN = [
-    ("poisson", -1.0), ("random", None), ("poisson", math.nan), ("poisson", 1e19),
-    ("poisson", 5.0), ("random", None), ("poisson", math.inf),
+    ("poisson_random", -1.0), ("random", None), ("poisson_random", math.nan),
+    ("poisson_random", 1e19), ("poisson_random", 5.0), ("random", None),
+    ("poisson_random", math.inf),
 ]
-ZERO_LAM = [("poisson", 0.0), ("poisson", 20.0), ("poisson", 0.0), ("random", None),
-            ("poisson", 0.0), ("poisson", 4.0), ("poisson", 0.0), ("random", None)]
+ZERO_LAM = [
+    ("poisson_random", 0.0), ("poisson_random", 20.0), ("poisson_random", 0.0), ("random", None),
+    ("poisson_random", 0.0), ("poisson_random", 4.0), ("poisson_random", 0.0), ("random", None),
+]
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,7 +107,7 @@ ZERO_LAM = [("poisson", 0.0), ("poisson", 20.0), ("poisson", 0.0), ("random", No
 @example(seed=1, sequence=CROSSINGS)
 @example(seed=2, sequence=OUT_OF_DOMAIN)
 @example(seed=3, sequence=ZERO_LAM)
-@example(seed=5, sequence=[("random_n", 2 * BLOCK + 7), ("poisson", 0.5)] * 3)
+@example(seed=5, sequence=[("random_n", 2 * BLOCK + 7), ("poisson_random", 0.5)] * 3)
 @example(seed=6, sequence=EDGE_CROSSING)
 # random(n) at block edges: ending exactly at BLOCK, a whole first block, and
 # two doubles across the edge; a negative n raises and leaves the stream put
@@ -106,22 +115,72 @@ ZERO_LAM = [("poisson", 0.0), ("poisson", 20.0), ("poisson", 0.0), ("random", No
 @example(seed=8, sequence=[("random_n", BLOCK), ("random", None)])
 @example(seed=9, sequence=[("random_n", BLOCK - 1), ("random_n", 2), ("random", None)])
 @example(seed=10, sequence=[("random_n", BLOCK - 1), ("random_n", -1), ("random", None)])
+# a count's doubles at block edges: across it, ending on it, all past it
+# after a count that ends on it, and a zero count on the block's last double
+@example(seed=1, sequence=[("random_n", BLOCK - 12), ("poisson_random", 9.5)])
+@example(seed=4, sequence=[("random_n", BLOCK - 7), ("poisson_random", 3.0)])
+@example(seed=9, sequence=[("random_n", BLOCK - 6), ("poisson_random", 3.0)])
+@example(seed=10, sequence=[("random_n", BLOCK - 1), ("poisson_random", 2.0)])
 def test_buffered_stream_matches_generator(seed, sequence):
     gen = generator(seed)
     replay(BufferedStream(gen), gen, generator(seed), sequence + [("random_n", 2 * BLOCK + 3)])
 
 
+def count_and_doubles(plain, lam):
+    """A ``poisson(lam)`` count from ``plain`` and the doubles its sampler drew."""
+    probe = np.random.Generator(np.random.Philox())
+    probe.bit_generator.state = plain.bit_generator.state
+    n = plain.poisson(lam)
+    drawn = 0
+    while repr(probe.bit_generator.state) != repr(plain.bit_generator.state):
+        assert drawn < 100
+        probe.random()
+        drawn += 1
+    return n, drawn
+
+
+# where a count's doubles start and end, against the block edge
+EDGES = {
+    "across": lambda start, end: start < BLOCK < end,
+    "on": lambda start, end: start < end == BLOCK,
+    "past": lambda start, end: start == BLOCK < end,
+}
+
+
+@pytest.mark.parametrize("seed, prefix, lam, spill, edge", [
+    (1, BLOCK - 12, 9.5, False, "across"),
+    (4, BLOCK - 7, 3.0, False, "on"),
+    (9, BLOCK - 6, 3.0, False, "past"),
+    # the block and the next one served from a wake scan's spill
+    (2, BLOCK - 12, 9.5, True, "across"),
+], ids=["across", "on", "past", "across-after-a-spill"])
+def test_count_doubles_at_block_edges(seed, prefix, lam, spill, edge):
+    # the replay test's block-edge examples take their path, and a spill's too
+    gen, plain = generator(seed), generator(seed)
+    stream = BufferedStream(gen)
+    if spill:
+        stream.random(BLOCK)
+        plain.random(BLOCK)
+        assert stream.skip_zeros(5.0, 2 * DRAW_MAX) == leading_zeros(plain, 5.0, 1) == 0
+    assert stream.random(prefix) == plain.random(prefix).tolist()
+    n, drawn = count_and_doubles(plain, lam)
+    assert EDGES[edge](prefix + drawn, prefix + drawn + n)
+    assert stream.poisson_random(lam) == plain.random(n).tolist()
+    replay(stream, gen, plain, FOLLOW_UP)
+
+
 @pytest.mark.parametrize("prefix, raises", [
     ([("random", None)] * BLOCK, False),
     ([("random", None)] * (BLOCK + 1), True),
-    ([("poisson", 3.5)], True),
-    ([("poisson", 15.0), ("random_n", BLOCK + 1)], False),
+    ([("poisson_random", 3.5)], True),
+    ([("poisson_random", 15.0), ("random_n", BLOCK + 1)], False),
 ], ids=["buffer-used-up", "draws-pending", "after-small-lam", "direct"])
 def test_lam_from_ten_on_raises_only_while_draws_are_pending(prefix, raises):
     # A flow whose lam stays at 10 or more draws its packet sizes straight
     # from the generator too, so its next lam finds nothing pending.
     gen = generator(14)
-    assert replay(BufferedStream(gen), gen, generator(14), prefix + [("poisson", 15.0)]) != raises
+    sequence = prefix + [("poisson_random", 15.0)]
+    assert replay(BufferedStream(gen), gen, generator(14), sequence) != raises
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, 1e19, math.inf])
@@ -131,17 +190,17 @@ def test_out_of_domain_lam_raises_like_numpy(lam):
     with pytest.raises(ValueError) as expected:
         generator(0).poisson(lam)
     with pytest.raises(ValueError) as got:
-        BufferedStream(generator(0)).poisson(lam)
+        BufferedStream(generator(0)).poisson_random(lam)
     assert str(got.value) == str(expected.value)
     stream = BufferedStream(generator(0))
     stream.random()
     with pytest.raises(ValueError, match="after buffered draws"):
-        stream.poisson(lam)
+        stream.poisson_random(lam)
 
 
 def test_zero_lam_consumes_no_draw():
     stream = BufferedStream(generator(9))
-    assert stream.poisson(0.0) == 0
+    assert stream.poisson_random(0.0) == []
     assert stream.random() == generator(9).random()
 
 
@@ -185,11 +244,13 @@ FOLLOW_UP = [("random", None), ("random_n", BLOCK + 3), ("random", None)]
        max_k=st.integers(min_value=0, max_value=2 * DRAW_MAX + BLOCK))
 @example(seed=6, prefix=[("random_n", BLOCK - 1)], lam=0.01, max_k=4 * BLOCK)
 @example(seed=7, prefix=[("random_n", BLOCK)], lam=0.01, max_k=BLOCK)
-@example(seed=8, prefix=[("poisson", 15.0), ("random", None)], lam=0.02, max_k=200)
-@example(seed=9, prefix=[("poisson", 25.0)], lam=0.3, max_k=50)
+@example(seed=8, prefix=[("poisson_random", 15.0), ("random", None)], lam=0.02, max_k=200)
+@example(seed=9, prefix=[("poisson_random", 25.0)], lam=0.3, max_k=50)
 @example(seed=10, prefix=[("random", None)], lam=0.01, max_k=0)
-@example(seed=11, prefix=[("poisson", 15.0)], lam=0.01, max_k=0)
+@example(seed=11, prefix=[("poisson_random", 15.0)], lam=0.01, max_k=0)
 @example(seed=12, prefix=[], lam=0.0, max_k=9)
+# a count and its doubles served from the spill of a scan that skipped none
+@example(seed=2, prefix=[("random_n", BLOCK)], lam=9.5, max_k=2 * DRAW_MAX)
 # past the block: the first non-zero in the scan's second draw, on the first
 # double of a draw (the first and the second), and no non-zero up to the
 # horizon, which the second draw ends at
@@ -204,12 +265,12 @@ def test_skip_zeros_matches_leading_zero_draws(seed, prefix, lam, max_k):
     if not replay(buffered, gen, plain, prefix):
         return
     assert buffered.skip_zeros(lam, max_k) == leading_zeros(plain, lam, max_k)
-    for op in [("poisson", lam)] + FOLLOW_UP + [("poisson", lam)] + FOLLOW_UP:
+    for op in [("poisson_random", lam)] + FOLLOW_UP + [("poisson_random", lam)] + FOLLOW_UP:
         assert call(buffered, op) == call(plain, op), op
 
 
 @pytest.mark.parametrize("prefix", [[], [("random_n", 3)], [("random_n", BLOCK)],
-                                    [("poisson", 15.0)]],
+                                    [("poisson_random", 15.0)]],
                          ids=["fresh", "mid-block", "block-end", "direct"])
 def test_negative_size_raises_like_numpy_and_draws_nothing(prefix):
     gen, plain = generator(15), generator(15)
@@ -228,7 +289,8 @@ def test_skip_zeros_skips_nothing_from_ten_on(lam):
     plain = generator(13)
     buffered = BufferedStream(generator(13))
     assert buffered.skip_zeros(lam, 100) == 0
-    for op in [("poisson", lam), ("random", None), ("poisson", 0.5), ("random_n", BLOCK)]:
+    for op in [("poisson_random", lam), ("random", None), ("poisson_random", 0.5),
+               ("random_n", BLOCK)]:
         assert call(buffered, op) == call(plain, op), op
 
 
@@ -283,7 +345,7 @@ def test_lam_from_ten_on_raises_after_a_spill():
     stream.random(BLOCK)
     assert stream.skip_zeros(5.0, 2 * DRAW_MAX) == 0
     with pytest.raises(ValueError, match="after buffered draws"):
-        stream.poisson(15.0)
+        stream.poisson_random(15.0)
 
 
 @st.composite

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import reference_bits
 from qoesched.buffering import UeBuffer
 from qoesched.engine import Scenario, Simulation
+from qoesched.streams import BufferedStream
 from qoesched.traffic import (
     FlowSpec,
     TrafficClass,
     apply_adjustment,
     arrivals,
-    exp_bits,
     ftp_lam,
 )
 
@@ -44,12 +45,31 @@ def video_spec(**kw):
     return FlowSpec(**base)
 
 
+def stream(seed):
+    """A buffered stream on numpy's default generator, as ``arrivals`` takes."""
+    return BufferedStream(np.random.default_rng(seed))
+
+
+class StubStream:
+    """Serves given uniforms: ``poisson_random`` all of them, ``random()``
+    the next one."""
+
+    def __init__(self, us):
+        self.us = list(us)
+
+    def poisson_random(self, lam):
+        us, self.us = self.us, []
+        return us
+
+    def random(self):
+        return self.us.pop(0)
+
+
 class TestFtpArrivals:
     def test_mean_size_half_megabit(self):
         # lambda per TTI chosen so one call yields ~1e6 packets
         spec = ftp_spec(offered_load_bps=5e14)
-        rng = np.random.default_rng(42)
-        sizes = arrivals(spec, 0, rng)
+        sizes = arrivals(spec, 0, stream(42))
         assert len(sizes) > 900_000
         mean = sum(sizes) / len(sizes)
         assert abs(mean - 500_000) / 500_000 < 0.01
@@ -62,7 +82,8 @@ class TestFtpArrivals:
 
     def test_inverse_cdf_median(self):
         # u = 0.5 lands on mean * ln 2
-        assert exp_bits([0.5], 5e5) == [round(5e5 * math.log(2))] == [346574]
+        sizes = arrivals(ftp_spec(), 0, StubStream([0.5]))
+        assert sizes == [round(5e5 * math.log(2))] == [346574]
 
     def test_deadlines_stamped(self):
         # the engine stamps a TTI's packets with that TTI and tti + beta_ms
@@ -80,29 +101,29 @@ class TestFtpArrivals:
 
     def test_class_branch_draws_only_its_class_draws(self):
         # the class branch is the only class test: video draws nothing off a
-        # frame TTI and one double on one, FTP a Poisson count and its sizes
-        rng, plain = np.random.default_rng(0), np.random.default_rng(0)
+        # frame TTI and one double on one, FTP a Poisson count and its sizes;
+        # the stream then serves the next double the scalar draws do
+        rng, plain = stream(0), np.random.default_rng(0)
         assert arrivals(video_spec(), 7, rng) == []
-        assert repr(rng.bit_generator.state) == repr(plain.bit_generator.state)
-        frame = [min(_reference_bits(plain.random(), 1e9 * 16 / 1000.0), 2_000_000)]
+        frame = [min(reference_bits(plain.random(), 1e9 * 16 / 1000.0), 2_000_000)]
         assert arrivals(video_spec(), 16, rng) == frame
-        assert repr(rng.bit_generator.state) == repr(plain.bit_generator.state)
         spec = ftp_spec(offered_load_bps=1.5e9)
         n = plain.poisson(ftp_lam(spec))
         assert n > 0
-        sizes = [_reference_bits(u, spec.mean_packet_bits) for u in plain.random(n)]
+        sizes = [reference_bits(u, spec.mean_packet_bits) for u in plain.random(n).tolist()]
         assert arrivals(spec, 7, rng) == sizes
-        assert repr(rng.bit_generator.state) == repr(plain.bit_generator.state)
-
-
-def _reference_bits(u, mean_bits):
-    return max(1, round(-mean_bits * math.log1p(-u)))
+        assert rng.random() == plain.random()
 
 
 _uniform = st.floats(0.0, 1.0, exclude_max=True)
 
 
-class TestExpBits:
+class TestPacketSizes:
+    """``arrivals`` turns each uniform the stream serves into a size:
+    ``max(1, round(-mean * log1p(-u)))``. An integer mean goes through an FTP
+    flow; a float one through video frames one second apart at a load equal
+    to the mean, whose frame mean is ``mean * 1000 / 1000``."""
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_uniform, max_size=20),
            st.one_of(st.integers(1, 10**8), st.floats(1e-3, 1e8)))
@@ -111,25 +132,34 @@ class TestExpBits:
     @example([1.0 - 2.0**-53], 0.5)
     @example([1e-12, 0.1, 0.5, 0.75], 2**53 + 1)  # an int mean no float holds exactly
     # -mean * log1p(-u) is exactly 2.5 and 346574.5 with glibc's log1p: each
-    # rounds half to even, to 2 and 346574, where half-up rounding gives 1 more
+    # rounds half to even, to 2 and 346574, where half-up rounding gives 1 more;
+    # mean * 1000 / 1000 == mean for both, so video frames reach these means
     @example([0.13436424411240122], 17.32609025672327)
     @example([0.763774618976614], 240181.54092731967)
     def test_equals_max_one_rounded_inverse_cdf(self, us, mean_bits):
-        assert exp_bits(us, mean_bits) == [_reference_bits(u, mean_bits) for u in us]
+        if type(mean_bits) is int:
+            sizes = arrivals(ftp_spec(mean_packet_bits=mean_bits), 0, StubStream(us))
+            assert sizes == [reference_bits(u, mean_bits) for u in us]
+            return
+        spec = video_spec(offered_load_bps=mean_bits, frame_interval_ms=1000,
+                          max_packet_bits=2**62)
+        frame_mean = mean_bits * 1000 / 1000
+        sizes = [arrivals(spec, 0, StubStream([u]))[0] for u in us]
+        assert sizes == [reference_bits(u, frame_mean) for u in us]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32), st.floats(1e3, 1e10), st.integers(1, 5_000_000))
     def test_video_frame_clamps_at_cap(self, seed, load, cap):
         spec = video_spec(offered_load_bps=load, max_packet_bits=cap)
         u = np.random.default_rng(seed).random()
-        expected = min(_reference_bits(u, load * 16 / 1000.0), cap)
-        assert arrivals(spec, 32, np.random.default_rng(seed)) == [expected]
+        expected = min(reference_bits(u, load * 16 / 1000.0), cap)
+        assert arrivals(spec, 32, StubStream([u])) == [expected]
 
 
 class TestVideoArrivals:
     def test_one_frame_per_interval_and_cap(self):
         spec = video_spec()
-        rng = np.random.default_rng(1)
+        rng = stream(1)
         sizes = []
         for k in range(200_000):
             frame = arrivals(spec, k * 16, rng)
@@ -139,13 +169,12 @@ class TestVideoArrivals:
 
     def test_off_frame_tti_empty(self):
         spec = video_spec()
-        rng = np.random.default_rng(2)
-        assert arrivals(spec, 7, rng) == []
+        assert arrivals(spec, 7, stream(2)) == []
 
     def test_truncation_pulls_mean_below_cap(self):
         # untruncated frame mean 1.6e7 bits >> 2e6 cap
         spec = video_spec(offered_load_bps=1e9, frame_interval_ms=16)
-        rng = np.random.default_rng(3)
+        rng = stream(3)
         sizes = [arrivals(spec, k * 16, rng)[0] for k in range(100_000)]
         assert max(sizes) <= 2_000_000
         # sampling oracle for the clipped-exponential mean
@@ -160,7 +189,7 @@ class TestVideoArrivals:
 class TestLongRunRate:
     def test_ftp_rate_converges_to_offered_load(self):
         spec = ftp_spec(offered_load_bps=5e8)
-        rng = np.random.default_rng(11)
+        rng = stream(11)
         total = 0
         ttis = 1_000_000
         for tti in range(ttis):
@@ -175,7 +204,7 @@ class TestLongRunRate:
         oracle = np.minimum(
             np.random.default_rng(5).exponential(frame_mean, 2_000_000), 2_000_000
         ).mean()
-        rng = np.random.default_rng(12)
+        rng = stream(12)
         ttis = 1_000_000
         total = 0
         for tti in range(0, ttis, 16):
@@ -188,8 +217,8 @@ class TestLongRunRate:
 class TestReproducibility:
     def test_identical_seed_identical_sequence(self):
         spec = ftp_spec()
-        a = np.random.default_rng(77)
-        b = np.random.default_rng(77)
+        a = stream(77)
+        b = stream(77)
         for tti in range(2000):
             assert arrivals(spec, tti, a) == arrivals(spec, tti, b)
 
