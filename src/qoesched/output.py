@@ -1,12 +1,18 @@
 """Byte-stable result emission and cross-policy comparison.
 
-All files are deterministic for a given (scenario, seed): JSON is dumped
-with sorted keys, CSV columns are fixed, integers are written verbatim and
-reals with 9 significant digits.
+All files are deterministic for a given (scenario, seed): CSV columns are
+fixed, integers are written verbatim and reals with 9 significant digits.
+summary.json and comparison.json are written in one pass by ``_json``, which
+gives ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``'s text of the
+value with each real rounded to those digits as it is written. trace.csv is
+formatted and written ``TRACE_CHUNK`` rows at a time, so the memory ``emit``
+takes does not grow with the trace.
 """
 from __future__ import annotations
 
 import json
+from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from sys import float_info
 from typing import Any
@@ -20,6 +26,8 @@ TRACE_COLUMNS = (
     "tx_bits,dropped_deadline_bits,dropped_overflow_bits"
 )
 METRICS_COLUMNS = "policy,seed,window,start_tti,end_tti,tx_bits,throughput_bps,jfi,qoe_fi"
+# trace.csv rows formatted and written at a time
+TRACE_CHUNK = 1024
 
 
 def fmt_real(x: float | None) -> str:
@@ -42,23 +50,65 @@ def _metrics_line(policy: str, seed: int, w: WindowRecord) -> str:
             f"{fmt_real(w.throughput_bps)},{fmt_real(w.jfi)},{fmt_real(w.qoe_fi)}")
 
 
-def _round_reals(obj: Any) -> Any:
-    """Recursively round floats to 9 significant digits for stable JSON;
-    report records (NamedTuples) become dicts of their fields, not lists."""
-    if isinstance(obj, float):
-        return float(fmt_real(obj))
-    if hasattr(obj, "_asdict"):
-        obj = obj._asdict()
+def _real(x: float) -> str:
+    """A real as json writes it once rounded to ``fmt_real``'s digits; a
+    non-finite one raises json's ``ValueError``."""
+    if not abs(x) <= float_info.max:
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(float(fmt_real(x)))
+
+
+# the text of a scalar by its exact type; _json takes None, bools and subclasses apart
+_SCALAR = {float: _real, int: int.__repr__, str: _quote}
+
+
+@cache
+def _record_template(cls: type, level: int) -> tuple[str, tuple[int, ...]]:
+    """A record type's JSON object at nesting ``level``: a ``%`` template of
+    its fields in sorted order, and the positions of those fields."""
+    fields = cls._fields
+    order = tuple(sorted(range(len(fields)), key=fields.__getitem__))
+    if not order:
+        return "{}", ()
+    inner = "\n" + "  " * (level + 1)
+    items = ("," + inner).join(f"{_quote(fields[i])}: %s" for i in order)
+    return "{" + inner + items + inner[:-2] + "}", order
+
+
+def _json(obj: Any, level: int = 0) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    writes it at nesting ``level``, each real rounded to ``fmt_real``'s digits.
+    Dict keys are strings. A report record (a NamedTuple) is an object of its
+    fields, written through its type's ``_record_template``."""
+    write = _SCALAR.get(type(obj))
+    if write is not None:
+        return write(obj)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = "\n" + "  " * (level + 1)
     if isinstance(obj, dict):
-        return {k: _round_reals(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [f"{_quote(k)}: {_json(obj[k], level + 1)}" for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        template, order = _record_template(type(obj), level)
+        # a plain int is written as ``%s`` writes it
+        return template % tuple([v if type(v) is int else _json(v, level + 1)
+                                 for v in map(obj.__getitem__, order)])
     if isinstance(obj, (list, tuple)):
-        return [_round_reals(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json(v, level + 1) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+    for cls, write in _SCALAR.items():
+        if isinstance(obj, cls):
+            return write(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(obj: Any, path: Path) -> None:
-    path.write_text(json.dumps(_round_reals(obj), indent=2, sort_keys=True, allow_nan=False)
-                    + "\n", encoding="utf-8")
+    path.write_text(_json(obj) + "\n", encoding="utf-8")
 
 
 def run_to_dict(report: SimReport) -> dict:
@@ -96,9 +146,12 @@ def emit(reports: list[SimReport], scenario: Scenario, out_dir: str | Path,
         traced = [r for r in reports if r.trace_rows is not None]
         for r in traced:
             name = "trace.csv" if len(traced) == 1 else f"trace_{r.policy}_{r.seed}.csv"
-            rows = [TRACE_COLUMNS, *_trace_lines(r.trace_rows)]
             p = out / name
-            p.write_text("\n".join(rows) + "\n", encoding="utf-8")
+            rows = r.trace_rows
+            with p.open("w", encoding="utf-8") as f:
+                f.write(TRACE_COLUMNS + "\n")
+                for i in range(0, len(rows), TRACE_CHUNK):
+                    f.write("\n".join(_trace_lines(rows[i:i + TRACE_CHUNK])) + "\n")
             written.append(p)
     return written
 

@@ -176,12 +176,16 @@ def parse_scenario(text: str) -> Scenario:
     return _build(Scenario, fields)
 
 
-def _dump(obj: Any, section: str) -> dict:
-    """The JSON of one section's plain keys; a flow gets its class's keys."""
+# the keys _dump writes: each section's plain keys, and for flows a class's keys
+_DUMPED = {(section, cls): tuple(k for k in keys
+                                 if k.name not in SCHEMA and (not k.classes or cls in k.classes))
+           for section, keys in SCHEMA.items() for cls in (None, *TrafficClass)}
+
+
+def _dump(obj: Any, section: str, cls: TrafficClass | None = None) -> dict:
+    """The JSON of one section's plain keys; a flow gets its class ``cls``'s keys."""
     d = {}
-    for k in SCHEMA[section]:
-        if k.name in SCHEMA or (k.classes and obj.traffic_class not in k.classes):
-            continue
+    for k in _DUMPED[section, cls]:
         v = getattr(obj, k.field or k.name)
         if isinstance(v, Enum):
             v = v.value
@@ -195,7 +199,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
     d = _dump(sc, "scenario")
     for section in _SECTIONS:
         d[section] = _dump(sc, section)
-    d["flows"] = [_dump(f, "flows") for f in sc.flows]
+    d["flows"] = [_dump(f, "flows", f.traffic_class) for f in sc.flows]
     return d
 
 

@@ -55,6 +55,7 @@ QOE_FI = "tests/test_metrics.py::TestQoeFi::"
 CQI_STEP = "tests/test_channel.py::TestCqiStep::"
 RATE_OF = "tests/test_channel.py::TestRateOf::"
 MOVES = "tests/test_streams.py::test_move_stream_serves_the_generators_moves"
+JSON = "tests/test_output_cli.py::TestJsonWriter::"
 DIGESTS = tuple(f"tests/test_reference_digests.py::test_outputs_match_the_reference_digests[{w}-{s}]"
                 for w in ("dense_cell", "flood_traced", "table1_sweep") for s in ("full", "smoke"))
 
@@ -199,6 +200,29 @@ MUTANTS = (
     Mutant("q_y_floor", "metrics.py",
            "(y if y > 1 else 1)", "(y if y > 2 else 2)",
            ("tests/test_metrics.py::TestQ::test_small_demand_with_at_most_one_bit_delivered[0]",)),
+    Mutant("fmt_real_eight_digits", "output.py",
+           'else f"{x:.9g}"', 'else f"{x:.8g}"',
+           ("tests/test_output_cli.py::TestEmit::test_csv_roundtrip_lossless",
+            "tests/test_output_cli.py::TestRowFormats::test_metrics_line_equals_the_cell_join",
+            JSON + "test_equals_json_dumps_of_the_rounded_value", *DIGESTS)),
+    Mutant("json_real_unrounded", "output.py",
+           "return repr(float(fmt_real(x)))", "return repr(x)",
+           (JSON + "test_equals_json_dumps_of_the_rounded_value", *DIGESTS)),
+    Mutant("record_template_in_field_order", "output.py",
+           "sorted(range(len(fields)), key=fields.__getitem__)", "range(len(fields))",
+           (JSON + "test_equals_json_dumps_of_the_rounded_value", *DIGESTS)),
+    Mutant("json_non_finite_check_dropped", "output.py",
+           "    if not abs(x) <= float_info.max:\n"
+           "        raise ValueError(f\"Out of range float values are not JSON compliant: {x!r}\")\n",
+           "",
+           (JSON + "test_non_finite_real_anywhere_raises",
+            "tests/test_output_cli.py::TestEmit::test_non_finite_annotation_is_refused")),
+    # flood_traced's smoke run writes fewer rows than one chunk
+    Mutant("trace_chunk_one_row_short", "output.py",
+           "rows[i:i + TRACE_CHUNK]", "rows[i:i + TRACE_CHUNK - 1]",
+           ("tests/test_output_cli.py::TestEmit::test_trace_memory_is_bounded_in_rows",
+            "tests/test_reference_digests.py::test_outputs_match_the_reference_digests"
+            "[flood_traced-full]")),
     # the module docstring names the key too, so the row takes the assignment
     Mutant("spawn_key_swapped", "streams.py",
            "ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))",

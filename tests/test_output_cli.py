@@ -1,19 +1,37 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qoesched import cli, output
-from qoesched.engine import Scenario, run
+from qoesched.engine import AdjustmentEvent, Scenario, UeReport, run
 from qoesched.metrics import WindowRecord
 from qoesched.scenario import scenario_to_dict
 from qoesched.scheduler import Policy
 from qoesched.traffic import FlowSpec, TrafficClass
+from test_metrics import peak_traced_bytes
+
+
+def round_reals(obj: Any) -> Any:
+    """The reference for ``output._json``: a copy of ``obj`` with each float
+    rounded to 9 significant digits and each report record (NamedTuple) a
+    dict of its fields, for ``json.dumps`` to write."""
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {k: round_reals(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_reals(v) for v in obj]
+    return obj
 
 
 def small_scenario(duration=500):
@@ -55,7 +73,7 @@ class TestEmit:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert len(summary["runs"]) == 2
         assert summary["scenario"] == json.loads(
-            json.dumps(output._round_reals(scenario_to_dict(sc)))
+            json.dumps(round_reals(scenario_to_dict(sc)))
         )
 
     def test_summary_keys_are_the_report_fields(self, tmp_path):
@@ -87,6 +105,16 @@ class TestEmit:
         with pytest.raises(ValueError, match="JSON"):
             output.emit([run(sc)], sc, tmp_path)
         assert not (tmp_path / "summary.json").exists()
+
+    def test_trace_memory_is_bounded_in_rows(self, tmp_path):
+        # the trace is written in chunks: 1 MiB is under the file's 1.2 MB
+        # and under its 20,000 lines held as strings
+        sc = small_scenario(duration=10_000)
+        report = run(sc, seed=1, collect_trace=True)
+        assert len(report.trace_rows) >= 20_000
+        assert peak_traced_bytes(output.emit, [report], sc, tmp_path, True) < 2**20
+        lines = [",".join(fmt_value(v) for v in row) for row in report.trace_rows]
+        assert (tmp_path / "trace.csv").read_text() == "\n".join([output.TRACE_COLUMNS, *lines]) + "\n"
 
     def test_byte_identical_reemission(self, tmp_path):
         sc = small_scenario()
@@ -158,6 +186,76 @@ class TestRowFormats:
         w = WindowRecord(index, start, end, tx, throughput, {}, {}, jfi_v, fi_v)
         assert output._metrics_line(policy, seed, w) == ",".join(
             fmt_value(v) for v in (policy, seed, index, start, end, tx, throughput, jfi_v, fi_v))
+
+
+class Pair(NamedTuple):
+    """A test-local record whose field order is not its sorted order."""
+    zeta: Any
+    alpha: Any
+
+
+class Empty(NamedTuple):
+    pass
+
+
+def json_values(reals):
+    """Values ``output._json`` writes: nested dicts with str keys, lists,
+    tuples and records over None, bools, big ints, ``reals``, any str and
+    ``Policy`` members."""
+    leaves = (st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80)
+              | reals | st.text() | st.sampled_from(Policy))
+    return st.recursive(leaves, lambda children: (
+        st.dictionaries(st.text(), children, max_size=4)
+        | st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.builds(Pair, children, children)
+        | st.just(Empty())
+        | st.tuples(*[children] * len(UeReport._fields)).map(UeReport._make)
+        | st.tuples(*[children] * len(AdjustmentEvent._fields)).map(AdjustmentEvent._make)),
+        max_leaves=20)
+
+
+def dumps(obj):
+    return json.dumps(round_reals(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
+def non_finite(obj):
+    """Whether a NaN or an infinity is anywhere in ``obj``."""
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        return any(map(non_finite, obj.values()))
+    return isinstance(obj, (list, tuple)) and any(map(non_finite, obj))
+
+
+class TestJsonWriter:
+    # reals whose repr and %.9g forms differ (a sign, an exponent, digits rounded
+    # away), a big int, empty containers and records, a str enum member, escapes
+    @example(-0.0)
+    @example(1e16)
+    @example(123456789012.0)
+    @example(1e-05)
+    @example({"b": [1e-05, -0.0], "a": (123456789012.0, 1e16)})
+    @example(2**70)
+    @example({})
+    @example([])
+    @example(Empty())
+    @example(Pair(Empty(), []))
+    @example(Policy.BCQQ)
+    @example({"\u00e9\n\x00": "\u2028\ud800\t\"", "": None})
+    @given(json_values(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_equals_json_dumps_of_the_rounded_value(self, obj):
+        assert output._json(obj) == dumps(obj)
+
+    @example([1.0, {"x": math.nan}])
+    @example(Pair(-math.inf, 1))
+    @given(json_values(st.sampled_from([math.nan, math.inf, -math.inf])))
+    def test_non_finite_real_anywhere_raises(self, obj):
+        assume(non_finite(obj))
+        with pytest.raises(ValueError):
+            dumps(obj)
+        with pytest.raises(ValueError):
+            output._json(obj)
 
 
 def synthetic_summary(policy, seed, tput_mbps, jfi_v=0.7, qoe_v=1.0, scenario=None):
