@@ -10,38 +10,33 @@ A scalar ``Generator.random()`` or ``Generator.poisson(lam)`` call costs
 several hundred nanoseconds of numpy dispatch, more than the simulator's own
 per-UE work in a TTI. ``BufferedStream`` instead draws doubles ``BLOCK`` at
 a time with ``gen.random(BLOCK).tolist()``, which yields the same sequence as
-``BLOCK`` scalar calls, and serves the calls the simulator makes from that
-buffer:
+``BLOCK`` scalar calls, and serves from that buffer the three calls the
+engine makes on a traffic stream, and no other:
 
-* ``random()`` and ``random(n)`` return the next buffered doubles; ``random(n)``
-  returns a list where numpy returns an array, with the same values; a
-  negative ``n`` raises numpy's ``ValueError``.
-* ``poisson_random(lam)`` returns ``random(poisson(lam))``, a Poisson count's
-  doubles, in one call: an FTP arrival TTI's packet uniforms. For
-  ``0 < lam < 10`` it replays numpy's multiplication sampler on the buffered
-  doubles (multiply uniforms into a product while it stays above
-  ``exp(-lam)``; the count of factors kept is the sample), then slices the
-  count's doubles from the block, or serves them as ``random(n)`` when they
-  cross its end.
-* ``poisson_random(0)`` returns no doubles and consumes nothing, as numpy's
-  ``poisson(0)`` does.
-* ``skip_zeros(lam, max_k)`` consumes a wake scan's leading zero samples.
-  It scans what is left of the block in Python; past the block it draws the
-  rest of the horizon as one array, at most ``DRAW_MAX`` doubles per draw,
-  and finds the first non-zero with one numpy comparison. The doubles drawn
-  past that point stay pending, and later refills serve them before the
-  generator draws again, so at most ``BLOCK + DRAW_MAX`` doubles are ever
-  drawn ahead, whatever the run length.
-* Every other ``lam`` (``>= 10``, negative, NaN) goes to ``gen.poisson``,
-  which raises for an invalid one, and the count's doubles to
-  ``gen.random``. numpy samples ``lam >= 10`` by rejection, which uses no
-  fixed number of doubles, so it cannot be replayed from a buffer. The
-  stream then serves every call from the generator until its next
-  ``0 < lam < 10`` call switches it to blocks.
+* ``random()``, on a video flow's frame TTI, returns the next buffered double.
+* ``poisson_random(lam)``, on an FTP flow's arrival TTI, returns
+  ``random(poisson(lam))``, a Poisson count's doubles, in one call: the
+  TTI's packet uniforms. For ``0 < lam < 10`` it replays numpy's
+  multiplication sampler on the buffered doubles (multiply uniforms into a
+  product while it stays above ``exp(-lam)``; the count of factors kept is
+  the sample), then takes the count's doubles from the block, refilling it
+  as often as they cross its end. ``poisson_random(0)`` returns no doubles
+  and consumes nothing, as numpy's ``poisson(0)`` does. Every other ``lam``
+  (``>= 10``, negative, NaN) goes to ``gen.poisson``, which raises for an
+  invalid one, and the count's doubles to ``gen.random``: numpy samples
+  ``lam >= 10`` by rejection, which uses no fixed number of doubles, so it
+  cannot be replayed from a buffer.
+* ``skip_zeros(lam, max_k)``, in an FTP flow's wake scan, consumes the
+  leading zero samples. It scans what is left of the block in Python; past
+  the block it draws the rest of the horizon as one array, at most
+  ``DRAW_MAX`` doubles per draw, and finds the first non-zero with one numpy
+  comparison. The doubles drawn past that point stay pending, and later
+  refills serve them before the generator draws again, so at most
+  ``BLOCK + DRAW_MAX`` doubles are ever drawn ahead, whatever the run
+  length.
 
-The simulator's call mix is ``poisson_random`` on an FTP flow's arrival
-TTIs, ``skip_zeros`` for its wake scans and ``random()`` on a video flow's
-frame TTIs.
+A video stream never calls the other two, and an FTP stream never calls
+``random()``.
 
 The generator stands right behind the last double served only while the
 stream holds no pending doubles, in its block or drawn by a scan. So
@@ -93,24 +88,23 @@ def substream(seed: int, ue_id: int, purpose: int) -> np.random.Generator:
 
 
 class BufferedStream:
-    """A ``Generator``'s ``random`` calls and its ``random(poisson(lam))`` pair,
+    """A UE's traffic stream: the three calls the engine makes on a ``Generator``,
     served from blocks.
 
-    Exact for the call mixes the module docstring names; ``poisson_random``
-    raises ``ValueError`` for a ``lam`` outside ``[0, 10)`` while buffered
-    doubles are pending.
+    ``random()`` is a video frame TTI's draw, ``poisson_random(lam)`` an FTP
+    arrival TTI's and ``skip_zeros(lam, max_k)`` an FTP wake scan. Exact for
+    the call mix the module docstring names; ``poisson_random`` raises
+    ``ValueError`` for a ``lam`` outside ``[0, 10)`` while buffered doubles
+    are pending.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos", "_spill", "_direct", "_lam", "_exp_neg_lam")
+    __slots__ = ("_gen", "_buf", "_pos", "_spill")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
         self._buf: list[float] = []
         self._pos = BLOCK       # nothing pending: the first draw refills
         self._spill = None      # doubles a scan drew past the block, pending
-        self._direct = False    # serving from the generator, buffer empty
-        self._lam = None
-        self._exp_neg_lam = 0.0
 
     def _refill(self) -> None:
         spill = self._spill
@@ -124,29 +118,15 @@ class BufferedStream:
             self._buf = block
         self._pos = 0
 
-    def random(self, size: int | None = None):
+    def random(self) -> float:
+        """``Generator.random()``: the next double."""
         pos = self._pos
-        if size is None:
-            if pos < BLOCK:
-                self._pos = pos + 1
-                return self._buf[pos]
-            if self._direct:
-                return self._gen.random()
-            self._refill()
-            self._pos = 1
-            return self._buf[0]
-        if size < 0:
-            raise ValueError("negative dimensions are not allowed")
-        if self._direct:
-            return self._gen.random(size).tolist()
-        out = self._buf[pos:pos + size]
-        pos += size
-        while pos > BLOCK:
-            pos -= BLOCK
-            self._refill()
-            out += self._buf[:pos]
-        self._pos = pos
-        return out
+        if pos < BLOCK:
+            self._pos = pos + 1
+            return self._buf[pos]
+        self._refill()
+        self._pos = 1
+        return self._buf[0]
 
     def skip_zeros(self, lam: float, max_k: int) -> int:
         """Consume up to ``max_k`` leading zero ``poisson(lam)`` samples; count them.
@@ -162,11 +142,7 @@ class BufferedStream:
             return 0
         if not 0.0 < lam < _MULT_LAM_MAX:
             return max_k if lam == 0.0 else 0
-        self._direct = False
-        if lam != self._lam:
-            self._lam = lam
-            self._exp_neg_lam = math.exp(-lam)
-        limit = self._exp_neg_lam
+        limit = math.exp(-lam)
         # what is left of the block, in Python
         pos = start = self._pos
         stop = min(pos + max_k, BLOCK)
@@ -207,14 +183,9 @@ class BufferedStream:
                 raise ValueError(
                     f"poisson_random({lam}) after buffered draws: a stream's lam may fall "
                     "below 10 but not rise back to 10 or leave [0, 10)")
-            self._direct = True
             gen = self._gen
             return gen.random(gen.poisson(lam)).tolist()
-        self._direct = False
-        if lam != self._lam:
-            self._lam = lam
-            self._exp_neg_lam = math.exp(-lam)
-        limit = self._exp_neg_lam
+        limit = math.exp(-lam)
         buf = self._buf
         pos = start = self._pos
         prod = 1.0
@@ -228,14 +199,15 @@ class BufferedStream:
             if prod <= limit:
                 break
         # the count is the factors kept, all but the last; its doubles follow,
-        # a slice of the block or across its end
-        n = pos - start - 1
-        end = pos + n
-        if end <= BLOCK:
-            self._pos = end
-            return buf[pos:end]
-        self._pos = pos
-        return self.random(n)
+        # in the block and, past its end, in the next ones
+        end = pos + (pos - start - 1)
+        out = buf[pos:end]
+        while end > BLOCK:
+            end -= BLOCK
+            self._refill()
+            out += self._buf[:end]
+        self._pos = end
+        return out
 
 
 class MoveStream:

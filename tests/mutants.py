@@ -16,6 +16,13 @@ directory, so hypothesis keeps the mutants' failing examples there, and under
 the ``mutants`` hypothesis profile of ``tests/conftest.py``, which does not
 shrink them: a property that fails is reported as soon as it fails.
 
+``python tests/mutants.py --full`` runs the whole tier-1 suite per row
+instead, under the same profile and stopped at the row's first failing test,
+and prints each row's first failing test and then the survivors, the rows no
+tier-1 test catches. It runs the rows of ``SURVIVORS`` too, the mutants that
+tier-1 is known to miss, each with the reason it is left. It gates nothing and
+takes up to the suite's time per row.
+
 A change that moves or rewrites a row's old text updates the row with it, so
 the table describes the code as it stands. A mutant that only keeps a UE due
 for longer is exact by design (processing a sleeper's TTI equals catching it
@@ -23,6 +30,7 @@ up by one), so no row holds one.
 """
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -55,6 +63,16 @@ QOE_FI = "tests/test_metrics.py::TestQoeFi::"
 CQI_STEP = "tests/test_channel.py::TestCqiStep::"
 RATE_OF = "tests/test_channel.py::TestRateOf::"
 MOVES = "tests/test_streams.py::test_move_stream_serves_the_generators_moves"
+BUFFERED = "tests/test_streams.py::test_buffered_stream_matches_generator"
+COUNT_EDGES = tuple(f"tests/test_streams.py::test_count_doubles_at_block_edges[{e}]"
+                    for e in ("across", "on", "past", "across-after-a-spill"))
+ENQUEUE = "tests/test_buffering.py::TestEnqueue::"
+DRAIN = "tests/test_buffering.py::TestDrain::"
+PACKET_QUEUE = "tests/test_buffering.py::test_batch_queue_equals_packet_queue"
+PER_PACKET = "tests/test_buffering.py::test_batched_enqueue_equals_per_packet_tail_drop"
+HISTOGRAM = "tests/test_buffering.py::test_delay_histogram_equals_sorted_list"
+TRACE = "tests/test_engine.py::TestTraceObserves::"
+OUTSIDE_OVERFLOW = TRACE + "test_overflow_of_an_outside_enqueue_shows_in_the_next_row"
 JSON = "tests/test_output_cli.py::TestJsonWriter::"
 DIGESTS = tuple(f"tests/test_reference_digests.py::test_outputs_match_the_reference_digests[{w}-{s}]"
                 for w in ("dense_cell", "flood_traced", "table1_sweep") for s in ("full", "smoke"))
@@ -164,9 +182,12 @@ MUTANTS = (
     # factor; flood_traced's seed-1 smoke run draws every count at lam >= 10,
     # past the replay
     Mutant("size_doubles_one_early", "streams.py",
-           "return buf[pos:end]", "return buf[pos - 1:end - 1]",
-           ("tests/test_streams.py::test_buffered_stream_matches_generator",
-            *(d for d in DIGESTS if "flood_traced-smoke" not in d))),
+           "out = buf[pos:end]", "out = buf[pos - 1:end - 1]",
+           (BUFFERED, *COUNT_EDGES, *(d for d in DIGESTS if "flood_traced-smoke" not in d))),
+    # a count's doubles that cross the block's end lose the new block's first
+    Mutant("refill_drops_its_first_double", "streams.py",
+           "out += self._buf[:end]", "out += self._buf[1:end]",
+           (BUFFERED, *COUNT_EDGES)),
     Mutant("video_frames_not_clipped", "traffic.py",
            "    if cap is not None and sizes[0] > cap:\n        sizes[0] = cap\n", "",
            ("tests/test_traffic.py::TestPacketSizes::test_video_frame_clamps_at_cap",
@@ -223,6 +244,47 @@ MUTANTS = (
            ("tests/test_output_cli.py::TestEmit::test_trace_memory_is_bounded_in_rows",
             "tests/test_reference_digests.py::test_outputs_match_the_reference_digests"
             "[flood_traced-full]")),
+    Mutant("exact_fit_dropped", "buffering.py",
+           "if size <= free:", "if size < free:",
+           (ENQUEUE + "test_full_buffer_tail_drop", ENQUEUE + "test_batch_returns_bits_accepted",
+            PACKET_QUEUE, PER_PACKET, OUTSIDE_OVERFLOW)),
+    Mutant("expiry_a_tti_late", "buffering.py",
+           "queue[0][3] <= now_tti", "queue[0][3] < now_tti",
+           ("tests/test_buffering.py::TestExpire::test_partial_packet_expiry",
+            "tests/test_buffering.py::TestExpire::test_non_monotone_deadlines_still_expire",
+            "tests/test_engine.py::TestStep::test_expiry_behind_a_live_head")),
+    # the split batch counts a packet that ends on its last bit sent as not
+    # yet complete
+    Mutant("split_bisect_one_short", "buffering.py",
+           "bisect_right(ends, sent + remaining)", "bisect_right(ends, sent + remaining - 1)",
+           (DRAIN + "test_budget_equal_to_head_remaining", PACKET_QUEUE)),
+    Mutant("delay_plus_one", "buffering.py",
+           "delay = now_tti - arrival\n", "delay = now_tti - arrival + 1\n",
+           (*(DRAIN + t for t in ("test_fifo_split", "test_budget_equal_to_head_remaining",
+                                  "test_delivery_delay_at_last_bit",
+                                  "test_several_completed_in_one_call",
+                                  "test_split_head_then_complete")),
+            PACKET_QUEUE, PER_PACKET, HISTOGRAM, "tests/test_buffering.py::test_fifo_order_preserved")),
+    Mutant("p99_rank_at_98", "buffering.py",
+           "rank = min(n - 1, int(0.99 * n))", "rank = min(n - 1, int(0.98 * n))",
+           (HISTOGRAM,)),
+    Mutant("hol_delay_plus_one", "buffering.py",
+           "return now_tti - self.queue[0][2]", "return now_tti - self.queue[0][2] + 1",
+           (PACKET_QUEUE,)),
+    Mutant("window_closed_a_tti_late", "engine.py",
+           ">= sc.window_tti:", "> sc.window_tti:",
+           ("tests/test_engine.py::TestRun::test_conservation_at_every_window_close",
+            "tests/test_engine.py::TestRun::test_outside_enqueue_counts_in_its_window")),
+    Mutant("trace_overflow_cumulative", "engine.py",
+           "overflow = buf.dropped_overflow_bits - u.traced_overflow_bits",
+           "overflow = buf.dropped_overflow_bits",
+           (*(f"{TRACE}test_drop_columns_sum_to_the_report_totals[{p}]"
+              for p in ("BCQQ", "MLWDF", "PF", "RR")), OUTSIDE_OVERFLOW)),
+    Mutant("loss_rate_without_deadline_drops", "engine.py",
+           "dropped = b.dropped_overflow_bits + b.dropped_deadline_bits",
+           "dropped = b.dropped_overflow_bits",
+           ("tests/test_engine.py::TestReportFigures::"
+            "test_loss_rate_counts_overflow_and_deadline_drops",)),
     # the module docstring names the key too, so the row takes the assignment
     Mutant("spawn_key_swapped", "streams.py",
            "ss = np.random.SeedSequence(entropy=seed, spawn_key=(ue_id, purpose))",
@@ -230,51 +292,61 @@ MUTANTS = (
            DIGESTS),
 )
 
+# Mutants that no tier-1 test catches, each with the reason it is left. --full
+# runs them after the table's rows, and prints them among the survivors while
+# they survive; the table's own run skips them, as they name no test.
+SURVIVORS = (
+    # equivalent in the engine: a wake scan's horizon, the run's end less an
+    # FTP wake TTI, is never negative
+    Mutant("skip_zeros_negative_horizon", "streams.py", "if max_k <= 0:", "if max_k == 0:", ()),
+)
 
-def outcomes(src: Path, ids: list[str], work: Path) -> dict[str, str] | None:
-    """Run the tests ``ids`` on the package in ``src``: each id's outcome,
-    "passed", "failed" or "skipped"; an id pytest did not run is missing.
-    None when pytest outlasts ``TIMEOUT_S`` and is killed."""
+
+def outcomes(src: Path, targets: list[str], work: Path, *options: str) -> dict[str, str] | None:
+    """Run pytest on ``targets``, test ids or paths of the checkout, against the
+    package in ``src``: the outcome of each test it ran, "passed", "failed" or
+    "skipped", by its id as pytest prints it. None when pytest outlasts
+    ``TIMEOUT_S`` and is killed."""
     junit = work / "junit.xml"
     junit.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
                         "--hypothesis-profile=mutants", f"--rootdir={ROOT}", f"--junitxml={junit}",
-                        *(str(ROOT / i) for i in ids)],
+                        *options, *(str(ROOT / t) for t in targets)],
                        cwd=work, env=env, stdout=subprocess.DEVNULL, check=False,
                        timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None
-    kinds = {}
+    got = {}
     for case in ET.parse(junit).iter("testcase"):
-        kinds[case.get("classname"), case.get("name")] = (
+        # junit names tests/m.py::C::t as the class "tests.m.C" and the name "t"
+        top, module, *classes = case.get("classname").split(".")
+        got["::".join([f"{top}/{module}.py", *classes, case.get("name")])] = (
             "failed" if case.find("failure") is not None or case.find("error") is not None
             else "skipped" if case.find("skipped") is not None else "passed")
-    got = {}
-    for i in ids:
-        # junit names tests/m.py::C::t as the class "tests.m.C" and the name "t"
-        path, *names = i.split("::")
-        key = (".".join([path.removesuffix(".py").replace("/", "."), *names[:-1]]), names[-1])
-        if key in kinds:
-            got[i] = kinds[key]
     return got
 
 
-def main() -> int:
-    problems = []
+def main(full: bool) -> int:
+    """Run the table: each row's named tests, or with ``full`` the whole
+    tier-1 suite per row, stopped at its first failure, to print the rows
+    that no test catches; ``full`` gates nothing."""
+    rows = MUTANTS + SURVIVORS if full else MUTANTS
+    targets = ["tests"] if full else sorted({i for m in MUTANTS for i in m.tests})
+    options = ["-x"] if full else []
+    problems, survivors = [], []
     with tempfile.TemporaryDirectory(prefix="qoesched-mutants-") as tmp:
         tmp = Path(tmp)
         clean = tmp / "clean"
         shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
-        ids = sorted({i for m in MUTANTS for i in m.tests})
-        got = outcomes(clean, ids, tmp)
+        got = outcomes(clean, targets, tmp, *options)
         if got is None:
-            problems.append(f"unchanged: the named tests outlasted {TIMEOUT_S} s")
+            problems.append(f"unchanged: the tests outlasted {TIMEOUT_S} s")
         else:
-            problems += [f"unchanged: {i} {got.get(i, 'did not run')}" for i in ids
-                         if got.get(i) != "passed"]
-        for m in MUTANTS:
+            problems += [f"unchanged: {i} {got.get(i, 'did not run')}"
+                         for i in (got if full else targets) if got.get(i) != "passed"]
+        for m in rows:
             copy = tmp / m.name
             shutil.copytree(clean, copy)
             path = copy / "qoesched" / m.module
@@ -283,18 +355,30 @@ def main() -> int:
                 problems.append(f"{m.name}: its old text occurs {n} times in {m.module}")
                 continue
             path.write_text(text.replace(m.old, m.new), encoding="utf-8")
-            got = outcomes(copy, list(m.tests), tmp)
+            got = outcomes(copy, targets if full else list(m.tests), tmp, *options)
             if got is None:
                 print(f"{m.name}: timed out")
                 problems.append(f"{m.name}: its tests outlasted {TIMEOUT_S} s")
+                continue
+            if full:
+                failed = [i for i, k in got.items() if k == "failed"]
+                print(f"{m.name}: " + (f"caught by {failed[0]}" if failed else "survives tier-1"))
+                if not failed:
+                    survivors.append(m.name)
                 continue
             caught = [i for i in m.tests if got.get(i) == "failed"]
             print(f"{m.name}: caught by {len(caught)} of {len(m.tests)} tests")
             problems += [f"{m.name}: {i} {got.get(i, 'did not run')}" for i in m.tests
                          if i not in caught]
+    if full:
+        print("\n".join(problems + [f"survivors: {', '.join(survivors) or 'none'}"]))
+        return 0
     print("\n".join(problems) or f"all {len(MUTANTS)} mutants caught")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--full", action="store_true",
+                        help="run the whole tier-1 suite per row and print the survivors")
+    sys.exit(main(parser.parse_args().full))

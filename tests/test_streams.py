@@ -1,13 +1,15 @@
 """BufferedStream and MoveStream must return exactly what a plain Generator returns.
 
-The stream replays numpy's Poisson multiplication sampler on buffered
-doubles, and ``poisson_random(lam)`` serves ``random(poisson(lam))``, a
-count's doubles, in one call. If a numpy release changes that sampler, or the
-way a block of doubles relates to scalar draws, these tests fail. The one
-call the stream does not serve, a Poisson ``lam`` outside ``[0, 10)`` while
-buffered doubles are pending, must raise the stream's own ``ValueError``. A
-move stream must serve the generator's doubles below ``walk_prob`` at their
-indices, drawing no double past its horizon.
+A traffic stream serves the engine's three calls and no other: ``random()``
+on a video flow's frame TTI, ``poisson_random(lam)`` on an FTP flow's arrival
+TTI and ``skip_zeros(lam, max_k)`` in its wake scan. It replays numpy's
+Poisson multiplication sampler on buffered doubles, and ``poisson_random(lam)``
+serves ``random(poisson(lam))``, a count's doubles, in one call. If a numpy
+release changes that sampler, or the way a block of doubles relates to scalar
+draws, these tests fail. The one call the stream does not serve, a Poisson
+``lam`` outside ``[0, 10)`` while buffered doubles are pending, must raise the
+stream's own ``ValueError``. A move stream must serve the generator's doubles
+below ``walk_prob`` at their indices, drawing no double past its horizon.
 """
 import math
 
@@ -18,27 +20,45 @@ from hypothesis import strategies as st
 
 from qoesched.streams import BLOCK, CHUNK, DRAW_MAX, BufferedStream, MoveStream
 
-# numpy's upper limit for lam: int64 max minus ten standard deviations.
-POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-
 
 def generator(seed: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(3, 0))
     return np.random.Generator(np.random.Philox(ss))
 
 
+def leading_zeros(gen, lam, max_k):
+    """Zero ``poisson(lam)`` draws from ``gen`` before its first non-zero, at most max_k.
+
+    The first non-zero draw is put back, so ``gen`` stands where the
+    stream should after ``skip_zeros``.
+    """
+    n = 0
+    while n < max_k:
+        state = gen.bit_generator.state
+        if gen.poisson(lam) != 0:
+            gen.bit_generator.state = state
+            break
+        n += 1
+    return n
+
+
 def call(rng, op):
-    """Apply one operation; a ValueError is returned as its message. A plain
-    generator serves ``poisson_random`` as ``random(poisson(lam))``."""
+    """Apply one operation; a ValueError is returned as its message.
+
+    A plain generator serves ``poisson_random`` as ``random(poisson(lam))``
+    and ``skip_zeros`` as its leading zero draws, which a ``lam`` of 10 or
+    more, sampled by rejection, does not scan: it skips none and draws nothing.
+    """
     kind, arg = op
     try:
+        if isinstance(rng, BufferedStream):
+            return rng.random() if kind == "random" else getattr(rng, kind)(*arg)
         if kind == "random":
             return rng.random()
-        if kind == "random_n":
-            return list(rng.random(arg))
-        if isinstance(rng, BufferedStream):
-            return rng.poisson_random(arg)
-        return rng.random(rng.poisson(arg)).tolist()
+        if kind == "poisson_random":
+            return rng.random(rng.poisson(*arg)).tolist()
+        lam, max_k = arg
+        return leading_zeros(rng, lam, max_k) if lam < 10.0 else 0
     except ValueError as e:
         return ("ValueError", str(e))
 
@@ -53,77 +73,83 @@ def replay(stream, gen, plain, sequence) -> bool:
     """
     for op in sequence:
         kind, arg = op
-        if (kind == "poisson_random" and not 0.0 <= arg < 10.0
+        if (kind == "poisson_random" and not 0.0 <= arg[0] < 10.0
                 and repr(gen.bit_generator.state) != repr(plain.bit_generator.state)):
             with pytest.raises(ValueError, match="after buffered draws"):
-                stream.poisson_random(arg)
+                stream.poisson_random(*arg)
             return False
         assert call(stream, op) == call(plain, op), op
     return True
 
 
-lams = st.one_of(
+def frames(k):
+    """``k`` ``random()`` calls: a video stream's frames, or the draws that put
+    an FTP stream's next call at any point of a block."""
+    return [("random", None)] * k
+
+
+def arrival(lam):
+    return ("poisson_random", (lam,))
+
+
+def scan(lam, max_k):
+    return ("skip_zeros", (lam, max_k))
+
+
+small_lams = st.one_of(
+    st.floats(min_value=1e-4, max_value=0.2),
     st.floats(min_value=0.0, max_value=10.0, exclude_min=True, exclude_max=True),
-    st.floats(min_value=9.0, max_value=11.0),
-    st.just(10.0),
+    st.floats(min_value=9.0, max_value=10.0, exclude_max=True),
     st.just(0.0),
-    st.floats(min_value=10.0, max_value=1e6),
-    st.floats(max_value=-1e-300, allow_infinity=True, allow_nan=False),
-    st.just(math.nan),
-    st.just(math.inf),
-    st.floats(min_value=POISSON_LAM_MAX * 1.01, max_value=1e300),
 )
-ops = st.one_of(
-    st.tuples(st.just("random"), st.none()),
-    st.tuples(st.just("random_n"), st.integers(min_value=0, max_value=3 * BLOCK + 5)),
-    st.tuples(st.just("poisson_random"), lams),
+large_lams = st.one_of(st.just(10.0), st.floats(min_value=10.0, max_value=11.0),
+                       st.floats(min_value=10.0, max_value=1e6))
+ftp_ops = st.one_of(
+    st.builds(arrival, small_lams | large_lams),
+    st.builds(scan, small_lams | large_lams, st.integers(min_value=1, max_value=2 * DRAW_MAX + BLOCK)),
 )
 
-# Downward crossings of lam = 10: mid-block, after direct draws, and at a
-# block edge, after exactly BLOCK buffered draws.
+
+def falls_through_ten_once(ops):
+    """The calls reordered so that every ``lam`` of 10 or more comes first: a
+    flow's ``lam`` falls through 10 at most once, as service adjustment lowers it."""
+    return sorted(ops, key=lambda op: op[1][0] < 10.0)
+
+
+# FTP calls after a lam of 10 or more: a run of them, a crossing to the
+# replay mid-block and at a block edge, after exactly BLOCK buffered draws
 CROSSINGS = [
-    ("poisson_random", 12.0), ("random_n", 5), ("poisson_random", 10.0), ("random", None),
-    ("poisson_random", 9.999999), ("random_n", 50), ("poisson_random", 0.7),
-    ("random_n", BLOCK), ("poisson_random", 2.0),
+    arrival(12.0), scan(40.0, 9), arrival(10.0), arrival(9.999999), scan(0.7, 3), arrival(0.7),
+    arrival(9.5), scan(0.0, 9), arrival(0.0), arrival(2.0),
 ]
-EDGE_CROSSING = [
-    ("random_n", BLOCK), ("poisson_random", 40.0), ("random_n", 3), ("poisson_random", 11.0),
-    ("poisson_random", 3.5), ("random_n", BLOCK - 1), ("poisson_random", 2.0),
-]
-OUT_OF_DOMAIN = [
-    ("poisson_random", -1.0), ("random", None), ("poisson_random", math.nan),
-    ("poisson_random", 1e19), ("poisson_random", 5.0), ("random", None),
-    ("poisson_random", math.inf),
-]
-ZERO_LAM = [
-    ("poisson_random", 0.0), ("poisson_random", 20.0), ("poisson_random", 0.0), ("random", None),
-    ("poisson_random", 0.0), ("poisson_random", 4.0), ("poisson_random", 0.0), ("random", None),
-]
+EDGE_CROSSING = frames(BLOCK) + [arrival(40.0), scan(11.0, 5), arrival(3.5), arrival(2.0)]
+ZERO_LAM = [arrival(20.0), arrival(0.0), scan(0.0, 7), arrival(4.0), arrival(0.0), scan(0.0, 3),
+            arrival(4.0)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       sequence=st.lists(ops, max_size=80))
-@example(seed=1, sequence=CROSSINGS)
-@example(seed=2, sequence=OUT_OF_DOMAIN)
-@example(seed=3, sequence=ZERO_LAM)
-@example(seed=5, sequence=[("random_n", 2 * BLOCK + 7), ("poisson_random", 0.5)] * 3)
-@example(seed=6, sequence=EDGE_CROSSING)
-# random(n) at block edges: ending exactly at BLOCK, a whole first block, and
-# two doubles across the edge; a negative n raises and leaves the stream put
-@example(seed=7, sequence=[("random_n", 10), ("random_n", BLOCK - 10), ("random", None)])
-@example(seed=8, sequence=[("random_n", BLOCK), ("random", None)])
-@example(seed=9, sequence=[("random_n", BLOCK - 1), ("random_n", 2), ("random", None)])
-@example(seed=10, sequence=[("random_n", BLOCK - 1), ("random_n", -1), ("random", None)])
+       video=st.integers(min_value=0, max_value=3 * BLOCK + 5),
+       ftp=st.lists(ftp_ops, max_size=40).map(falls_through_ten_once))
+@example(seed=1, video=0, ftp=CROSSINGS)
+@example(seed=3, video=0, ftp=ZERO_LAM)
+@example(seed=6, video=0, ftp=EDGE_CROSSING)
+@example(seed=5, video=2 * BLOCK + 7, ftp=[arrival(0.5), scan(0.5, 3), arrival(0.5)] * 3)
+# random() at a block edge: ending exactly on it, a whole block, one past it
+@example(seed=7, video=BLOCK, ftp=[])
+@example(seed=9, video=BLOCK + 1, ftp=[])
 # a count's doubles at block edges: across it, ending on it, all past it
 # after a count that ends on it, and a zero count on the block's last double
-@example(seed=1, sequence=[("random_n", BLOCK - 12), ("poisson_random", 9.5)])
-@example(seed=4, sequence=[("random_n", BLOCK - 7), ("poisson_random", 3.0)])
-@example(seed=9, sequence=[("random_n", BLOCK - 6), ("poisson_random", 3.0)])
-@example(seed=10, sequence=[("random_n", BLOCK - 1), ("poisson_random", 2.0)])
-def test_buffered_stream_matches_generator(seed, sequence):
+@example(seed=1, video=BLOCK - 12, ftp=[arrival(9.5)])
+@example(seed=4, video=BLOCK - 7, ftp=[arrival(3.0)])
+@example(seed=9, video=BLOCK - 6, ftp=[arrival(3.0)])
+@example(seed=10, video=BLOCK - 1, ftp=[arrival(2.0)])
+def test_buffered_stream_matches_generator(seed, video, ftp):
+    # the engine's call mix: a video stream's frames, an FTP stream's arrival
+    # TTIs and wake scans; one stream serves both here, the frames placing the
+    # FTP calls in the block
     gen = generator(seed)
-    replay(BufferedStream(gen), gen, generator(seed), sequence + [("random_n", 2 * BLOCK + 3)])
+    replay(BufferedStream(gen), gen, generator(seed), frames(video) + ftp + [arrival(9.5)] * 8)
 
 
 def count_and_doubles(plain, lam):
@@ -145,6 +171,12 @@ EDGES = {
     "on": lambda start, end: start < end == BLOCK,
     "past": lambda start, end: start == BLOCK < end,
 }
+# after a call: counts across the next block edges, and a wake scan
+FOLLOW_UP = [arrival(9.5)] * 6 + [scan(0.5, BLOCK), arrival(0.5)]
+
+
+def served_frames(stream, plain, k):
+    assert [stream.random() for _ in range(k)] == plain.random(k).tolist()
 
 
 @pytest.mark.parametrize("seed, prefix, lam, spill, edge", [
@@ -159,10 +191,9 @@ def test_count_doubles_at_block_edges(seed, prefix, lam, spill, edge):
     gen, plain = generator(seed), generator(seed)
     stream = BufferedStream(gen)
     if spill:
-        stream.random(BLOCK)
-        plain.random(BLOCK)
+        served_frames(stream, plain, BLOCK)
         assert stream.skip_zeros(5.0, 2 * DRAW_MAX) == leading_zeros(plain, 5.0, 1) == 0
-    assert stream.random(prefix) == plain.random(prefix).tolist()
+    served_frames(stream, plain, prefix)
     n, drawn = count_and_doubles(plain, lam)
     assert EDGES[edge](prefix + drawn, prefix + drawn + n)
     assert stream.poisson_random(lam) == plain.random(n).tolist()
@@ -170,16 +201,16 @@ def test_count_doubles_at_block_edges(seed, prefix, lam, spill, edge):
 
 
 @pytest.mark.parametrize("prefix, raises", [
-    ([("random", None)] * BLOCK, False),
-    ([("random", None)] * (BLOCK + 1), True),
-    ([("poisson_random", 3.5)], True),
-    ([("poisson_random", 15.0), ("random_n", BLOCK + 1)], False),
+    (frames(BLOCK), False),
+    (frames(BLOCK + 1), True),
+    ([arrival(3.5)], True),
+    ([arrival(15.0), scan(15.0, 9), arrival(40.0)], False),
 ], ids=["buffer-used-up", "draws-pending", "after-small-lam", "direct"])
 def test_lam_from_ten_on_raises_only_while_draws_are_pending(prefix, raises):
     # A flow whose lam stays at 10 or more draws its packet sizes straight
     # from the generator too, so its next lam finds nothing pending.
     gen = generator(14)
-    sequence = prefix + [("poisson_random", 15.0)]
+    sequence = prefix + [arrival(15.0)]
     assert replay(BufferedStream(gen), gen, generator(14), sequence) != raises
 
 
@@ -213,75 +244,37 @@ def test_buffer_is_created_on_first_draw():
     assert repr(gen.bit_generator.state) != state
 
 
-def leading_zeros(gen, lam, max_k):
-    """Zero ``poisson(lam)`` draws from ``gen`` before its first non-zero, at most max_k.
-
-    The first non-zero draw is put back, so ``gen`` stands where the
-    stream should after ``skip_zeros``.
-    """
-    n = 0
-    while n < max_k:
-        state = gen.bit_generator.state
-        if gen.poisson(lam) != 0:
-            gen.bit_generator.state = state
-            break
-        n += 1
-    return n
-
-
-small_lams = st.one_of(
-    st.floats(min_value=1e-4, max_value=0.2),
-    st.floats(min_value=0.0, max_value=10.0, exclude_min=True, exclude_max=True),
-    st.just(0.0),
-)
-FOLLOW_UP = [("random", None), ("random_n", BLOCK + 3), ("random", None)]
-
-
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       prefix=st.lists(ops, max_size=12),
+       prefix=st.integers(min_value=0, max_value=2 * BLOCK),
+       ftp=st.lists(ftp_ops, max_size=6).map(falls_through_ten_once),
        lam=small_lams,
        max_k=st.integers(min_value=0, max_value=2 * DRAW_MAX + BLOCK))
-@example(seed=6, prefix=[("random_n", BLOCK - 1)], lam=0.01, max_k=4 * BLOCK)
-@example(seed=7, prefix=[("random_n", BLOCK)], lam=0.01, max_k=BLOCK)
-@example(seed=8, prefix=[("poisson_random", 15.0), ("random", None)], lam=0.02, max_k=200)
-@example(seed=9, prefix=[("poisson_random", 25.0)], lam=0.3, max_k=50)
-@example(seed=10, prefix=[("random", None)], lam=0.01, max_k=0)
-@example(seed=11, prefix=[("poisson_random", 15.0)], lam=0.01, max_k=0)
-@example(seed=12, prefix=[], lam=0.0, max_k=9)
+@example(seed=6, prefix=BLOCK - 1, ftp=[], lam=0.01, max_k=4 * BLOCK)
+@example(seed=7, prefix=BLOCK, ftp=[], lam=0.01, max_k=BLOCK)
+@example(seed=8, prefix=0, ftp=[arrival(15.0), scan(15.0, 4)], lam=0.02, max_k=200)
+@example(seed=9, prefix=0, ftp=[arrival(25.0)], lam=0.3, max_k=50)
+@example(seed=10, prefix=1, ftp=[], lam=0.01, max_k=0)
+@example(seed=11, prefix=0, ftp=[arrival(15.0)], lam=0.01, max_k=0)
+@example(seed=12, prefix=0, ftp=[], lam=0.0, max_k=9)
 # a count and its doubles served from the spill of a scan that skipped none
-@example(seed=2, prefix=[("random_n", BLOCK)], lam=9.5, max_k=2 * DRAW_MAX)
+@example(seed=2, prefix=BLOCK, ftp=[], lam=9.5, max_k=2 * DRAW_MAX)
 # past the block: the first non-zero in the scan's second draw, on the first
 # double of a draw (the first and the second), and no non-zero up to the
 # horizon, which the second draw ends at
-@example(seed=8, prefix=[("random_n", BLOCK - 1)], lam=0.002, max_k=3 * DRAW_MAX)
-@example(seed=0, prefix=[("random_n", BLOCK)], lam=5.0, max_k=2 * DRAW_MAX)
-@example(seed=873, prefix=[("random_n", BLOCK)], lam=0.003, max_k=3 * DRAW_MAX)
-@example(seed=2, prefix=[("random_n", 10)], lam=1e-4, max_k=DRAW_MAX + 200)
-def test_skip_zeros_matches_leading_zero_draws(seed, prefix, lam, max_k):
+@example(seed=8, prefix=BLOCK - 1, ftp=[], lam=0.002, max_k=3 * DRAW_MAX)
+@example(seed=0, prefix=BLOCK, ftp=[], lam=5.0, max_k=2 * DRAW_MAX)
+@example(seed=873, prefix=BLOCK, ftp=[], lam=0.003, max_k=3 * DRAW_MAX)
+@example(seed=2, prefix=10, ftp=[], lam=1e-4, max_k=DRAW_MAX + 200)
+def test_skip_zeros_matches_leading_zero_draws(seed, prefix, ftp, lam, max_k):
     gen = generator(seed)
     plain = generator(seed)
     buffered = BufferedStream(gen)
-    if not replay(buffered, gen, plain, prefix):
+    if not replay(buffered, gen, plain, frames(prefix) + ftp):
         return
     assert buffered.skip_zeros(lam, max_k) == leading_zeros(plain, lam, max_k)
-    for op in [("poisson_random", lam)] + FOLLOW_UP + [("poisson_random", lam)] + FOLLOW_UP:
+    for op in [arrival(lam)] + FOLLOW_UP + [arrival(lam)] + FOLLOW_UP:
         assert call(buffered, op) == call(plain, op), op
-
-
-@pytest.mark.parametrize("prefix", [[], [("random_n", 3)], [("random_n", BLOCK)],
-                                    [("poisson_random", 15.0)]],
-                         ids=["fresh", "mid-block", "block-end", "direct"])
-def test_negative_size_raises_like_numpy_and_draws_nothing(prefix):
-    gen, plain = generator(15), generator(15)
-    stream = BufferedStream(gen)
-    replay(stream, gen, plain, prefix)
-    with pytest.raises(ValueError) as expected:
-        plain.random(-1)
-    with pytest.raises(ValueError) as got:
-        stream.random(-1)
-    assert str(got.value) == str(expected.value)
-    replay(stream, gen, plain, FOLLOW_UP)
 
 
 @pytest.mark.parametrize("lam", [10.0, 40.0])
@@ -289,8 +282,7 @@ def test_skip_zeros_skips_nothing_from_ten_on(lam):
     plain = generator(13)
     buffered = BufferedStream(generator(13))
     assert buffered.skip_zeros(lam, 100) == 0
-    for op in [("poisson_random", lam), ("random", None), ("poisson_random", 0.5),
-               ("random_n", BLOCK)]:
+    for op in [arrival(lam), scan(lam, 100), arrival(lam), arrival(0.5), scan(0.5, BLOCK)]:
         assert call(buffered, op) == call(plain, op), op
 
 
@@ -321,7 +313,8 @@ def test_skip_zeros_examples_take_their_path(seed, prefix, lam, max_k, skipped, 
     # the examples above scan the rest of the block, then the draws named here
     gen = CountingGenerator(generator(seed))
     stream = BufferedStream(gen)
-    stream.random(prefix)
+    for _ in range(prefix):
+        stream.random()
     assert gen.draws == [BLOCK]
     assert stream.skip_zeros(lam, max_k) == skipped
     assert gen.draws[1:] == draws
@@ -342,7 +335,8 @@ def test_lam_from_ten_on_raises_after_a_spill():
     # the doubles a scan drew past the block are pending like a block's
     gen = generator(0)
     stream = BufferedStream(gen)
-    stream.random(BLOCK)
+    for _ in range(BLOCK):
+        stream.random()
     assert stream.skip_zeros(5.0, 2 * DRAW_MAX) == 0
     with pytest.raises(ValueError, match="after buffered draws"):
         stream.poisson_random(15.0)
