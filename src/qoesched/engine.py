@@ -5,21 +5,20 @@ function of (scenario, seed). Each (ue, purpose) pair gets its own
 counter-based RNG substream (``streams.substream``) so changing one flow's
 parameters never perturbs another flow's arrival sequence.
 
-Substreams are consumed in blocks and chunks: a traffic stream
-(``streams.BufferedStream``) draws its doubles ``BLOCK`` at a time and serves
-from the buffer an FTP arrival TTI's Poisson count and its packet uniforms in
-one call, a video frame's uniform and a wake scan's zero samples; a CQI
-stream (``streams.MoveStream``) draws its doubles in numpy chunks and keeps
-only the walk's moves, the doubles below ``walk_prob`` with their TTIs. The
-sequence of values is identical to scalar ``Generator`` calls, so outputs do
-not depend on the block or chunk size. Small-``lam`` Poisson samples are
-replayed from the buffered doubles with numpy's multiplication sampler;
-that replay depends on numpy's sampler and is guarded by the stream
-equivalence test in ``tests/test_streams.py``.
+A UE's traffic is its arrival source (``traffic.ArrivalSource``), which owns
+the UE's traffic substream and names the next TTI whose arrivals are not
+known to be empty, ``src.next_tti``. The engine pops it with
+``traffic.arrivals`` on exactly that TTI and draws no traffic itself; how
+the substream is consumed is the source's business. A CQI stream
+(``streams.MoveStream``) draws its doubles in numpy chunks and keeps only
+the walk's moves, the doubles below ``walk_prob`` with their TTIs. Both
+serve the values scalar ``Generator`` calls give, so outputs do not depend
+on any block or chunk size.
 
 Per-TTI event order is fixed:
-  1. generate arrivals and enqueue them in one call: the TTI's packet sizes
-     share its arrival TTI and the deadline ``tti + beta_ms``
+  1. on the TTI its source names, pop the UE's arrivals and enqueue them in
+     one call: the packet sizes share their arrival TTI and the deadline
+     ``tti + beta_ms``
   2. expire past-deadline batches from the queue head
   3. step CQI by the scenario's ``walk_prob``, on the TTIs its stream moves
      it; a rate is read from the cell's rate table, which ``rate_of`` fills
@@ -52,27 +51,28 @@ record, where the trace reads it. A TTI without inputs is idle and does not
 reach ``select``. Steps 7 and 8 touch one UE each too, so after the drain
 and the winner's grant one closing pass walks the due UEs: per UE, the
 served-rate EMA under PF and M-LWDF, the adjustment trigger if the UE is
-adaptive with queued bits, and sleep if it has no queued bits and a wake TTI
-after the next. Adjustment events thus keep the order of ``ues`` within a
-TTI. Under BCQQ and RR each record's EMA stays at the floor it starts at.
+adaptive with queued bits, and sleep if it has no queued bits and its
+source's ``next_tti`` lies after the next TTI. Adjustment events thus keep
+the order of ``ues`` within a TTI. Under BCQQ and RR each record's EMA stays
+at the floor it starts at.
 
-Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI
-``next_arrival_tti`` has come or when it has queued bits. The step walks only
-the due UEs, kept in the order of ``ues``; the sleepers wait in a wake
+Idle UEs sleep. A UE is due on a TTI, and processed, when its wake TTI, its
+source's ``next_tti``, has come or when it has queued bits. The step walks
+only the due UEs, kept in the order of ``ues``; the sleepers wait in a wake
 calendar (R. Brown, "Calendar queues", CACM 31(10), 1988), a dict from wake
 TTI to the UEs asleep until then. A due UE falls asleep in the closing pass;
 one whose wake TTI is at or past the run's end enters no bucket. A bucket
 wakes its UEs on its TTI, merged into the due UEs in the order of ``ues``.
 The closing pass lists the next TTI's due UEs as it walks this TTI's, so a
 cell whose UEs are all due pays one list append per UE and TTI for the
-calendar. In a TTI it sleeps through, a UE has no arrival, no queued bits and
-no grant, so what remains depends only on its own substreams and state, and
-is caught up exactly and lazily when the UE is next processed, by the trace
-and at the end of ``run``: the CQI walk's moves in the slept TTIs, taken
-from its CQI stream in one ``cqi_step`` call, where q is kept its q fed into
-the feedback pipe once per TTI, and under PF and M-LWDF one served-rate
-decay per TTI, multiplied out in order because ``decay**k`` is not the same
-float.
+calendar. A TTI a UE sleeps through lies before its wake TTI, so it has no
+arrival there, and no queued bits and no grant. What remains depends only
+on its own substreams and state, and is caught up exactly and lazily when
+the UE is next processed, by the trace and at the end of ``run``: the CQI
+walk's moves in the slept TTIs, taken from its CQI stream in one
+``cqi_step`` call, where q is kept its q fed into the feedback pipe once per
+TTI, and under PF and M-LWDF one served-rate decay per TTI, multiplied out
+in order because ``decay**k`` is not the same float.
 ``synced_tti`` marks the first TTI not yet applied. A sleeper's q moves only
 at a window close, so a close catches no UE up: a UE asleep through one
 keeps its ``q_now`` of before the first close it sleeps through, with that
@@ -83,22 +83,11 @@ keeps q under every policy, which only BCQQ's decisions read, so it changes
 no decision. Its drop columns are the changes in the buffer's drop
 totals since its last row.
 
-Two invariants keep the skipping exact:
+The service adjustment replaces the source's ``spec`` and leaves its
+``next_tti`` as it is: the source stays exact under a load that never rises
+(see ``ArrivalSource``).
 
-* The traffic substream has been consumed for exactly the TTIs before the
-  wake TTI, and ``arrivals`` is called on every processed TTI from the wake
-  TTI on. An ``arrivals`` call that returns no packets re-arms the wake TTI
-  with ``traffic.next_arrival_tti``, which consumes the draws of the TTIs it
-  skips. A call that returns packets leaves the UE due on the next TTI, so a
-  flow with arrivals in most TTIs never scans.
-* Loads never rise under service adjustment (``factor <= 1``). A lower
-  ``lam`` raises ``exp(-lam)``, so TTIs skipped under the old load stay
-  arrival-free, and an adjusted UE's scan resumes from its pending wake TTI
-  with the new ``lam``. ``BufferedStream`` relies on the rule too: a
-  traffic stream that went to blocks at ``lam < 10`` raises if its ``lam``
-  rises back to 10 while buffered doubles are pending.
-
-``step(tti)`` therefore takes ``tti = 0, 1, 2, ..., duration_tti - 1`` in
+``step(tti)`` takes ``tti = 0, 1, 2, ..., duration_tti - 1`` in
 order, as ``run`` does, and raises on any other. Between steps, a buffer
 changes only through ``Simulation.buffer(ue_id)``, which first catches the UE
 up through the last stepped TTI and wakes it: it leaves its calendar bucket
@@ -135,7 +124,7 @@ from .scheduler import (
     select,
 )
 from .streams import BufferedStream, MoveStream, substream
-from .traffic import FlowSpec, apply_adjustment, arrivals, check_types, next_arrival_tti
+from .traffic import ArrivalSource, FlowSpec, apply_adjustment, arrivals, check_types
 
 # Default CQI stagger applied cyclically when a scenario gives no initial CQIs.
 DEFAULT_CQI_PATTERN = (13, 11, 9, 11, 13)
@@ -217,26 +206,23 @@ class Scenario:
 
 class UeState:
     """One UE's run state. ``flow`` is the flow as the scenario configured it,
-    ``spec`` the flow as adjusted so far, ``sched`` the UE's scheduling record:
-    the one account of its QoS weight, served-rate EMA and last grant."""
+    ``src`` the UE's arrival source, which holds the flow as adjusted so far,
+    ``sched`` the UE's scheduling record: the one account of its QoS weight,
+    served-rate EMA and last grant."""
 
     def __init__(self, index: int, flow: FlowSpec, buffer: UeBuffer, cqi: int,
-                 traffic_rng: BufferedStream, cqi_rng: MoveStream, q_pipe: deque[float],
+                 src: ArrivalSource, cqi_rng: MoveStream, q_pipe: deque[float],
                  sched: UeSchedInput):
         self.index = index  # position in Simulation.ues, the order of the due UEs
-        self.flow = self.spec = flow
+        self.flow = flow
         self.buffer = buffer
         self.cqi = cqi
-        self.traffic_rng = traffic_rng
+        self.src = src
         self.cqi_rng = cqi_rng
         # q feedback pipeline: index 0 is the value the scheduler sees now.
         self.q_pipe = q_pipe
         self.sched = sched
         self.last_adjust_tti: int | None = None
-        # wake TTI: the traffic stream is consumed for exactly the TTIs before
-        # it, which have no arrivals; arrivals() runs on every TTI from it on
-        # that the UE is processed
-        self.next_arrival_tti = 0
         # first TTI whose CQI step, q feedback and EMA decay are not yet applied
         self.synced_tti = 0
         # q_of(buffer, q_max), recomputed when the buffer's totals or marks move
@@ -245,7 +231,7 @@ class UeState:
         # if any, and its q_now before that close
         self.close_tti: int | None = None
         self.close_q = 1.0
-        # not due until the wake TTI: in the wake calendar, or past the run's end
+        # not due until src.next_tti: in the wake calendar, or past the run's end
         self.asleep = False
         self.sched_count = 0
         # the buffer's drop totals at the UE's last trace row, kept by _trace
@@ -322,8 +308,9 @@ class Simulation:
                 flow=flow,
                 buffer=UeBuffer(scenario.buffersize_bits),
                 cqi=cqi0,
-                traffic_rng=BufferedStream(
-                    substream(self.scenario.seed, flow.ue_id, _PURPOSE_TRAFFIC)),
+                src=ArrivalSource(
+                    flow, BufferedStream(substream(self.scenario.seed, flow.ue_id,
+                                                   _PURPOSE_TRAFFIC)), scenario.duration_tti),
                 cqi_rng=MoveStream(substream(self.scenario.seed, flow.ue_id, _PURPOSE_CQI),
                                    scenario.walk_prob, scenario.duration_tti),
                 q_pipe=deque([1.0] * (delay + 1), maxlen=delay + 1),
@@ -335,12 +322,12 @@ class Simulation:
             )
             for i, (flow, cqi0) in enumerate(zip(scenario.flows, init_cqis, strict=True))
         ]
-        self._ue_by_id = {u.spec.ue_id: u for u in self.ues}
+        self._ue_by_id = {u.flow.ue_id: u for u in self.ues}
         # CQI -> rate, the index being the CQI: rate_of once per CQI, not per use
         self._rates = [None] * CQI_MIN + [rate_of(c, scenario.peak_rate_bps)
                                           for c in range(CQI_MIN, CQI_MAX + 1)]
 
-        self.window = MetricsWindow({u.spec.ue_id: u.buffer for u in self.ues})
+        self.window = MetricsWindow({u.flow.ue_id: u.buffer for u in self.ues})
         self.adjustment_events: list[AdjustmentEvent] = []
         self.trace_rows: list[tuple] | None = [] if collect_trace else None
         # q is kept only where read: by BCQQ's priority and by the trace
@@ -356,7 +343,7 @@ class Simulation:
 
     def step(self, tti: int) -> SchedDecision:
         # Sleepers are caught up by TTI count, so no TTI may be skipped or
-        # repeated; the wake scan and the feedback pipe end with the run.
+        # repeated; the arrival sources and the feedback pipe end with the run.
         sc = self.scenario
         if tti != self._next_tti or tti >= sc.duration_tti:
             raise ValueError(f"step({tti}): TTIs run in order from 0 to "
@@ -385,17 +372,14 @@ class Simulation:
             if tti > u.synced_tti:
                 self._catch_up(u, tti)
             u.synced_tti = tti + 1
-            spec = u.spec
             buf = u.buffer
 
-            # 1. arrivals; a TTI without any re-arms the wake TTI
-            if tti >= u.next_arrival_tti:
-                sizes = arrivals(spec, tti, u.traffic_rng)
-                if not sizes:
-                    u.next_arrival_tti = next_arrival_tti(spec, tti + 1, u.traffic_rng,
-                                                          sc.duration_tti)
-                else:
-                    buf.enqueue(sizes, tti, tti + spec.beta_ms)
+            # 1. arrivals, popped on the TTIs the UE's source names
+            src = u.src
+            if tti == src.next_tti:
+                sizes = arrivals(src)
+                if sizes:
+                    buf.enqueue(sizes, tti, tti + u.flow.beta_ms)
                     if keep_q:
                         u.q_now = q_of(buf, q_max)
 
@@ -452,13 +436,13 @@ class Simulation:
                     avg = avg + EMA_GAIN * (tx / TTI_SECONDS)
                 s.avg_rate_bps = AVG_RATE_FLOOR if avg < AVG_RATE_FLOOR else avg
             if u.buffer.occupied_bits:
-                if adjust and u.spec.adaptive:
+                if adjust and u.flow.adaptive:
                     self._adjustment_check(tti, u)
-            elif u.next_arrival_tti > tti + 1:
+            elif (wake := u.src.next_tti) > tti + 1:
                 # a wake TTI at or past the run's end enters no bucket
                 u.asleep = True
-                if u.next_arrival_tti < sc.duration_tti:
-                    self._calendar.setdefault(u.next_arrival_tti, []).append(u)
+                if wake < sc.duration_tti:
+                    self._calendar.setdefault(wake, []).append(u)
                 continue
             awake.append(u)
         self._due = awake
@@ -495,7 +479,7 @@ class Simulation:
             u.traced_deadline_bits = buf.dropped_deadline_bits
             u.traced_overflow_bits = buf.dropped_overflow_bits
             self.trace_rows.append((  # output.TRACE_COLUMNS
-                tti, u.spec.ue_id, u.cqi, rates[u.cqi], buf.occupied_bits, u.q_pipe[0],
+                tti, u.flow.ue_id, u.cqi, rates[u.cqi], buf.occupied_bits, u.q_pipe[0],
                 priority, 1 if u is winner else None, tx if u is winner else 0,
                 deadline, overflow,
             ))
@@ -513,8 +497,8 @@ class Simulation:
         self._opened.append(u)
         if u.asleep:
             # processing a sleeper's TTI is the same as catching it up by one
-            if u.next_arrival_tti < self.scenario.duration_tti:
-                self._calendar[u.next_arrival_tti].remove(u)
+            if u.src.next_tti < self.scenario.duration_tti:
+                self._calendar[u.src.next_tti].remove(u)
             u.asleep = False
             self._due = sorted([*self._due, u], key=_INDEX)
         return u.buffer
@@ -556,21 +540,18 @@ class Simulation:
             return
         if u.last_adjust_tti is not None and tti - u.last_adjust_tti < sc.starvation_tti:
             return
-        old_load = u.spec.offered_load_bps
-        u.spec = apply_adjustment(u.spec, sc.adjustment_factor, u.flow.offered_load_bps)
+        src = u.src
+        old_load = src.spec.offered_load_bps
+        src.spec = apply_adjustment(src.spec, sc.adjustment_factor, u.flow.offered_load_bps)
         u.last_adjust_tti = tti
-        # The load did not rise, so the TTIs already skipped stay
-        # arrival-free; scan on from the pending wake TTI with the new lam.
-        u.next_arrival_tti = next_arrival_tti(u.spec, max(u.next_arrival_tti, tti + 1),
-                                              u.traffic_rng, sc.duration_tti)
         self.adjustment_events.append(
             AdjustmentEvent(
                 tti=tti,
-                ue_id=u.spec.ue_id,
+                ue_id=u.flow.ue_id,
                 occupancy_ratio=ratio,
                 starved_tti=starved,
                 old_load_bps=old_load,
-                new_load_bps=u.spec.offered_load_bps,
+                new_load_bps=src.spec.offered_load_bps,
             )
         )
 
@@ -609,8 +590,8 @@ class Simulation:
             dropped = b.dropped_overflow_bits + b.dropped_deadline_bits
             per_ue.append(
                 UeReport(
-                    ue_id=u.spec.ue_id,
-                    traffic_class=u.spec.traffic_class.value,
+                    ue_id=u.flow.ue_id,
+                    traffic_class=u.flow.traffic_class.value,
                     arrived_bits=b.arrived_bits,
                     delivered_bits=b.delivered_bits,
                     dropped_overflow_bits=b.dropped_overflow_bits,

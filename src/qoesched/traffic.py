@@ -1,4 +1,4 @@
-"""Arrivals, wake TTIs and load adjustment of FTP-download and live-HD-video flows.
+"""Arrival sources and load adjustment of FTP-download and live-HD-video flows.
 
 Two traffic classes are supported:
 
@@ -6,15 +6,26 @@ Two traffic classes are supported:
 * Live HD video: one frame every ``frame_interval_ms`` TTIs, frame size
   exponential and clipped at ``max_packet_bits``.
 
-``arrivals(spec, tti, rng)`` is the one generator, pure in its arguments; its
-branch on the class is the only class test, as ``FlowSpec`` validated each
-class's fields. The branch picks only a TTI's uniforms and their mean: an FTP
-flow's from one stream call, ``rng.poisson_random(lam)``, a video flow's one
-double on a frame TTI. One rule then turns either into sizes, the
-inverse-CDF exponential rounded to a positive bit count, and a video frame is
-clipped. Each flow owns its RNG substream, so flows never perturb each
-other. The packets of one call arrive at ``tti`` and share one deadline,
-``tti + spec.beta_ms``: the caller stamps them once (``UeBuffer.enqueue``).
+A UE's traffic is one ``ArrivalSource``: the flow as adjusted so far, the
+UE's RNG substream, the run's end and ``next_tti``, the first TTI whose
+arrivals are not known to be empty. ``arrivals(src)`` pops it: it returns the
+sizes at ``next_tti`` and moves ``next_tti`` on. Only the pop consumes the
+substream, TTI by TTI in order, so a UE's arrivals depend on its seed,
+``ue_id`` and load history alone, not on when the caller pops. Its branch on
+the class is the only class test, as ``FlowSpec`` validated each class's
+fields. The branch picks only a TTI's uniforms, their mean and the next TTI:
+
+* FTP: one stream call, ``poisson_random(lam)``, gives the TTI's packet
+  uniforms. After a TTI with arrivals the next TTI is the one after it;
+  after an empty one, ``skip_zeros`` consumes the zero TTIs that follow, one
+  double ``u <= exp(-lam)`` each, up to the run's end.
+* Video: one double per frame; the next frame is ``frame_interval_ms`` on.
+
+One rule then turns the uniforms into sizes, the inverse-CDF exponential
+rounded to a positive bit count, and a video frame is clipped. Each flow
+owns its RNG substream, so flows never perturb each other. The packets of
+one pop arrive at the TTI popped and share one deadline, ``tti + beta_ms``:
+the caller stamps them once (``UeBuffer.enqueue``).
 """
 from __future__ import annotations
 
@@ -120,20 +131,56 @@ def ftp_lam(spec: FlowSpec) -> float:
     return spec.offered_load_bps / (spec.mean_packet_bits * TTIS_PER_SECOND)
 
 
-def arrivals(spec: FlowSpec, tti: int, rng: BufferedStream) -> list[int]:
-    """Sizes, in bits, of the flow's packets that arrive at ``tti``.
+class ArrivalSource:
+    """A UE's arrivals, popped by ``arrivals`` in TTI order.
+
+    ``spec`` is the flow as adjusted so far, ``stream`` the UE's traffic
+    substream, ``end_tti`` the run's end and ``next_tti`` the first TTI whose
+    arrivals are not known to be empty: the stream is consumed for exactly
+    the TTIs before it. A video flow's ``next_tti`` may lie past the end.
+
+    Between pops ``spec`` may be replaced by ``apply_adjustment``, and loads
+    never rise under it (``factor <= 1``). A lower ``lam`` raises
+    ``exp(-lam)``, so the TTIs skipped under the old load stay arrival-free,
+    and the pending ``next_tti`` is popped under the new ``lam``: a zero
+    there pops ``[]`` and scans on, and a zero TTI uses one double either
+    way. ``BufferedStream`` relies on the rule too: a stream that went to
+    blocks at ``lam < 10`` raises if its ``lam`` rises back to 10 while
+    buffered doubles are pending.
+    """
+
+    __slots__ = ("spec", "stream", "end_tti", "next_tti")
+
+    def __init__(self, spec: FlowSpec, stream: BufferedStream, end_tti: int):
+        self.spec = spec
+        self.stream = stream
+        self.end_tti = end_tti
+        self.next_tti = 0
+
+
+def arrivals(src: ArrivalSource) -> list[int]:
+    """Sizes, in bits, of the flow's packets that arrive at ``src.next_tti``,
+    which moves on to the next TTI whose arrivals are not known to be empty.
 
     FTP: Poisson arrivals at offered_load/mean_packet_bits per second. Video:
     one frame every frame_interval_ms TTIs, size clipped at max_packet_bits.
     """
+    spec = src.spec
+    stream = src.stream
     if spec.traffic_class is _FTP:
-        us = rng.poisson_random(ftp_lam(spec))
+        lam = ftp_lam(spec)
+        us = stream.poisson_random(lam)
+        after = src.next_tti + 1
+        if not us:
+            # past the zero TTIs after an empty one, up to the run's end
+            src.next_tti = after + stream.skip_zeros(lam, src.end_tti - after)
+            return us
+        src.next_tti = after
         mean_bits = spec.mean_packet_bits
         cap = None
-    elif tti % spec.frame_interval_ms:
-        return []
     else:
-        us = [rng.random()]
+        src.next_tti += spec.frame_interval_ms
+        us = [stream.random()]
         mean_bits = spec.offered_load_bps * spec.frame_interval_ms / TTIS_PER_SECOND
         cap = spec.max_packet_bits
     # For u in [0, 1) and a positive mean the rounded value is never negative,
@@ -143,16 +190,6 @@ def arrivals(spec: FlowSpec, tti: int, rng: BufferedStream) -> list[int]:
     if cap is not None and sizes[0] > cap:
         sizes[0] = cap
     return sizes
-
-
-def next_arrival_tti(spec: FlowSpec, tti: int, rng: BufferedStream, end_tti: int) -> int:
-    """First TTI from ``tti`` on whose arrivals are not known to be empty, with
-    ``rng`` consumed for the TTIs skipped: FTP at ``lam < 10`` draws one double
-    ``u <= exp(-lam)`` per empty TTI (``rng.skip_zeros``, up to ``end_tti``),
-    FTP at ``lam >= 10`` skips none, video draws nothing until its next frame."""
-    if spec.traffic_class is _FTP:
-        return tti + rng.skip_zeros(ftp_lam(spec), end_tti - tti)
-    return -(-tti // spec.frame_interval_ms) * spec.frame_interval_ms
 
 
 def apply_adjustment(spec: FlowSpec, factor: float, configured_load_bps: float) -> FlowSpec:

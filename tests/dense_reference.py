@@ -4,9 +4,10 @@
 steps the CQI, feeds q into the feedback pipe and decays the served-rate EMA
 for each UE in each TTI, and draws from plain ``Generator`` substreams with
 scalar calls. Its arrivals are ``scalar_arrivals``, written here from the
-traffic law and not from ``traffic.arrivals``, so the A/B check does not run
-the traffic code it checks. Its ``step``, ``_adjustment_check``, ``_close_window`` and
-``run`` are the engine's loop as it stood before idle UEs could sleep,
+traffic law and not from ``traffic.arrivals``, on its own ``u.spec``, the
+flow as adjusted so far, so the A/B check does not run the traffic code it
+checks: the UE's arrival source is dropped unused. Its ``step``,
+``_adjustment_check``, ``_close_window`` and ``run`` are the engine's loop as it stood before idle UEs could sleep,
 changed since only where the buffer, window, channel, scheduler and trace
 interfaces changed (one ``enqueue`` call per TTI's packets, an ``expire``
 call on every TTI, window volumes and delivery delays kept by the buffer, an
@@ -86,8 +87,10 @@ class DenseSimulation(Simulation):
         super().__init__(*args, **kwargs)
         seed = self.scenario.seed
         for u in self.ues:
-            u.traffic_rng = scalar_substream(seed, u.spec.ue_id, engine._PURPOSE_TRAFFIC)
-            u.cqi_rng = scalar_substream(seed, u.spec.ue_id, engine._PURPOSE_CQI)
+            u.src = None
+            u.spec = u.flow
+            u.traffic_rng = scalar_substream(seed, u.flow.ue_id, engine._PURPOSE_TRAFFIC)
+            u.cqi_rng = scalar_substream(seed, u.flow.ue_id, engine._PURPOSE_CQI)
 
     def step(self, tti: int) -> SchedDecision:
         sc = self.scenario

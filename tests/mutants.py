@@ -16,12 +16,14 @@ directory, so hypothesis keeps the mutants' failing examples there, and under
 the ``mutants`` hypothesis profile of ``tests/conftest.py``, which does not
 shrink them: a property that fails is reported as soon as it fails.
 
-``python tests/mutants.py --full`` runs the whole tier-1 suite per row
-instead, under the same profile and stopped at the row's first failing test,
-and prints each row's first failing test and then the survivors, the rows no
-tier-1 test catches. It runs the rows of ``SURVIVORS`` too, the mutants that
-tier-1 is known to miss, each with the reason it is left. It gates nothing and
-takes up to the suite's time per row.
+``python tests/mutants.py --full`` runs each row's named tests first, as
+the table does, and then the whole tier-1 suite, under the same profile,
+stopped at the row's first failing test and killed after ``FULL_CAP`` times
+the unchanged suite's time. It prints each row's first failing test, or the
+first of its named tests that failed when the suite run was killed, and then
+the survivors, the rows no tier-1 test catches. It runs the rows of
+``SURVIVORS`` too, the mutants that tier-1 is known to miss, each with the
+reason it is left. It gates nothing and takes up to the suite's time per row.
 
 A change that moves or rewrites a row's old text updates the row with it, so
 the table describes the code as it stands. A mutant that only keeps a UE due
@@ -36,6 +38,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import NamedTuple
@@ -45,6 +48,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # Seconds one run of pytest may take, the unchanged run of every named test
 # included; each takes well under a minute.
 TIMEOUT_S = 300
+
+# --full kills a row's whole-suite run after this many times the unchanged
+# suite's time: a mutant that loops forever in a simulation then costs a few
+# suite runs, and its named tests, run first, have already caught it.
+FULL_CAP = 3
 
 
 class Mutant(NamedTuple):
@@ -76,6 +84,38 @@ OUTSIDE_OVERFLOW = TRACE + "test_overflow_of_an_outside_enqueue_shows_in_the_nex
 JSON = "tests/test_output_cli.py::TestJsonWriter::"
 DIGESTS = tuple(f"tests/test_reference_digests.py::test_outputs_match_the_reference_digests[{w}-{s}]"
                 for w in ("dense_cell", "flood_traced", "table1_sweep") for s in ("full", "smoke"))
+# What every wrong TTI of an arrival source fails, FTP or video: the source's
+# property, the dense-loop comparisons of cells with both classes and the
+# digests of the workloads with both.
+FTRAFFIC = "tests/test_traffic.py::"
+SOURCE = (
+    FTRAFFIC + "TestArrivalSource::test_pops_the_scalar_arrivals_under_falling_loads",
+    *(f"tests/test_engine.py::TestDifferentialFuzz::test_{t}"
+      for t in ("plain_cells", "outside_enqueues", "outside_drains")),
+    *(REF + f"test_catch_up_spans_cross_cqi_chunks[{p}]" for p in ("BCQQ", "PF")),
+    REF + "test_door_wakes_a_sleeper_from_the_calendar", REF + "test_idle_cell",
+    *(REF + f"test_light_cell_scans_past_a_draw_to_the_end_of_the_run[{c}]"
+      for c in ("BCQQ-True", "PF-False")),
+    *(REF + f"test_light_cell_sleeps_across_windows[{p}{t}]"
+      for p in ("BCQQ", "MLWDF", "PF", "RR") for t in ("", "-traced")),
+    *(REF + f"test_mixed_traffic_with_feedback_delay[{p}]" for p in ("BCQQ", "MLWDF", "PF", "RR")),
+    *(REF + f"test_outside_bits_reach_q_as_in_the_dense_loop[{c}]"
+      for c in ("0", "2", "5", "drain-3", "drain-5", "drain-11")),
+    REF + "test_packet_enqueued_into_a_sleeping_ue",
+    REF + "test_packet_enqueued_into_a_sleeping_ue_traced",
+    *(SLEPT_CLOSE + f"[{p}-{d}]" for p in ("BCQQ", "PF") for d in (1, 7)),
+    *(d for d in DIGESTS if "dense_cell-full" in d or "table1_sweep" in d),
+)
+# What a wrong TTI after an FTP pop fails besides: the adaptive cells, the
+# smoke digest of the light cell and the long-run FTP rate.
+FTP_POP = (
+    "tests/test_engine.py::TestReportFigures::test_loss_rate_counts_overflow_and_deadline_drops",
+    REF + "test_adjustment_moves_lam_below_ten",
+    REF + "test_adjustment_pops_an_empty_pending_tti_and_scans_on", ORDER,
+    REF + "test_non_monotone_deadlines",
+    DIGESTS[1],  # dense_cell-smoke
+    FTRAFFIC + "TestLongRunRate::test_ftp_rate_converges_to_offered_load",
+)
 
 MUTANTS = (
     # _catch_up floors the rate with the same text, so the row takes the
@@ -101,8 +141,8 @@ MUTANTS = (
            (REF + "test_mixed_traffic_with_feedback_delay[RR]",
             "tests/test_engine.py::TestDifferentialFuzz::test_plain_cells")),
     Mutant("queued_ue_sleeps", "engine.py",
-           "            elif u.next_arrival_tti > tti + 1:\n",
-           "            if u.next_arrival_tti > tti + 1:\n",
+           "            elif (wake := u.src.next_tti) > tti + 1:\n",
+           "            if (wake := u.src.next_tti) > tti + 1:\n",
            ("tests/test_engine.py::TestStep::test_expiry_behind_a_live_head",
             REF + "test_mixed_traffic_with_feedback_delay[BCQQ]")),
     Mutant("door_without_catch_up", "engine.py",
@@ -192,6 +232,27 @@ MUTANTS = (
            "    if cap is not None and sizes[0] > cap:\n        sizes[0] = cap\n", "",
            ("tests/test_traffic.py::TestPacketSizes::test_video_frame_clamps_at_cap",
             "tests/test_traffic.py::TestVideoArrivals::test_one_frame_per_interval_and_cap")),
+    # an arrival source that names a wrong next TTI: an empty FTP pop one TTI
+    # short of the first arrival its scan found, an FTP pop with arrivals one
+    # TTI past the next, and video frames one TTI too far apart. Each names
+    # every tier-1 test that fails but the acceptance criteria.
+    Mutant("empty_ftp_pop_one_short", "traffic.py",
+           "src.next_tti = after + stream.skip_zeros(", "src.next_tti = after - 1 + stream.skip_zeros(",
+           (*SOURCE, *FTP_POP,
+            "tests/test_engine.py::TestAdjustment::test_rescaled_flow_floors_at_a_tenth_of_its_own_load")),
+    Mutant("ftp_arrival_skips_the_next_tti", "traffic.py",
+           "        src.next_tti = after\n", "        src.next_tti = after + 1\n",
+           (*SOURCE, *FTP_POP, *(d for d in DIGESTS if "flood_traced" in d),
+            FTRAFFIC + "TestFtpArrivals::test_class_branch_draws_only_its_class_draws",
+            FTRAFFIC + "TestFtpArrivals::test_deadlines_stamped",
+            FTRAFFIC + "TestReproducibility::test_identical_seed_identical_sequence")),
+    Mutant("video_interval_off_by_one", "traffic.py",
+           "src.next_tti += spec.frame_interval_ms\n", "src.next_tti += spec.frame_interval_ms + 1\n",
+           (*SOURCE,
+            FTRAFFIC + "TestFtpArrivals::test_class_branch_draws_only_its_class_draws",
+            FTRAFFIC + "TestLongRunRate::test_video_rate_converges_to_truncated_mean",
+            FTRAFFIC + "TestVideoArrivals::test_off_frame_tti_empty",
+            FTRAFFIC + "TestVideoArrivals::test_one_frame_per_interval_and_cap")),
     Mutant("no_adjustment_floor", "traffic.py",
            "max(spec.offered_load_bps * factor, floor)", "spec.offered_load_bps * factor",
            ("tests/test_traffic.py::TestAdjustment::test_floor_at_ten_percent",)),
@@ -257,7 +318,7 @@ MUTANTS = (
     # yet complete
     Mutant("split_bisect_one_short", "buffering.py",
            "bisect_right(ends, sent + remaining)", "bisect_right(ends, sent + remaining - 1)",
-           (DRAIN + "test_budget_equal_to_head_remaining", PACKET_QUEUE)),
+           (DRAIN + "test_budget_equal_to_head_remaining", PACKET_QUEUE, PER_PACKET)),
     Mutant("delay_plus_one", "buffering.py",
            "delay = now_tti - arrival\n", "delay = now_tti - arrival + 1\n",
            (*(DRAIN + t for t in ("test_fifo_split", "test_budget_equal_to_head_remaining",
@@ -296,17 +357,18 @@ MUTANTS = (
 # runs them after the table's rows, and prints them among the survivors while
 # they survive; the table's own run skips them, as they name no test.
 SURVIVORS = (
-    # equivalent in the engine: a wake scan's horizon, the run's end less an
-    # FTP wake TTI, is never negative
+    # equivalent: a scan's horizon, the run's end less the TTI after an empty
+    # FTP pop, is never negative, as a source pops only TTIs before the end
     Mutant("skip_zeros_negative_horizon", "streams.py", "if max_k <= 0:", "if max_k == 0:", ()),
 )
 
 
-def outcomes(src: Path, targets: list[str], work: Path, *options: str) -> dict[str, str] | None:
+def outcomes(src: Path, targets: list[str], work: Path, *options: str,
+             timeout: float = TIMEOUT_S) -> dict[str, str] | None:
     """Run pytest on ``targets``, test ids or paths of the checkout, against the
     package in ``src``: the outcome of each test it ran, "passed", "failed" or
     "skipped", by its id as pytest prints it. None when pytest outlasts
-    ``TIMEOUT_S`` and is killed."""
+    ``timeout`` seconds and is killed."""
     junit = work / "junit.xml"
     junit.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -315,7 +377,7 @@ def outcomes(src: Path, targets: list[str], work: Path, *options: str) -> dict[s
                         "--hypothesis-profile=mutants", f"--rootdir={ROOT}", f"--junitxml={junit}",
                         *options, *(str(ROOT / t) for t in targets)],
                        cwd=work, env=env, stdout=subprocess.DEVNULL, check=False,
-                       timeout=TIMEOUT_S)
+                       timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
     got = {}
@@ -329,9 +391,9 @@ def outcomes(src: Path, targets: list[str], work: Path, *options: str) -> dict[s
 
 
 def main(full: bool) -> int:
-    """Run the table: each row's named tests, or with ``full`` the whole
-    tier-1 suite per row, stopped at its first failure, to print the rows
-    that no test catches; ``full`` gates nothing."""
+    """Run the table: each row's named tests, and with ``full`` the whole
+    tier-1 suite per row after them, stopped at its first failure, to print
+    the rows that no test catches; ``full`` gates nothing."""
     rows = MUTANTS + SURVIVORS if full else MUTANTS
     targets = ["tests"] if full else sorted({i for m in MUTANTS for i in m.tests})
     options = ["-x"] if full else []
@@ -340,7 +402,9 @@ def main(full: bool) -> int:
         tmp = Path(tmp)
         clean = tmp / "clean"
         shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
+        start = time.monotonic()
         got = outcomes(clean, targets, tmp, *options)
+        cap = FULL_CAP * (time.monotonic() - start)
         if got is None:
             problems.append(f"unchanged: the tests outlasted {TIMEOUT_S} s")
         else:
@@ -355,18 +419,20 @@ def main(full: bool) -> int:
                 problems.append(f"{m.name}: its old text occurs {n} times in {m.module}")
                 continue
             path.write_text(text.replace(m.old, m.new), encoding="utf-8")
-            got = outcomes(copy, targets if full else list(m.tests), tmp, *options)
+            got = outcomes(copy, list(m.tests), tmp) if m.tests else {}
             if got is None:
                 print(f"{m.name}: timed out")
                 problems.append(f"{m.name}: its tests outlasted {TIMEOUT_S} s")
                 continue
+            caught = [i for i in m.tests if got.get(i) == "failed"]
             if full:
-                failed = [i for i, k in got.items() if k == "failed"]
-                print(f"{m.name}: " + (f"caught by {failed[0]}" if failed else "survives tier-1"))
+                suite = outcomes(copy, targets, tmp, *options, timeout=cap)
+                failed = [i for i, k in (suite or {}).items() if k == "failed"] or caught
+                print(f"{m.name}: " + (f"caught by {failed[0]}" if failed else "survives tier-1")
+                      + (f" (the suite outlasted {cap:.0f} s)" if suite is None else ""))
                 if not failed:
                     survivors.append(m.name)
                 continue
-            caught = [i for i in m.tests if got.get(i) == "failed"]
             print(f"{m.name}: caught by {len(caught)} of {len(m.tests)} tests")
             problems += [f"{m.name}: {i} {got.get(i, 'did not run')}" for i in m.tests
                          if i not in caught]
@@ -380,5 +446,6 @@ def main(full: bool) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--full", action="store_true",
-                        help="run the whole tier-1 suite per row and print the survivors")
+                        help="run the whole tier-1 suite per row after its named tests "
+                             "and print the survivors")
     sys.exit(main(parser.parse_args().full))

@@ -153,7 +153,7 @@ def test_c04_conservation_every_window_all_policies():
                 for u in sim.ues:
                     b = u.buffer
                     assert b.conservation_holds(), (
-                        f"{policy} ue={u.spec.ue_id} tti={tti}")
+                        f"{policy} ue={u.flow.ue_id} tti={tti}")
                     assert (b.arrived_bits == b.delivered_bits
                             + b.dropped_overflow_bits + b.dropped_deadline_bits
                             + b.occupied_bits)

@@ -331,6 +331,7 @@ _batch = st.tuples(
 @example(1_000, [([1_200, 5], 0, 10, 0)])               # small fits after a large drop
 @example(1_000, [([1_000], 0, 10, 0), ([3, 1], 1, 5, 0)])  # nothing fits
 @example(2_000, [([500], 0, 50, 0), ([400, 300], 1, 5, 0)])  # equal deadline behind
+@example(1_000, [([300, 200], 0, 10, 0), ([50], 1, 10, 300)])  # split at the last packet
 def test_batched_enqueue_equals_per_packet_tail_drop(capacity, batches):
     batched, reference = UeBuffer(capacity), PacketBuffer(capacity)
     deadline = 0

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import DenseSimulation, update_avg_rate
-from qoesched import engine
 from qoesched.channel import rate_of
 from qoesched.engine import Scenario, Simulation, run
 from qoesched.output import emit, fmt_real
@@ -124,10 +123,10 @@ class TestStep:
                            duration=3000, peak=1e9, walk=0.2, cqis=[9, 12, 4])
         sim = Simulation(sc, policy=Policy.PF, seed=3, collect_trace=True)
         report = sim.run()
-        avg = {u.spec.ue_id: 1.0 for u in sim.ues}
+        avg = {u.flow.ue_id: 1.0 for u in sim.ues}
         for row in report.trace_rows:
             avg[row[1]] = update_avg_rate(avg[row[1]], row[8])
-        assert {u.spec.ue_id: u.sched.avg_rate_bps for u in sim.ues} == avg
+        assert {u.flow.ue_id: u.sched.avg_rate_bps for u in sim.ues} == avg
 
 
 class TestRun:
@@ -234,8 +233,8 @@ class TestRun:
         assert len(report.windows) == 1
         w = report.windows[0]
         for u in sim.ues:
-            assert w.per_ue_y_req_bits[u.spec.ue_id] == u.buffer.arrived_bits
-            assert w.per_ue_y_bits[u.spec.ue_id] == u.buffer.delivered_bits
+            assert w.per_ue_y_req_bits[u.flow.ue_id] == u.buffer.arrived_bits
+            assert w.per_ue_y_bits[u.flow.ue_id] == u.buffer.delivered_bits
 
     def test_outside_enqueue_counts_in_its_window(self):
         # the window volumes are read off the buffer, so bits enqueued
@@ -484,7 +483,7 @@ def outside_enqueue(sim, tti, pick, sizes, beta_share):
 
 def outside_drain(sim, tti, pick, budget_share):
     # one of the UEs with queued bits
-    backlogged = [u.spec.ue_id for u in sim.ues if u.buffer.occupied_bits]
+    backlogged = [u.flow.ue_id for u in sim.ues if u.buffer.occupied_bits]
     if backlogged:
         buf = sim.buffer(backlogged[pick % len(backlogged)])
         buf.drain(round(budget_share * buf.occupied_bits), tti)
@@ -494,40 +493,39 @@ class TestTraceObserves:
     """Switching the trace on changes what is written, not what is run."""
 
     @staticmethod
-    def traced_and_not(policy, monkeypatch):
-        """The arrivals calls, report and end state of each UE of one run
-        untraced and one traced. Under a policy that does not read q, the
-        trace alone keeps the feedback pipe, so it is left out."""
+    def traced_and_not(policy):
+        """Each UE's source's next TTI and the due UEs after every step, and
+        the report and end state of each UE, of one run untraced and one
+        traced. Under a policy that does not read q, the trace alone keeps
+        the feedback pipe, so it is left out."""
         sc = light_cell()
-        calls = []
-        arrivals = engine.arrivals
-
-        def spy_arrivals(spec, tti, rng):
-            calls.append((spec.ue_id, tti))
-            return arrivals(spec, tti, rng)
-
-        monkeypatch.setattr(engine, "arrivals", spy_arrivals)
         seen = []
         for trace in (False, True):
-            calls.clear()
             sim = Simulation(sc, policy=policy, seed=17, collect_trace=trace)
+            steps = []
+
+            def step(tti, sim=sim, step=sim.step, steps=steps):
+                decision = step(tti)
+                steps.append(([u.src.next_tti for u in sim.ues], [u.index for u in sim._due]))
+                return decision
+            sim.step = step
             report = sim.run()
-            seen.append((list(calls), report._replace(trace_rows=None),
-                         [(u.spec, u.cqi, u.sched.avg_rate_bps,
+            seen.append((steps, report._replace(trace_rows=None),
+                         [(u.src.spec, u.src.next_tti, u.cqi, u.sched.avg_rate_bps,
                            list(u.q_pipe) if policy in READS_Q else None,
-                           u.sched.last_served_tti, u.next_arrival_tti, list(u.buffer.queue))
+                           u.sched.last_served_tti, list(u.buffer.queue))
                           for u in sim.ues]))
         # idle TTIs and sleepers stay out of both runs
         assert 0 < sum(u.sched_count for u in report.per_ue) < 700
-        assert len(calls) < 80 * 700
+        assert sum(len(due) for _, due in steps) < 80 * 700 // 20
         return seen
 
-    def test_trace_makes_the_same_arrivals_and_select_calls(self, monkeypatch):
-        untraced, traced = self.traced_and_not(Policy.MLWDF, monkeypatch)
+    def test_trace_makes_the_same_arrivals_and_select_calls(self):
+        untraced, traced = self.traced_and_not(Policy.MLWDF)
         assert untraced == traced
 
-    def test_trace_feeds_bcqq_the_same_q(self, monkeypatch):
-        untraced, traced = self.traced_and_not(Policy.BCQQ, monkeypatch)
+    def test_trace_feeds_bcqq_the_same_q(self):
+        untraced, traced = self.traced_and_not(Policy.BCQQ)
         assert untraced == traced
 
     @pytest.mark.parametrize("policy", list(Policy))
@@ -664,7 +662,7 @@ class TestScalarStreamReference:
         def check(sim, tti):
             for u, want in zip(sim.ues, record[tti], strict=True):
                 if u.synced_tti > tti:
-                    assert same(sim, u, want), (tti, u.spec.ue_id)
+                    assert same(sim, u, want), (tti, u.flow.ue_id)
 
         sims, reports = [], []
         for cls, after in ((DenseSimulation, keep), (Simulation, check)):
@@ -680,14 +678,14 @@ class TestScalarStreamReference:
             reports.append(sim.run())
             sims.append(sim)
         dense, sparse = sims
-        assert isinstance(sparse.ues[0].traffic_rng, BufferedStream)
+        assert isinstance(sparse.ues[0].src.stream, BufferedStream)
         assert isinstance(dense.ues[0].traffic_rng, np.random.Generator)
         want, got = (r._asdict() for r in reports)
         for name in want:
             assert got[name] == want[name], name
         # run() leaves every UE caught up to the end of the run
         for a, b in zip(sparse.ues, dense.ues):
-            assert same(sparse, a, state(b)), a.spec.ue_id
+            assert same(sparse, a, state(b)), a.flow.ue_id
         return reports[1]
 
     @pytest.mark.parametrize("policy", list(Policy))
@@ -765,7 +763,7 @@ class TestScalarStreamReference:
         catch_up = Simulation._catch_up
 
         def record(sim, u, until):
-            spans.append((u.spec.ue_id, u.synced_tti, until))
+            spans.append((u.flow.ue_id, u.synced_tti, until))
             catch_up(sim, u, until)
 
         monkeypatch.setattr(Simulation, "_catch_up", record)
@@ -834,9 +832,11 @@ class TestScalarStreamReference:
                      if start < m < until]
         assert CHUNK in crossings and 2 * CHUNK in crossings
 
-    def test_adjustment_rearms_a_pending_wake(self, monkeypatch):
+    def test_adjustment_pops_an_empty_pending_tti_and_scans_on(self):
         # UE 1 (lam = 0.04) gets a big packet about every 25 TTIs and starves
-        # at CQI 1 behind UE 0, so it is adjusted while its wake TTI lies ahead.
+        # at CQI 1 behind UE 0, so it is adjusted while its source's next TTI
+        # lies ahead. The source keeps that TTI; under the halved lam its
+        # double may now be a zero, which pops no packet and scans on.
         sc = make_scenario(
             [ftp_flow(0, load=2e8, mean=20_000, beta=100_000),
              ftp_flow(1, load=1.6e7, mean=400_000, beta=100_000, adaptive=True)],
@@ -844,30 +844,24 @@ class TestScalarStreamReference:
             adjustment_enabled=True, occupancy_threshold=0.5, starvation_tti=20,
             adjustment_factor=0.5,
         )
-        calls = []
-        wake_tti = engine.next_arrival_tti
+        seen = {}  # tti -> UE 1's source's next TTI and arrived bits before the step
 
-        def record(spec, tti, rng, end_tti):
-            wake = wake_tti(spec, tti, rng, end_tti)
-            calls.append((spec, tti, wake))
-            return wake
+        def look(sim, tti):
+            if not isinstance(sim, DenseSimulation):
+                u = sim.ues[1]
+                seen[tti] = (u.src.next_tti, u.buffer.arrived_bits)
 
-        monkeypatch.setattr(engine, "next_arrival_tti", record)
-        report = self.both(lambda cls: cls(sc, seed=10))
+        report = self.both(lambda cls: cls(sc, seed=10), look)
         events = [e for e in report.adjustment_events if e.ue_id == 1]
-        # An adjustment replaces the UE's spec and re-arms its wake TTI with
-        # it at once, so each new spec's first call is that event's re-arm.
-        rearms, spec = [], sc.flows[1]
-        for call_spec, pending, wake in calls:
-            if call_spec.ue_id == 1 and call_spec is not spec:
-                spec = call_spec
-                rearms.append((spec.offered_load_bps, pending, wake))
-        assert len(events) == len(rearms) >= 3
-        assert all(load == e.new_load_bps for e, (load, _, _) in zip(events, rearms))
+        assert len(events) >= 3
         # Loads never rise, so TTIs skipped under the old load stay empty.
         assert all(e.new_load_bps <= e.old_load_bps for e in events)
         assert all(e.old_load_bps / 400_000_000 < 10.0 for e in events)
-        assert any(wake > pending > e.tti + 1 for e, (_, pending, wake) in zip(events, rearms))
+        # pending TTIs ahead of their event, and which of them popped no packet
+        ahead = [p for e in events if e.tti + 1 in seen and (p := seen[e.tti + 1][0]) > e.tti + 1]
+        empty = [p for p in ahead if p + 1 < sc.duration_tti
+                 and seen[p + 1][1] == seen[p][1] and seen[p + 1][0] > p + 1]
+        assert ahead and empty
 
     def test_adjustments_on_one_tti_keep_the_order_of_the_ues(self):
         # UE 0, far stricter, takes every grant; UEs 1 and 2 fill past the
@@ -897,7 +891,7 @@ class TestScalarStreamReference:
                 return
             u = sim.ues[0]
             if not isinstance(sim, DenseSimulation):
-                assert tti < u.next_arrival_tti and not u.buffer.queue
+                assert tti < u.src.next_tti and not u.buffer.queue
                 woken.append(tti)
             sim.buffer(0).enqueue([300_000], tti, tti + 50)
 
@@ -924,8 +918,8 @@ class TestScalarStreamReference:
                 return
             u = sim.ues[0]
             sparse = not isinstance(sim, DenseSimulation)
-            if sparse and u.asleep and tti + 50 <= u.next_arrival_tti < sc.duration_tti:
-                assert u in sim._calendar[u.next_arrival_tti]
+            if sparse and u.asleep and tti + 50 <= u.src.next_tti < sc.duration_tti:
+                assert u in sim._calendar[u.src.next_tti]
                 early.append(tti)
             sim.buffer(0).enqueue([300_000], tti, tti + 50)
             if sparse:
@@ -948,8 +942,8 @@ class TestScalarStreamReference:
 
         def look(sim, tti):
             if not isinstance(sim, DenseSimulation):
-                far.extend(u.next_arrival_tti - tti for u in sim.ues
-                           if u.asleep and u.next_arrival_tti < sc.duration_tti)
+                far.extend(u.src.next_tti - tti for u in sim.ues
+                           if u.asleep and u.src.next_tti < sc.duration_tti)
 
         def build(cls):
             sims.append(cls(sc, policy=policy, seed=3, collect_trace=trace))
@@ -957,7 +951,7 @@ class TestScalarStreamReference:
 
         self.both(build, look)
         assert max(far) > DRAW_MAX + BLOCK
-        ended = [u for u in sims[1].ues if u.asleep and u.next_arrival_tti == sc.duration_tti]
+        ended = [u for u in sims[1].ues if u.asleep and u.src.next_tti == sc.duration_tti]
         assert ended
         assert all(u not in bucket for u in ended for bucket in sims[1]._calendar.values())
 
@@ -986,9 +980,9 @@ class TestScalarStreamReference:
             # empty the fullest UE; one whose wake TTI lies ahead sleeps
             if tti % 11 == 5:
                 u = max(sim.ues, key=lambda u: u.buffer.occupied_bits)
-                buf = sim.buffer(u.spec.ue_id)
+                buf = sim.buffer(u.flow.ue_id)
                 buf.drain(buf.occupied_bits, tti)
-                if not isinstance(sim, DenseSimulation) and tti < u.next_arrival_tti:
+                if not isinstance(sim, DenseSimulation) and tti < u.src.next_tti:
                     asleep.append(tti)
 
         steps = []
@@ -1027,6 +1021,20 @@ class TestDifferentialFuzz:
         args = st.tuples(st.just(1.0) | st.floats(0.0, 1.0))
         between = data.draw(outside_changes(args, outside_drain))
         self.both(lambda cls: cls(cell, policy=policy, seed=seed, collect_trace=trace), between)
+
+
+class TestPolicyIndependentTraffic:
+    """With the service adjustment off, a UE's arrivals are a function of
+    the seed and its ``ue_id`` alone: every policy sees the same traffic."""
+
+    @FUZZ
+    @given(cell=fuzz_cells(), trace=st.booleans(), seed=st.integers(0, 2 ** 32))
+    def test_arrived_bits_are_equal_under_every_policy(self, cell, trace, seed):
+        cell = dataclasses.replace(cell, adjustment_enabled=False)
+        arrived = {p: [u.arrived_bits for u in run(cell, policy=p, seed=seed,
+                                                    collect_trace=trace).per_ue]
+                   for p in Policy}
+        assert len(set(map(tuple, arrived.values()))) == 1, arrived
 
 
 class TestMemory:

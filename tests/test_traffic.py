@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import reference_bits
+from dense_reference import reference_bits, scalar_arrivals, scalar_substream
 from qoesched.buffering import UeBuffer
 from qoesched.engine import Scenario, Simulation
-from qoesched.streams import BufferedStream
+from qoesched.scheduler import TTIS_PER_SECOND
+from qoesched.streams import BLOCK, DRAW_MAX, BufferedStream, substream
 from qoesched.traffic import (
+    ArrivalSource,
     FlowSpec,
     TrafficClass,
     apply_adjustment,
@@ -46,13 +48,18 @@ def video_spec(**kw):
 
 
 def stream(seed):
-    """A buffered stream on numpy's default generator, as ``arrivals`` takes."""
+    """A buffered stream on numpy's default generator, as a source holds."""
     return BufferedStream(np.random.default_rng(seed))
+
+
+def source(spec, rng, end_tti=10**9):
+    """An arrival source of ``spec`` on ``rng``, first popped at TTI 0."""
+    return ArrivalSource(spec, rng, end_tti)
 
 
 class StubStream:
     """Serves given uniforms: ``poisson_random`` all of them, ``random()``
-    the next one."""
+    the next one; a scan skips no TTI."""
 
     def __init__(self, us):
         self.us = list(us)
@@ -64,12 +71,15 @@ class StubStream:
     def random(self):
         return self.us.pop(0)
 
+    def skip_zeros(self, lam, max_k):
+        return 0
+
 
 class TestFtpArrivals:
     def test_mean_size_half_megabit(self):
         # lambda per TTI chosen so one call yields ~1e6 packets
         spec = ftp_spec(offered_load_bps=5e14)
-        sizes = arrivals(spec, 0, stream(42))
+        sizes = arrivals(source(spec, stream(42)))
         assert len(sizes) > 900_000
         mean = sum(sizes) / len(sizes)
         assert abs(mean - 500_000) / 500_000 < 0.01
@@ -82,7 +92,7 @@ class TestFtpArrivals:
 
     def test_inverse_cdf_median(self):
         # u = 0.5 lands on mean * ln 2
-        sizes = arrivals(ftp_spec(), 0, StubStream([0.5]))
+        sizes = arrivals(source(ftp_spec(), StubStream([0.5])))
         assert sizes == [round(5e5 * math.log(2))] == [346574]
 
     def test_deadlines_stamped(self):
@@ -100,18 +110,20 @@ class TestFtpArrivals:
             assert deadline == arrival + 300
 
     def test_class_branch_draws_only_its_class_draws(self):
-        # the class branch is the only class test: video draws nothing off a
-        # frame TTI and one double on one, FTP a Poisson count and its sizes;
-        # the stream then serves the next double the scalar draws do
+        # the class branch is the only class test: video draws one double per
+        # frame and names the next frame, FTP a Poisson count and its sizes;
+        # two sources on one stream leave it serving the next double the
+        # scalar draws do
         rng, plain = stream(0), np.random.default_rng(0)
-        assert arrivals(video_spec(), 7, rng) == []
+        video = source(video_spec(), rng)
         frame = [min(reference_bits(plain.random(), 1e9 * 16 / 1000.0), 2_000_000)]
-        assert arrivals(video_spec(), 16, rng) == frame
+        assert arrivals(video) == frame and video.next_tti == 16
         spec = ftp_spec(offered_load_bps=1.5e9)
         n = plain.poisson(ftp_lam(spec))
         assert n > 0
         sizes = [reference_bits(u, spec.mean_packet_bits) for u in plain.random(n).tolist()]
-        assert arrivals(spec, 7, rng) == sizes
+        ftp = source(spec, rng)
+        assert arrivals(ftp) == sizes and ftp.next_tti == 1
         assert rng.random() == plain.random()
 
 
@@ -138,13 +150,13 @@ class TestPacketSizes:
     @example([0.763774618976614], 240181.54092731967)
     def test_equals_max_one_rounded_inverse_cdf(self, us, mean_bits):
         if type(mean_bits) is int:
-            sizes = arrivals(ftp_spec(mean_packet_bits=mean_bits), 0, StubStream(us))
+            sizes = arrivals(source(ftp_spec(mean_packet_bits=mean_bits), StubStream(us)))
             assert sizes == [reference_bits(u, mean_bits) for u in us]
             return
         spec = video_spec(offered_load_bps=mean_bits, frame_interval_ms=1000,
                           max_packet_bits=2**62)
         frame_mean = mean_bits * 1000 / 1000
-        sizes = [arrivals(spec, 0, StubStream([u]))[0] for u in us]
+        sizes = [arrivals(source(spec, StubStream([u])))[0] for u in us]
         assert sizes == [reference_bits(u, frame_mean) for u in us]
 
     @settings(max_examples=100, deadline=None)
@@ -153,29 +165,38 @@ class TestPacketSizes:
         spec = video_spec(offered_load_bps=load, max_packet_bits=cap)
         u = np.random.default_rng(seed).random()
         expected = min(reference_bits(u, load * 16 / 1000.0), cap)
-        assert arrivals(spec, 32, StubStream([u])) == [expected]
+        assert arrivals(source(spec, StubStream([u]))) == [expected]
 
 
 class TestVideoArrivals:
     def test_one_frame_per_interval_and_cap(self):
-        spec = video_spec()
-        rng = stream(1)
+        src = source(video_spec(), stream(1))
         sizes = []
         for k in range(200_000):
-            frame = arrivals(spec, k * 16, rng)
+            assert src.next_tti == k * 16
+            frame = arrivals(src)
             assert len(frame) == 1
             sizes.append(frame[0])
         assert max(sizes) <= 2_000_000
 
     def test_off_frame_tti_empty(self):
-        spec = video_spec()
-        assert arrivals(spec, 7, stream(2)) == []
+        # the source names only frame TTIs, each one double apart, and the
+        # frame after the last as its next TTI, past the run's end
+        for interval in (1, 7, 16):
+            spec = video_spec(frame_interval_ms=interval)
+            src, plain = source(spec, stream(2), end_tti=50), np.random.default_rng(2)
+            popped = []
+            while src.next_tti < 50:
+                popped.append(src.next_tti)
+                assert arrivals(src) == scalar_arrivals(spec, popped[-1], plain)
+            assert popped == list(range(0, 50, interval))
+            assert src.next_tti == popped[-1] + interval
 
     def test_truncation_pulls_mean_below_cap(self):
         # untruncated frame mean 1.6e7 bits >> 2e6 cap
         spec = video_spec(offered_load_bps=1e9, frame_interval_ms=16)
-        rng = stream(3)
-        sizes = [arrivals(spec, k * 16, rng)[0] for k in range(100_000)]
+        src = source(spec, stream(3))
+        sizes = [arrivals(src)[0] for _ in range(100_000)]
         assert max(sizes) <= 2_000_000
         # sampling oracle for the clipped-exponential mean
         oracle = np.minimum(
@@ -186,14 +207,68 @@ class TestVideoArrivals:
         assert abs(empirical - oracle) / oracle < 0.02
 
 
+def decades(lo, hi):
+    """Floats spread evenly over the decades from 10**lo to 10**hi."""
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+@st.composite
+def adaptive_flows(draw):
+    """An adaptive FTP flow at 10**-3 to ~40 packets per TTI, on both sides of
+    lam = 10, or an adaptive video flow of any frame interval up to 40."""
+    bits = round(draw(decades(3, 6)))  # mean packet or frame size
+    if draw(st.booleans()):
+        lam = draw(decades(-3, 1.6))
+        return ftp_spec(adaptive=True, offered_load_bps=lam * bits * TTIS_PER_SECOND,
+                        mean_packet_bits=bits)
+    interval = draw(st.integers(1, 40))
+    return video_spec(adaptive=True, offered_load_bps=bits * TTIS_PER_SECOND / interval,
+                      frame_interval_ms=interval, max_packet_bits=round(draw(decades(3, 6.5))))
+
+
+_HORIZON = 2 * (BLOCK + DRAW_MAX)  # past a scan's spill, twice over
+
+
+class TestArrivalSource:
+    """A source popped to the end of a run gives the scalar draws' arrivals
+    TTI by TTI, under any schedule of falling loads."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(flow=adaptive_flows(), end_tti=st.integers(1, _HORIZON),
+           cuts=st.dictionaries(st.integers(0, _HORIZON), st.floats(0.05, 1.0), max_size=6),
+           seed=st.integers(0, 2**32), ue_id=st.integers(0, 1000))
+    # a light flow whose scans reach past a draw; lam falling through 10
+    @example(ftp_spec(adaptive=True, offered_load_bps=5e6), _HORIZON, {}, 3, 0)
+    @example(ftp_spec(adaptive=True, offered_load_bps=7.5e9), 300,
+             {20: 0.5, 21: 0.5, 90: 0.25, 150: 0.5}, 5, 1)
+    @example(video_spec(adaptive=True, frame_interval_ms=7), 200, {30: 0.5, 31: 0.1}, 8, 2)
+    def test_pops_the_scalar_arrivals_under_falling_loads(self, flow, end_tti, cuts, seed,
+                                                          ue_id):
+        # each popped TTI gives the scalar draws' arrivals of the same key,
+        # and each TTI the source skips is empty there; a cut applies after
+        # its TTI's arrivals, as the engine's closing pass does
+        src = ArrivalSource(flow, BufferedStream(substream(seed, ue_id, 0)), end_tti)
+        plain, spec = scalar_substream(seed, ue_id, 0), flow
+        for tti in range(end_tti):
+            want = scalar_arrivals(spec, tti, plain)
+            if tti == src.next_tti:
+                assert arrivals(src) == want, tti
+            else:
+                assert tti < src.next_tti and want == [], tti
+            if tti in cuts:
+                spec = apply_adjustment(spec, cuts[tti], flow.offered_load_bps)
+                src.spec = apply_adjustment(src.spec, cuts[tti], flow.offered_load_bps)
+        assert src.next_tti >= end_tti
+
+
 class TestLongRunRate:
     def test_ftp_rate_converges_to_offered_load(self):
         spec = ftp_spec(offered_load_bps=5e8)
-        rng = stream(11)
-        total = 0
         ttis = 1_000_000
-        for tti in range(ttis):
-            total += sum(arrivals(spec, tti, rng))
+        src = source(spec, stream(11), end_tti=ttis)
+        total = 0
+        while src.next_tti < ttis:
+            total += sum(arrivals(src))
         rate = total / (ttis / 1000.0)
         assert abs(rate - 5e8) / 5e8 < 0.02
 
@@ -204,11 +279,11 @@ class TestLongRunRate:
         oracle = np.minimum(
             np.random.default_rng(5).exponential(frame_mean, 2_000_000), 2_000_000
         ).mean()
-        rng = stream(12)
         ttis = 1_000_000
+        src = source(spec, stream(12))
         total = 0
-        for tti in range(0, ttis, 16):
-            total += arrivals(spec, tti, rng)[0]
+        while src.next_tti < ttis:
+            total += arrivals(src)[0]
         rate = total / (ttis / 1000.0)
         expected = oracle * 1000.0 / 16
         assert abs(rate - expected) / expected < 0.02
@@ -217,10 +292,12 @@ class TestLongRunRate:
 class TestReproducibility:
     def test_identical_seed_identical_sequence(self):
         spec = ftp_spec()
-        a = stream(77)
-        b = stream(77)
-        for tti in range(2000):
-            assert arrivals(spec, tti, a) == arrivals(spec, tti, b)
+        a = source(spec, stream(77), end_tti=2000)
+        b = source(spec, stream(77), end_tti=2000)
+        while a.next_tti < 2000:
+            assert a.next_tti == b.next_tti
+            assert arrivals(a) == arrivals(b)
+        assert a.next_tti == b.next_tti == 2000
 
     def test_packet_invariants(self):
         # packets are checked once per batch, where they enter a buffer
